@@ -195,14 +195,13 @@ def _cmd_hom_check(args):
             if witness:
                 print("witness f = [%s]" % ", ".join(witness))
         return 1
-    weights, coords = comphom.normal_form(t)
     conditions = comphom.hoc_conditions(t)
     lines = [
         records.emit_hom(t),
         "shape: %d x %d" % (t.m, t.n),
-        "weights: [%s]" % ", ".join(str(w) for w in weights),
+        "weights: [%s]" % ", ".join(str(w) for w in t.weights),
         "coordinates: [%s]" % ", ".join(
-            "-" if c is None else str(c) for c in coords
+            "-" if c is None else str(c) for c in t.phi
         ),
     ]
     for name in sorted(conditions):
@@ -212,8 +211,8 @@ def _cmd_hom_check(args):
         "accepted": True,
         "record": records.emit_hom(t),
         "shape": [t.m, t.n],
-        "weights": [str(w) for w in weights],
-        "coordinates": list(coords),
+        "weights": [str(w) for w in t.weights],
+        "coordinates": list(t.phi),
         "conditions": conditions,
         "order_continuous": all(conditions.values()),
     }
@@ -226,7 +225,7 @@ def _cmd_certify(args):
     e = records.load_record(_read(args.lattice), "sublattice")
     try:
         report = comphom.certify_composition(m, e)
-    except AssertionError:
+    except comphom.CertificateMismatch:
         print("certificate disagrees with the direct lattice verdict",
               file=sys.stderr)
         print(records.emit_map(m), file=sys.stderr)

@@ -2,9 +2,11 @@
 
 A linear map between finite-dimensional function lattices preserves the
 lattice operations exactly when its matrix is nonnegative with at most
-one nonzero entry per row.  The constructor checks that structural test
-and replays the definitional |Tf| = T|f| oracle on sign vectors, so a
-HomMatrix is a certified homomorphism.
+one nonzero entry per row.  The constructor runs that structural test
+and stores the operator in its normal form, a weight vector plus a partial
+coordinate map, so a HomMatrix is a certified homomorphism.  The
+definitional |Tf| = T|f| sign sweep lives in verify (P-hom, P-hoc), which
+checks the structural test against it.
 
 certify_composition connects map classification to sublattice structure:
 the topological class of a continuous map decides order density,
@@ -15,7 +17,6 @@ directly and compared.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .bitset import bit, bits
 from .contmap import classify_map
@@ -30,9 +31,6 @@ from .funclat import (
     zero_ideal,
 )
 
-SIGN_SWEEP_LIMIT = 8
-PROBE_LIMIT = 64
-
 
 class NotHomomorphism(ValueError):
     """Raised for matrices that fail |Tf| = T|f|; carries a witness f."""
@@ -40,6 +38,10 @@ class NotHomomorphism(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class CertificateMismatch(ValueError):
+    """Raised when a certificate disagrees with its direct lattice verdict."""
 
 
 def _to_rows(matrix):
@@ -52,150 +54,117 @@ def _to_rows(matrix):
     return rows
 
 
-def _matvec(rows, f):
-    return tuple(sum(c * v for c, v in zip(row, f)) for row in rows)
+def _normal_form(rows):
+    """Split a row-monomial nonnegative matrix into (weights, phi).
 
-
-def _absolute(vec):
-    return tuple(abs(v) for v in vec)
-
-
-def _structural_test(rows):
-    for row in rows:
-        live = [v for v in row if v != 0]
-        if any(v < 0 for v in live) or len(live) > 1:
-            return False
-    return True
-
-
-def _probe_vectors(n):
-    """Sign vectors sufficient to expose any non-homomorphism.
-
-    A unit vector catches a negative entry; a difference of two units
-    catches a row with two nonzero entries once negatives are ruled out.
+    Row i reads T(f)[i] = weights[i] * f(phi[i]); zero rows get weight 0
+    and an undefined (None) coordinate.  Any other matrix raises
+    NotHomomorphism.
     """
-    for j in range(n):
-        vec = [0] * n
-        vec[j] = 1
-        yield tuple(vec)
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = [0] * n
-            vec[a] = 1
-            vec[b] = -1
-            yield tuple(vec)
+    weights = []
+    phi = []
+    for row in rows:
+        live = [j for j, v in enumerate(row) if v != 0]
+        if len(live) > 1 or (live and row[live[0]] < 0):
+            raise NotHomomorphism(
+                "matrix does not preserve absolute values",
+                witness=_first_failing_probe(rows),
+            )
+        weights.append(row[live[0]] if live else Fraction(0))
+        phi.append(live[0] if live else None)
+    return tuple(weights), tuple(phi)
 
 
-def _definitional_test(rows, exhaustive):
+def _first_failing_probe(rows):
+    """The first probe f with |Tf| != T|f| for a matrix failing the test.
+
+    Probes are the unit vectors e_j, then e_a - e_b for a < b.  A unit e_j
+    fails exactly when column j holds a negative entry.  With no negative
+    entry, e_a - e_b fails exactly when some row is nonzero in both columns
+    a and b, so the first failing pair is the least (first, second)
+    nonzero-column pair over the rows.
+    """
     n = len(rows[0])
-    if exhaustive:
-        sweep = product((-1, 0, 1), repeat=n)
-    else:
-        sweep = _probe_vectors(n)
-    for f in sweep:
-        if _absolute(_matvec(rows, f)) != _matvec(rows, _absolute(f)):
-            return False, f
-    return True, None
+    negative = [j for j in range(n) if any(row[j] < 0 for row in rows)]
+    if negative:
+        return tuple(int(j == negative[0]) for j in range(n))
+    a, b = min(
+        live[:2]
+        for live in ([j for j, v in enumerate(row) if v != 0] for row in rows)
+        if len(live) > 1
+    )
+    return tuple(1 if j == a else -1 if j == b else 0 for j in range(n))
 
 
 def is_homomorphism(matrix):
-    """Structural row-monomial test, cross-checked against |Tf| = T|f|."""
-    rows = _to_rows(matrix)
-    n = len(rows[0])
-    structural = _structural_test(rows)
-    definitional, _ = _definitional_test(rows, exhaustive=n <= SIGN_SWEEP_LIMIT)
-    assert structural == definitional
-    return structural
+    """Structural test: nonnegative with at most one nonzero per row."""
+    try:
+        _normal_form(_to_rows(matrix))
+    except NotHomomorphism:
+        return False
+    return True
 
 
 class HomMatrix:
-    """A certified lattice homomorphism from n-space to m-space."""
+    """A certified lattice homomorphism from n-space to m-space.
 
-    __slots__ = ("m", "n", "entries")
+    Stored in its normal form: T(f)[i] = weights[i] * f(phi[i]), with
+    weight 0 and coordinate None on zero rows.
+    """
+
+    __slots__ = ("m", "n", "weights", "phi")
 
     def __init__(self, matrix):
         rows = _to_rows(matrix)
-        self.entries = rows
         self.m = len(rows)
         self.n = len(rows[0])
-        if not _structural_test(rows):
-            ok, witness = self._cheapest_failure(rows)
-            raise NotHomomorphism(
-                "matrix does not preserve absolute values", witness=witness
-            )
-        if self.n <= SIGN_SWEEP_LIMIT:
-            ok, _ = _definitional_test(rows, exhaustive=True)
-            assert ok
-        elif self.n <= PROBE_LIMIT:
-            ok, _ = _definitional_test(rows, exhaustive=False)
-            assert ok
+        self.weights, self.phi = _normal_form(rows)
 
-    @staticmethod
-    def _cheapest_failure(rows):
-        return _definitional_test(rows, exhaustive=False)
+    @property
+    def entries(self):
+        """The dense rows, for records and display."""
+        zero = Fraction(0)
+        return tuple(
+            tuple(w if j == col else zero for j in range(self.n))
+            for w, col in zip(self.weights, self.phi)
+        )
 
     def apply(self, f):
-        vec = tuple(Fraction(v) for v in f)
-        if len(vec) != self.n:
+        if len(f) != self.n:
             raise ValueError("vector dimension mismatch")
-        return _matvec(self.entries, vec)
+        return tuple(
+            Fraction(0) if col is None else w * Fraction(f[col])
+            for w, col in zip(self.weights, self.phi)
+        )
 
     def __eq__(self, other):
-        return isinstance(other, HomMatrix) and self.entries == other.entries
+        return isinstance(other, HomMatrix) and (
+            (self.n, self.weights, self.phi) == (other.n, other.weights, other.phi)
+        )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.n, self.weights, self.phi))
 
     def __repr__(self):
         return "HomMatrix(%r)" % (self.entries,)
 
 
-def normal_form(t):
-    """Split T into a weight vector and a partial coordinate map.
-
-    Row i reads T(f)[i] = weights[i] * f(phi[i]); zero rows get weight 0
-    and an undefined (None) coordinate.
-    """
-    weights = []
-    phi = []
-    for row in t.entries:
-        col = next((j for j, v in enumerate(row) if v != 0), None)
-        if col is None:
-            weights.append(Fraction(0))
-            phi.append(None)
-        else:
-            weights.append(row[col])
-            phi.append(col)
-    return tuple(weights), tuple(phi)
-
-
-def from_normal_form(weights, phi, n):
-    rows = []
-    for w, col in zip(weights, phi):
-        row = [Fraction(0)] * n
-        if col is not None:
-            row[col] = Fraction(w)
-        rows.append(row)
-    return HomMatrix(rows)
-
-
 def hom_from_map(m):
-    """The composition operator f -> f(map(.)) as a matrix."""
-    rows = []
-    for x in range(m.domain.n):
-        row = [Fraction(0)] * m.codomain.n
-        row[m.table[x]] = Fraction(1)
-        rows.append(row)
-    return HomMatrix(rows)
+    """The composition operator f -> f(map(.)): row x reads coordinate map(x)."""
+    t = object.__new__(HomMatrix)
+    t.m = m.domain.n
+    t.n = m.codomain.n
+    t.weights = (Fraction(1),) * t.m
+    t.phi = tuple(m.table)
+    return t
 
 
 def kernel(t):
     """Ker T as a constraint system over the domain coordinates."""
     used = 0
-    for row in t.entries:
-        for j, v in enumerate(row):
-            if v != 0:
-                used |= bit(j)
+    for col in t.phi:
+        if col is not None:
+            used |= bit(col)
     return zero_ideal(full_space(t.n), used)
 
 
@@ -274,9 +243,8 @@ def _band_preimages(t):
     for a in range(1 << t.m):
         pulled = 0
         for i in bits(a):
-            for j, v in enumerate(t.entries[i]):
-                if v != 0:
-                    pulled |= bit(j)
+            if t.phi[i] is not None:
+                pulled |= bit(t.phi[i])
         pre = zero_ideal(dom, pulled)
         if not classify_sublattice(dom, pre).band:
             return False
@@ -332,7 +300,10 @@ class CertificateReport:
     def __post_init__(self):
         if self.discrete:
             for key, value in self.direct.items():
-                assert self.conclusions[key] == value
+                if self.conclusions[key] != value:
+                    raise CertificateMismatch(
+                        "certificate %r disagrees with the direct verdict" % key
+                    )
 
 
 def _pullback_lattice(phi, e):

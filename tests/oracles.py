@@ -182,6 +182,28 @@ def hom_by_signs(rows):
     return True
 
 
+def matvec(rows, f):
+    """Dense matrix-vector product over plain row lists."""
+    return tuple(sum(r[j] * f[j] for j in range(len(f))) for r in rows)
+
+
+def first_failing_probe(rows):
+    """First probe f with |Tf| != T|f|, or None.
+
+    The probes are the unit vectors e_j, then e_a - e_b for a < b.
+    """
+    n = len(rows[0])
+    probes = [tuple(int(j == a) for j in range(n)) for a in range(n)]
+    probes += [
+        tuple(1 if j == a else -1 if j == b else 0 for j in range(n))
+        for a, b in combinations(range(n), 2)
+    ]
+    for f in probes:
+        if tuple(abs(v) for v in matvec(rows, f)) != matvec(rows, [abs(v) for v in f]):
+            return f
+    return None
+
+
 def row_monomial_nonneg(rows):
     for row in rows:
         support = [v for v in row if v != 0]

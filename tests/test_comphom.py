@@ -2,9 +2,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from finlat import (
+    CertificateMismatch,
     CertificateReport,
     HomMatrix,
     NotHomomorphism,
@@ -19,7 +22,7 @@ from finlat import (
     canonical_form,
     zero_ideal,
 )
-from finlat.comphom import from_normal_form, image_lattice, kernel, normal_form
+from finlat.comphom import image_lattice, kernel
 
 F = Fraction
 
@@ -38,6 +41,10 @@ def test_test_agrees_with_sign_oracle(m, n):
         want = oracles.hom_by_signs(frac)
         assert oracles.row_monomial_nonneg(frac) == want
         assert is_homomorphism(rows) == want
+        if not want:
+            with pytest.raises(NotHomomorphism) as err:
+                HomMatrix(rows)
+            assert err.value.witness == oracles.first_failing_probe(frac)
 
 
 def test_constructor_verdicts():
@@ -54,14 +61,51 @@ def test_constructor_verdicts():
     assert [abs(v) for v in tf] != t_abs
     with pytest.raises(NotHomomorphism):
         HomMatrix([[-1, 0]])
+    # the witness is the first failing probe: units first, then e_a - e_b
+    for rows, want in (
+        ([[1, 0, -1]], (0, 0, 1)),
+        ([[1, 0, 0], [0, 2, 3]], (0, 1, -1)),
+        ([[0, 2, 3], [1, 0, -1]], (0, 0, 1)),
+    ):
+        with pytest.raises(NotHomomorphism) as err:
+            HomMatrix(rows)
+        assert err.value.witness == want
+        assert oracles.first_failing_probe(oracles.frac_rows(rows)) == want
 
 
 def test_normal_form_round_trip():
     t = HomMatrix([["2", 0, 0], [0, "1/3", 0], [0, 0, 0]])
-    weights, phi = normal_form(t)
-    assert weights == (F(2), F(1, 3), F(0))
-    assert phi == (0, 1, None)
-    assert from_normal_form(weights, phi, 3) == t
+    assert t.weights == (F(2), F(1, 3), F(0))
+    assert t.phi == (0, 1, None)
+    assert t.entries == (
+        (F(2), F(0), F(0)), (F(0), F(1, 3), F(0)), (F(0), F(0), F(0)),
+    )
+    assert HomMatrix(t.entries) == t
+
+
+rational = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
+signed_rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_normal_form_matches_dense_rows(m, n, data):
+    rows = []
+    for _ in range(m):
+        row = [Fraction(0)] * n
+        col = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        if col is not None:
+            row[col] = data.draw(rational)
+        rows.append(row)
+    t = HomMatrix(rows)
+    f = data.draw(st.lists(signed_rational, min_size=n, max_size=n))
+    image = t.apply(f)
+    assert image == oracles.matvec(t.entries, f)
+    assert all(isinstance(v, Fraction) for v in image)
+    assert t.entries == tuple(tuple(row) for row in rows)
+    again = HomMatrix(t.entries)
+    assert again == t
+    assert hash(again) == hash(t)
 
 
 def test_composition_operator_of_a_map():
@@ -70,6 +114,9 @@ def test_composition_operator_of_a_map():
     assert hom_from_map(ident).entries == ((F(1), F(0)), (F(0), F(1)))
     const = make_map(discrete_space(2), discrete_space(2), [0, 0])
     assert hom_from_map(const).entries == ((F(1), F(0)), (F(1), F(0)))
+    dense = HomMatrix([[1, 0], [1, 0]])
+    assert hom_from_map(const) == dense
+    assert hash(hom_from_map(const)) == hash(dense)
 
 
 def test_kernel_and_image_lattice():
@@ -123,7 +170,7 @@ def test_certify_discrete_needs_dense_urysohn_lattice():
 
 
 def test_report_guard_rejects_disagreement():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateMismatch):
         CertificateReport(
             certificates={},
             conclusions={"order_continuous": True},

@@ -1,12 +1,18 @@
 """Suite runner mechanics: registry, streams, determinism, fault injection."""
 
+from fractions import Fraction
 import itertools
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
-from finlat import enumerate_topologies
+import finlat
+from finlat import comphom, enumerate_topologies
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify.properties import (
     PROPERTIES,
@@ -247,3 +253,75 @@ def test_registry_descriptions_present():
     for name, (description, install) in MUTATIONS.items():
         assert description
         assert callable(install)
+
+
+# ---------------------------------------------------------------------------
+# the definitional sign sweep lives in P-hom and P-hoc, so a broken
+# structural test must trip them, also under python -O
+
+
+def test_broken_structural_test_trips_p_hom(monkeypatch):
+    original = comphom.is_homomorphism
+
+    def accepts_negatives(matrix):
+        return original([[abs(Fraction(v)) for v in row] for row in matrix])
+
+    monkeypatch.setattr(comphom, "is_homomorphism", accepts_negatives)
+    result = run_suite(properties=("P-hom",), max_points=1,
+                       sample_budget=0).results[0]
+    assert result.failures > 0
+    witness = result.witness
+    assert witness["detail"] == {"check": "structural-vs-definitional"}
+    assert replay_witness(witness) == [{"check": "structural-vs-definitional"}]
+    monkeypatch.undo()
+    assert replay_witness(witness) == []
+
+
+OPTIMIZED_SCRIPT = """
+import json
+from finlat import comphom
+from finlat.verify import run_suite
+
+out = {}
+try:
+    comphom.HomMatrix([[1, 1]])
+except comphom.NotHomomorphism as exc:
+    out["witness"] = list(exc.witness)
+try:
+    comphom.CertificateReport(
+        certificates={}, conclusions={"order_continuous": True},
+        direct={"order_continuous": False}, discrete=True,
+    )
+except comphom.CertificateMismatch:
+    out["mismatch"] = True
+original = comphom._normal_form
+
+def rejects_zero_rows(rows):
+    if any(not any(row) for row in rows):
+        raise comphom.NotHomomorphism("zero row")
+    return original(rows)
+
+comphom._normal_form = rejects_zero_rows
+report = run_suite(properties=("P-hoc", "P-hom"), max_points=1,
+                   sample_budget=0)
+out["checks"] = {r.property_id: r.witness["detail"]["check"]
+                 for r in report.results}
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_runtime_contracts_survive_optimize():
+    src = str(Path(finlat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "witness": [1, -1],
+        "mismatch": True,
+        "checks": {"P-hoc": "constructor", "P-hom": "structural-vs-definitional"},
+    }
