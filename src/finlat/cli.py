@@ -13,8 +13,6 @@ import sys
 from . import comphom, contmap, equivrel, finspace, funclat, records
 from .bitset import mask_of
 from .verify import (
-    MUTATIONS,
-    PROPERTY_ORDER,
     SuiteConfig,
     grid_scenario,
     intero_scenario,
@@ -75,12 +73,7 @@ def _cmd_space_props(args):
 
 def _cmd_classify_map(args):
     m = records.load_record(_read(args.file), "map")
-    try:
-        cls = contmap.classify_map(m)
-    except AssertionError:
-        print("classification consistency failed", file=sys.stderr)
-        print(records.emit_map(m), file=sys.stderr)
-        return 1
+    cls = contmap.classify_map(m)
     lines = [records.emit_map(m), "", "%-20s %-6s %s" % ("class", "value", "routine")]
     for name, value in cls.flags().items():
         lines.append("%-20s %-6s %s" % (name, _flag(value), cls.procedure_ids[name]))
@@ -285,18 +278,6 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    if args.props:
-        unknown = [p for p in args.props if p not in PROPERTY_ORDER]
-        if unknown:
-            raise ValueError(
-                "unknown properties %s; known: %s"
-                % (", ".join(unknown), ", ".join(PROPERTY_ORDER))
-            )
-    if args.mutation is not None and args.mutation not in MUTATIONS:
-        raise ValueError(
-            "unknown mutation %r; known: %s"
-            % (args.mutation, ", ".join(sorted(MUTATIONS)))
-        )
     config = SuiteConfig(
         max_points=args.max_points,
         sample_points=args.sample_points,

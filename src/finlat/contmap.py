@@ -543,6 +543,8 @@ def decide_by(m, class_name, procedure_id):
 
 @dataclass(frozen=True)
 class MapClassification:
+    """Every class flag of one map; P-hier checks the implications."""
+
     weakly_open: bool
     almost_open: bool
     skeletal: bool
@@ -557,14 +559,6 @@ class MapClassification:
     injective: bool
     surjective: bool
     procedure_ids: dict = field(compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        assert not self.weakly_open or self.almost_open
-        assert not self.weakly_open or self.strongly_skeletal
-        assert not self.almost_open or self.skeletal
-        assert not self.strongly_skeletal or self.skeletal
-        assert not self.embedding or self.irreducible
-        assert self.irreducible == (self.strongly_skeletal and self.weakly_injective)
 
     def flags(self):
         return {

@@ -20,17 +20,24 @@ class _RatioForest:
     """Union-find whose edge x -> parent carries f(x) = w * f(parent)."""
 
     def __init__(self, n):
+        if n < 0:
+            raise ValueError("coordinate count must be nonnegative")
         self.parent = list(range(n))
         self.weight = [Fraction(1)] * n
         self.dead = [False] * n
 
     def find(self, x):
-        if self.parent[x] == x:
-            return x, Fraction(1)
-        root, w = self.find(self.parent[x])
-        self.weight[x] = self.weight[x] * w
-        self.parent[x] = root
-        return root, self.weight[x]
+        """(root, w) with f(x) = w * f(root); compresses the path to x."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        w = Fraction(1)
+        for y in reversed(path):
+            w = self.weight[y] * w
+            self.weight[y] = w
+            self.parent[y] = x
+        return x, w
 
     def union(self, x, z, alpha):
         # impose f(x) = alpha * f(z)
@@ -97,19 +104,26 @@ def _from_forest(n, forest):
 def from_constraints(n, zeros=(), ties=()):
     """Build a system from explicit zero coordinates and tie triples.
 
-    A tie triple (x, z, ratio) imposes f(x) = ratio * f(z).  Ratios must
-    be strictly positive; contradictory ratios force the whole group to
-    zero, the only solution-set-preserving reading.
+    A tie triple (x, z, ratio) imposes f(x) = ratio * f(z).  Coordinates
+    must lie in 0..n-1 and ratios must be strictly positive, or ValueError
+    is raised; contradictory ratios force the whole group to zero, the only
+    solution-set-preserving reading.
     """
     forest = _RatioForest(n)
     for x, z, alpha in ties:
         alpha = Fraction(alpha)
         if alpha <= 0:
             raise ValueError("tie ratio must be strictly positive")
-        forest.union(x, z, alpha)
+        forest.union(_coordinate(n, x), _coordinate(n, z), alpha)
     for x in zeros:
-        forest.kill(x)
+        forest.kill(_coordinate(n, x))
     return _from_forest(n, forest)
+
+
+def _coordinate(n, x):
+    if not 0 <= x < n:
+        raise ValueError("coordinate %r outside 0..%d" % (x, n - 1))
+    return x
 
 
 def full_space(n):

@@ -170,7 +170,7 @@ class _Parser:
             return _BUILDERS[kind](fields)
         except RecordError:
             raise
-        except (TypeError, ValueError, KeyError, AssertionError) as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             raise RecordError(
                 "line %d: bad %s record: %s" % (line, kind, exc)
             ) from exc

@@ -1,12 +1,15 @@
 """Deliberate fault injection for exercising the property suite.
 
 Each mutation patches one module-level binding, runs the suite body, then
-restores the original.  The point is evidence that the suite has teeth: a
-silent pass under any of these bugs would mean the corresponding property is
-vacuous.  Callers outside tests should never enable them.
+restores the original.  The suite runner installs it in whichever process
+checks the instances, so mutation runs may use worker processes.  The point
+is evidence that the suite has teeth: a silent pass under any of these bugs
+would mean the corresponding property is vacuous.  Callers outside tests
+should never enable them.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 from .. import contmap
@@ -19,10 +22,7 @@ def _install_inverted_wo_iii():
     def flipped(m):
         return not original.evaluate(m)
 
-    contmap.PROCEDURES["wo-iii"] = contmap.Procedure(
-        original.id, original.target, original.kind, flipped,
-        original.hypothesis, original.needs_family,
-    )
+    contmap.PROCEDURES["wo-iii"] = replace(original, evaluate=flipped)
 
     def undo():
         contmap.PROCEDURES["wo-iii"] = original

@@ -11,6 +11,7 @@ stream order becomes the witness and can be replayed from its record text.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 import math
@@ -159,28 +160,38 @@ class _MapRefs:
 # ---------------------------------------------------------------------------
 # per-instance checks; each returns (failure details, n/a count)
 
-def _bucket_of(pid):
-    if pid.startswith("mirr-"):
-        return "P-mirr"
-    if pid.startswith("ao-"):
-        return "P-ao"
-    if pid.startswith(("wo-", "sk-", "ssk-")):
-        return "P-wo"
-    if pid.startswith("irr-"):
-        return "P-irr"
-    if pid.startswith(("wi-", "ai-")):
-        return "P-wi"
-    return None
+# map class -> the suite that checks its procedures; a procedure with a
+# hypothesis is checked by P-mirr whatever its target
+_SUITE_OF_TARGET = {
+    "weakly_open": "P-ao",
+    "almost_open": "P-wo",
+    "skeletal": "P-wo",
+    "strongly_skeletal": "P-wo",
+    "irreducible": "P-irr",
+    "weakly_injective": "P-wi",
+    "almost_injective": "P-wi",
+}
+
+
+def _suite_of(proc):
+    return "P-mirr" if proc.hypothesis is not None else _SUITE_OF_TARGET[proc.target]
+
+
+@lru_cache(maxsize=1)
+def _refs_of(m):
+    # one slot: the five procedure suites check each map in turn
+    return _MapRefs(m)
 
 
 def _procedure_check(prop_id):
+    pids = tuple(pid for pid in sorted(contmap.PROCEDURES)
+                 if _suite_of(contmap.PROCEDURES[pid]) == prop_id)
+
     def check(m):
-        refs = _MapRefs(m)
+        refs = _refs_of(m)
         failures = []
         na = 0
-        for pid in sorted(contmap.PROCEDURES):
-            if _bucket_of(pid) != prop_id:
-                continue
+        for pid in pids:
             proc = contmap.PROCEDURES[pid]
             got = contmap.decide_by(m, proc.target, pid)
             if got is None:
@@ -224,11 +235,26 @@ def _check_saturation(m):
     return [], 0
 
 
+# the map-class hierarchy: the flag on the left implies the one on the right
+_IMPLICATIONS = (
+    ("weakly_open", "almost_open"),
+    ("weakly_open", "strongly_skeletal"),
+    ("almost_open", "skeletal"),
+    ("strongly_skeletal", "skeletal"),
+    ("embedding", "irreducible"),
+)
+
+
 def _check_hierarchy(m):
-    try:
-        flags = contmap.classify_map(m).flags()
-    except AssertionError:
-        return [{"check": "classification-consistency"}], 0
+    flags = contmap.classify_map(m).flags()
+    broken = ["%s -> %s" % (a, b) for a, b in _IMPLICATIONS
+              if flags[a] and not flags[b]]
+    if flags["irreducible"] != (flags["strongly_skeletal"]
+                                and flags["weakly_injective"]):
+        broken.append("irreducible <-> strongly_skeletal and weakly_injective")
+    if broken:
+        return [{"check": "classification-consistency", "implication": b}
+                for b in broken], 0
     t = m.table
     dom_opens = m.domain.opens
     cod_opens = m.codomain.opens
@@ -870,91 +896,72 @@ def _validate(cfg):
         raise ValueError("workers must be positive")
     for pid in cfg.selected():
         if pid not in PROPERTIES:
-            raise ValueError("unknown property %r" % (pid,))
+            raise ValueError("unknown property %r; known: %s"
+                             % (pid, ", ".join(PROPERTY_ORDER)))
     if cfg.mutation is not None and cfg.mutation not in MUTATIONS:
-        raise ValueError("unknown mutation %r" % (cfg.mutation,))
+        raise ValueError("unknown mutation %r; known: %s"
+                         % (cfg.mutation, ", ".join(sorted(MUTATIONS))))
 
 
+@dataclass
 class _Agg:
-    __slots__ = ("exhaustive", "sampled", "failures", "na", "seconds", "witness")
-
-    def __init__(self):
-        self.exhaustive = 0
-        self.sampled = 0
-        self.failures = 0
-        self.na = 0
-        self.seconds = 0.0
-        self.witness = None
+    exhaustive: int = 0
+    sampled: int = 0
+    failures: int = 0
+    na: int = 0
+    seconds: float = 0.0
+    witness: object = None
 
 
-def _run_exhaustive(kind, pids, cfg, totals):
-    for index, instance in enumerate(_exhaustive_stream(kind, cfg)):
-        for pid in pids:
-            agg = totals[pid]
-            t0 = time.perf_counter()
-            failures, na = _safe_check(pid, instance)
-            agg.seconds += time.perf_counter() - t0
-            agg.exhaustive += 1
-            agg.na += na
-            if failures:
-                agg.failures += 1
-                if agg.witness is None:
-                    agg.witness = dict(
-                        property=pid, stage="exhaustive", index=index,
-                        detail=failures[0], **_describe(kind, instance),
-                    )
+def _check_stage(kind, pids, cfg, stage, start=0, stop=0):
+    """Check one stage's instances in stream order; returns {pid: _Agg}.
+
+    The sampled stage covers the indices start..stop-1.  The mutation is
+    installed here, in whichever process checks the instances.
+    """
+    totals = {pid: _Agg() for pid in pids}
+    checked = 0
+    with apply_mutation(cfg.mutation):
+        if stage == "exhaustive":
+            stream = enumerate(_exhaustive_stream(kind, cfg))
+        else:
+            stream = ((i, _sample_instance(kind, cfg, i)) for i in range(start, stop))
+        for index, instance in stream:
+            checked += 1
+            for pid in pids:
+                agg = totals[pid]
+                t0 = time.perf_counter()
+                failures, na = _safe_check(pid, instance)
+                agg.seconds += time.perf_counter() - t0
+                agg.na += na
+                if failures:
+                    agg.failures += 1
+                    if agg.witness is None:
+                        agg.witness = dict(
+                            property=pid, stage=stage, index=index,
+                            detail=failures[0], **_describe(kind, instance),
+                        )
+    for agg in totals.values():
+        setattr(agg, stage, checked)
+    return totals
 
 
-def _sampled_chunk(kind, pids, cfg, start, stop):
-    out = {pid: [0, 0, 0, 0.0, None] for pid in pids}
-    for index in range(start, stop):
-        instance = _sample_instance(kind, cfg, index)
-        for pid in pids:
-            cell = out[pid]
-            t0 = time.perf_counter()
-            failures, na = _safe_check(pid, instance)
-            cell[3] += time.perf_counter() - t0
-            cell[0] += 1
-            cell[2] += na
-            if failures:
-                cell[1] += 1
-                if cell[4] is None:
-                    cell[4] = dict(
-                        property=pid, stage="sampled", index=index,
-                        detail=failures[0], **_describe(kind, instance),
-                    )
-    return out
-
-
-def _run_sampled(kind, pids, cfg, totals):
+def _stage_parts(kind, pids, cfg):
+    """Per-stage results in stream order: exhaustive, then sampled spans."""
+    parts = [_check_stage(kind, pids, cfg, "exhaustive")]
     budget = cfg.sample_budget
     if budget <= 0:
-        return
-    workers = 1 if cfg.mutation is not None else cfg.workers
-    if workers <= 1:
-        chunks = [_sampled_chunk(kind, pids, cfg, 0, budget)]
-    else:
-        step = max(64, -(-budget // (workers * 4)))
-        spans = [(s, min(s + step, budget)) for s in range(0, budget, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sampled_chunk, kind, pids, cfg, a, b)
-                for a, b in spans
-            ]
-            chunks = [f.result() for f in futures]
-    for chunk in chunks:
-        for pid, (checked, failed, na, seconds, witness) in chunk.items():
-            agg = totals[pid]
-            agg.sampled += checked
-            agg.failures += failed
-            agg.na += na
-            agg.seconds += seconds
-            if witness is not None:
-                if agg.witness is None or (
-                    agg.witness["stage"] == "sampled"
-                    and witness["index"] < agg.witness["index"]
-                ):
-                    agg.witness = witness
+        return parts
+    if cfg.workers <= 1:
+        return parts + [_check_stage(kind, pids, cfg, "sampled", 0, budget)]
+    step = max(64, -(-budget // (cfg.workers * 4)))
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [
+            pool.submit(_check_stage, kind, pids, cfg, "sampled",
+                        a, min(a + step, budget))
+            for a in range(0, budget, step)
+        ]
+        return parts + [f.result() for f in futures]
 
 
 def run_suite(cfg=None, **overrides):
@@ -965,22 +972,22 @@ def run_suite(cfg=None, **overrides):
     by_kind = {}
     for pid in selected:
         by_kind.setdefault(PROPERTIES[pid].kind, []).append(pid)
-    totals = {pid: _Agg() for pid in selected}
-    with apply_mutation(cfg.mutation):
-        for kind, pids in by_kind.items():
-            pids = tuple(pids)
-            _run_exhaustive(kind, pids, cfg, totals)
-            _run_sampled(kind, pids, cfg, totals)
+    parts = {pid: [] for pid in selected}
+    for kind, pids in by_kind.items():
+        for part in _stage_parts(kind, tuple(pids), cfg):
+            for pid, agg in part.items():
+                parts[pid].append(agg)
+    # parts are in stream order, so the first witness found is the earliest
     results = tuple(
         PropertyResult(
             property_id=pid,
-            exhaustive=totals[pid].exhaustive,
-            sampled=totals[pid].sampled,
-            failures=totals[pid].failures,
-            not_applicable=totals[pid].na,
-            witness=totals[pid].witness,
-            seconds=totals[pid].seconds,
+            exhaustive=sum(a.exhaustive for a in aggs),
+            sampled=sum(a.sampled for a in aggs),
+            failures=sum(a.failures for a in aggs),
+            not_applicable=sum(a.na for a in aggs),
+            witness=next((a.witness for a in aggs if a.witness), None),
+            seconds=sum(a.seconds for a in aggs),
         )
-        for pid in selected
+        for pid, aggs in parts.items()
     )
     return SuiteReport(config=cfg.to_dict(), results=results)

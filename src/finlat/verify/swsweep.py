@@ -20,8 +20,6 @@ import numpy as np
 
 from .. import funclat
 from .properties import (
-    _check_disjoint_identities,
-    _check_ideal_intersection,
     _check_span_closure,
     _disjoint_identities_of,
     _ideal_intersection_of,
@@ -30,12 +28,6 @@ from .properties import (
 
 PERMUTE_FROM = 4
 MAX_GENS = 3
-
-_CHECKS = {
-    "closure": _check_span_closure,
-    "dis": _check_disjoint_identities,
-    "menag": _check_ideal_intersection,
-}
 
 
 def _normalize(vec):

@@ -351,6 +351,20 @@ def test_no_arguments_rejected():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "sublattice { n = 3; zeros = [-1] }",
+    'sublattice { n = 2; ties = [ {x=0; z=5; ratio="1/1"} ] }',
+    "sublattice { n = -1 }",
+    "sublattice { n = -1; generators = [] }",
+], ids=["negative-zero", "tie-outside", "negative-n", "negative-n-generators"])
+def test_constraint_out_of_range_is_usage_error(capsys, tmp_path, text):
+    path = record_file(tmp_path, "bad.rec", text)
+    code, out, err = run_cli(capsys, "lattice", "canonical", path)
+    assert code == 2
+    assert out == ""
+    assert "bad sublattice record" in err
+
+
 def test_malformed_record_is_usage_error(capsys, tmp_path):
     path = record_file(tmp_path, "bad.rec", "space { n = 2; opens = [ [] ")
     code, _, err = run_cli(capsys, "classify-map", path)

@@ -62,6 +62,15 @@ def test_contradictory_ties_zero_the_group():
         from_constraints(2, ties=[(1, 0, -1)])
 
 
+def test_long_tie_chain_needs_no_recursion():
+    # f(x) = 2 f(x + 1) along 3,000 coordinates: one group led by 0
+    n = 3000
+    got = from_constraints(n, ties=[(x, x + 1, 2) for x in range(n - 1)])
+    assert got.groups == ((1 << n) - 1,)
+    assert got.rep == (0,) * n
+    assert all(got.ratio[x] == Fraction(1, 2 ** x) for x in range(n))
+
+
 # --- membership and derived systems -------------------------------------------
 
 def test_member_checks_zeros_and_ratios():

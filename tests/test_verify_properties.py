@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import finlat
-from finlat import comphom, enumerate_topologies
+from finlat import comphom, contmap, discrete_space, enumerate_topologies
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify.properties import (
     PROPERTIES,
@@ -149,6 +149,43 @@ def test_hypothesis_gated_checks_report_not_applicable():
 
 
 # ---------------------------------------------------------------------------
+# procedure routing: hypothesis-gated procedures form P-mirr, the rest go
+# by target; the membership is frozen as the id-prefix routing had it
+
+
+SUITE_PROCEDURES = {
+    "P-ao": ("ao-i", "ao-ii-dense", "ao-ii-nonempty", "ao-iii", "ao-stars"),
+    "P-wo": ("sk-sat", "sk-stars", "ssk-sat", "ssk-stars", "wo-i", "wo-ii",
+             "wo-iii", "wo-iv", "wo-stars", "wo-v", "wo-v-canon", "wo-vi",
+             "wo-vi-some"),
+    "P-irr": ("irr-i", "irr-ii", "irr-ii-dense", "irr-iii", "irr-iv",
+              "irr-stars"),
+    "P-wi": ("ai-stars", "wi-def", "wi-i", "wi-ii", "wi-iii", "wi-stars"),
+    "P-mirr": ("mirr-i", "mirr-ii", "mirr-iii"),
+}
+
+
+def test_each_procedure_is_checked_by_exactly_one_suite(monkeypatch):
+    original = contmap.decide_by
+    seen = []
+
+    def recording(m, class_name, procedure_id):
+        seen.append(procedure_id)
+        return original(m, class_name, procedure_id)
+
+    monkeypatch.setattr(contmap, "decide_by", recording)
+    m = contmap.ContMap(discrete_space(2), discrete_space(2), (0, 1))
+    routed = {}
+    for suite in SUITE_PROCEDURES:
+        seen.clear()
+        PROPERTIES[suite].check(m)
+        routed[suite] = tuple(seen)
+    assert routed == SUITE_PROCEDURES
+    every = [pid for pids in routed.values() for pid in pids]
+    assert sorted(every) == sorted(contmap.PROCEDURES)
+
+
+# ---------------------------------------------------------------------------
 # determinism and serialization
 
 
@@ -239,6 +276,24 @@ def test_mutation_trips_target_and_witness_replays(name, pid, kw):
     assert replay_witness(witness) == []
 
 
+def test_mutation_runs_in_worker_processes():
+    kw = dict(properties=("P-wo",), max_points=2, sample_budget=200,
+              mutation="invert-wo-iii")
+    serial = run_suite(workers=1, **kw)
+    split = run_suite(workers=2, **kw)
+    assert split.to_structured()["results"] == serial.to_structured()["results"]
+    result = split.results[0]
+    # a negated iff procedure disagrees with the reference on every map,
+    # so each sampled map checked in a worker counts as a failure
+    assert result.sampled == 200
+    assert result.failures == result.exhaustive + result.sampled
+    # the earliest failing instance in stream order is the witness
+    assert (result.witness["stage"], result.witness["index"]) == ("exhaustive", 0)
+    with apply_mutation("invert-wo-iii"):
+        assert replay_witness(result.witness)
+    assert replay_witness(result.witness) == []
+
+
 def test_mutation_restores_bindings_even_on_error():
     import finlat.contmap as contmap
     original = contmap.PROCEDURES["wo-iii"]
@@ -256,8 +311,9 @@ def test_registry_descriptions_present():
 
 
 # ---------------------------------------------------------------------------
-# the definitional sign sweep lives in P-hom and P-hoc, so a broken
-# structural test must trip them, also under python -O
+# the definitional sign sweep lives in P-hom and P-hoc, and the map-class
+# hierarchy in P-hier, so a broken structural test or classifier must trip
+# them, also under python -O
 
 
 def test_broken_structural_test_trips_p_hom(monkeypatch):
@@ -278,8 +334,9 @@ def test_broken_structural_test_trips_p_hom(monkeypatch):
 
 
 OPTIMIZED_SCRIPT = """
+from dataclasses import replace
 import json
-from finlat import comphom
+from finlat import comphom, contmap
 from finlat.verify import run_suite
 
 out = {}
@@ -306,6 +363,15 @@ report = run_suite(properties=("P-hoc", "P-hom"), max_points=1,
                    sample_budget=0)
 out["checks"] = {r.property_id: r.witness["detail"]["check"]
                  for r in report.results}
+classify = contmap.classify_map
+
+def weakly_open_but_not_almost_open(m):
+    cls = classify(m)
+    return replace(cls, almost_open=False) if cls.weakly_open else cls
+
+contmap.classify_map = weakly_open_but_not_almost_open
+report = run_suite(properties=("P-hier",), max_points=1, sample_budget=0)
+out["hierarchy"] = report.results[0].witness["detail"]
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -324,4 +390,6 @@ def test_runtime_contracts_survive_optimize():
         "witness": [1, -1],
         "mismatch": True,
         "checks": {"P-hoc": "constructor", "P-hom": "structural-vs-definitional"},
+        "hierarchy": {"check": "classification-consistency",
+                      "implication": "weakly_open -> almost_open"},
     }
