@@ -312,6 +312,11 @@ def _check_relation(rel):
     lib = equivrel.is_closed_relation(rel)
     if lib != closed_scan:
         return [{"check": "closed-relation", "got": lib, "expected": closed_scan}], 0
+    _, proj = equivrel.quotient(rel)
+    by_projection = contmap.closed_map_stars(proj)
+    if lib != by_projection:
+        return [{"check": "closed-relation-projection", "got": lib,
+                 "expected": by_projection}], 0
     return [], 0
 
 
@@ -955,11 +960,12 @@ def _stage_parts(kind, pids, cfg):
     if cfg.workers <= 1:
         return parts + [_check_stage(kind, pids, cfg, "sampled", 0, budget)]
     step = max(64, -(-budget // (cfg.workers * 4)))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    starts = range(0, budget, step)
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts))) as pool:
         futures = [
             pool.submit(_check_stage, kind, pids, cfg, "sampled",
                         a, min(a + step, budget))
-            for a in range(0, budget, step)
+            for a in starts
         ]
         return parts + [f.result() for f in futures]
 

@@ -7,7 +7,9 @@ generators, scaling a generator positively, negating one, reordering the
 tuple, and permuting coordinates.  The sweep therefore normalizes generators
 to primitive sign-normalized vectors and, where the coordinate count makes
 the raw family large, keeps one representative per coordinate-permutation
-orbit; the orbit minimum is computed with a vectorized lexicographic scan.
+orbit.  Each generator multiset is packed into one integer key whose order
+is the lexicographic order of its sorted alphabet indices, so the orbit
+minimum is an elementwise minimum of keys over the permutations.
 The equivariances themselves are property-tested separately.
 """
 
@@ -28,6 +30,8 @@ from .properties import (
 
 PERMUTE_FROM = 4
 MAX_GENS = 3
+# instances per task sent to a sweep worker
+_CHUNK = 256
 
 
 def _normalize(vec):
@@ -50,41 +54,50 @@ def normalize_generators(gens):
 
 
 def _permutation_quotient(n, alphabet):
-    """One index triple per coordinate-permutation orbit, sentinel-padded."""
+    """The orbit-minimal multisets, in ascending index-triple order.
+
+    A multiset of at most MAX_GENS = 3 generators is a sorted index triple
+    over the alphabet, padded with the sentinel ``len(alphabet)``, which
+    sorts last.  Packing a sorted triple into one integer key in base
+    ``len(alphabet) + 1`` makes integer order the lexicographic order on
+    triples, so the orbit minimum is a running ``np.minimum`` of the keys
+    over the coordinate permutations.
+    """
     lookup = {vec: i for i, vec in enumerate(alphabet)}
     size = len(alphabet)
-    sentinel = size
+    base = size + 1
+    index_type = np.min_scalar_type(size)
+    key_type = np.min_scalar_type(base ** 3)
 
-    combos = list(combinations_with_replacement(range(size), 0))
-    for k in range(1, MAX_GENS + 1):
-        combos.extend(combinations_with_replacement(range(size), k))
-    arr = np.full((len(combos), MAX_GENS), sentinel, dtype=np.int16)
-    for row, combo in enumerate(combos):
-        arr[row, : len(combo)] = combo
+    # every triple a <= b <= c over 0..size: each pair b <= c takes a = 0..b
+    b, c = np.triu_indices(base)
+    counts = b + 1
+    a = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    columns = [
+        col.astype(index_type)
+        for col in (a, np.repeat(b, counts), np.repeat(c, counts))
+    ]
 
     best = None
-    rows = np.arange(len(combos))
     for perm in permutations(range(n)):
-        table = np.empty(size + 1, dtype=np.int16)
-        table[sentinel] = sentinel
+        table = np.empty(base, dtype=index_type)
+        table[size] = size
         for i, vec in enumerate(alphabet):
             table[i] = lookup[_normalize(tuple(vec[p] for p in perm))]
-        mapped = table[arr]
-        mapped.sort(axis=1)
-        if best is None:
-            best = mapped.copy()
-            continue
-        neq = best != mapped
-        any_neq = neq.any(axis=1)
-        pos = neq.argmax(axis=1)
-        smaller = any_neq & (mapped[rows, pos] < best[rows, pos])
-        best[smaller] = mapped[smaller]
-    reps = np.unique(best, axis=0)
-    out = []
-    for row in reps:
-        gens = tuple(alphabet[i] for i in row if i != sentinel)
-        out.append(gens)
-    return out
+        x, y, z = (table[col] for col in columns)
+        # sorting network on the three columns
+        x, y = np.minimum(x, y), np.maximum(x, y)
+        y, z = np.minimum(y, z), np.maximum(y, z)
+        x, y = np.minimum(x, y), np.maximum(x, y)
+        key = (x.astype(key_type) * base + y) * base + z
+        best = key if best is None else np.minimum(best, key, out=best)
+
+    x, yz = np.divmod(np.unique(best), base * base)
+    y, z = np.divmod(yz, base)
+    return [
+        tuple(alphabet[i] for i in row if i != size)
+        for row in zip(x.tolist(), y.tolist(), z.tolist())
+    ]
 
 
 def family_representatives(n):
@@ -157,10 +170,11 @@ def run_family_sweep(n, *, workers=1):
     if workers <= 1:
         results = map(_check_instance, instances)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_check_instance, instances, chunksize=256)
+        chunks = -(-len(instances) // _CHUNK)
+        pool = ProcessPoolExecutor(max_workers=min(workers, chunks))
+        results = pool.map(_check_instance, instances, chunksize=_CHUNK)
     try:
-        for (num, gens), failures in zip(instances, results):
+        for gens, failures in zip(reps, results):
             if failures:
                 mismatches.append((gens, failures))
     finally:

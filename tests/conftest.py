@@ -34,3 +34,39 @@ def spaces_upto(k):
 @pytest.fixture(scope="session")
 def small_spaces():
     return spaces_upto(3)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pools of the suite runner and the family sweep by
+    a stand-in that runs the work inline; yields the pool sizes asked for."""
+    from concurrent.futures import Future
+
+    from finlat.verify import properties, swsweep
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+        def shutdown(self):
+            pass
+
+    for module in (properties, swsweep):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+    return sizes

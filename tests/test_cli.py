@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from finlat import canonical_form, classify_subset, full_space
+from finlat import canonical_form, classify_subset, finspace, full_space
 from finlat.cli import main
 from finlat.records import load_record
 
@@ -47,6 +47,24 @@ def test_enumerate_structured_and_strategies(capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--points", "3",
                                "--count-only", "--strategy", strategy)
         assert code == 0 and out.strip() == "29"
+
+
+def test_enumerate_both_fails_when_strategies_disagree(capsys, monkeypatch):
+    original = finspace.enumerate_topologies
+
+    def filter_drops_one(n, *, strategy="preorder", **kw):
+        spaces = list(original(n, strategy=strategy, **kw))
+        return spaces[:-1] if strategy == "filter" else spaces
+
+    monkeypatch.setattr(finspace, "enumerate_topologies", filter_drops_one)
+    code, out, err = run_cli(capsys, "enumerate", "--points", "3",
+                             "--strategy", "both")
+    assert code == 1
+    assert out == ""
+    assert "disagree" in err
+    code, out, _ = run_cli(capsys, "enumerate", "--points", "3",
+                           "--strategy", "preorder", "--count-only")
+    assert (code, out.strip()) == (0, "29")
 
 
 def test_enumerate_listing_round_trips(capsys):

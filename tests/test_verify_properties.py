@@ -4,6 +4,7 @@ from fractions import Fraction
 import itertools
 import json
 import math
+import multiprocessing
 import os
 from pathlib import Path
 import subprocess
@@ -294,6 +295,16 @@ def test_mutation_runs_in_worker_processes():
     assert replay_witness(result.witness) == []
 
 
+def test_pool_is_sized_to_its_spans(inline_pool):
+    kw = dict(properties=("P-wo",), max_points=2, sample_budget=200)
+    serial = run_suite(workers=1, **kw)
+    split = run_suite(workers=500, **kw)
+    # 200 sampled maps in spans of 64 make four units of work
+    assert inline_pool == [4]
+    assert multiprocessing.active_children() == []
+    assert split.to_structured()["results"] == serial.to_structured()["results"]
+
+
 def test_mutation_restores_bindings_even_on_error():
     import finlat.contmap as contmap
     original = contmap.PROCEDURES["wo-iii"]
@@ -329,6 +340,20 @@ def test_broken_structural_test_trips_p_hom(monkeypatch):
     witness = result.witness
     assert witness["detail"] == {"check": "structural-vs-definitional"}
     assert replay_witness(witness) == [{"check": "structural-vs-definitional"}]
+    monkeypatch.undo()
+    assert replay_witness(witness) == []
+
+
+def test_disagreeing_projection_route_trips_p_eqr(monkeypatch):
+    original = contmap.closed_map_stars
+    monkeypatch.setattr(contmap, "closed_map_stars",
+                        lambda m: not original(m))
+    result = run_suite(properties=("P-eqr",), max_points=2,
+                       sample_budget=0).results[0]
+    assert result.failures == result.exhaustive > 0
+    witness = result.witness
+    assert witness["detail"]["check"] == "closed-relation-projection"
+    assert replay_witness(witness) == [witness["detail"]]
     monkeypatch.undo()
     assert replay_witness(witness) == []
 

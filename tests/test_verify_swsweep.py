@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import random
 from itertools import combinations_with_replacement, permutations, product
 
@@ -84,6 +85,35 @@ def test_permutation_quotient_matches_burnside(monkeypatch):
         assert tuple(alphabet[i] for i in best) in rep_set
 
 
+def _orbit_minima(n):
+    """Brute force: the least sorted index tuple in each multiset's orbit,
+    ordered as sentinel-padded triples, as alphabet vectors."""
+    alphabet = _lattice_alphabet(n)
+    size = len(alphabet)
+    lookup = {vec: i for i, vec in enumerate(alphabet)}
+    images = [
+        [lookup[swsweep._normalize(tuple(vec[p] for p in perm))]
+         for vec in alphabet]
+        for perm in permutations(range(n))
+    ]
+    minima = set()
+    for k in range(4):
+        for combo in combinations_with_replacement(range(size), k):
+            minima.add(min(tuple(sorted(img[i] for i in combo))
+                           for img in images))
+    ordered = sorted(minima, key=lambda t: t + (size,) * (3 - len(t)))
+    return [tuple(alphabet[i] for i in t) for t in ordered]
+
+
+@pytest.mark.parametrize("n,orbits", [(2, 92), (3, 3900)])
+def test_permutation_quotient_is_sorted_orbit_minima(monkeypatch, n, orbits):
+    monkeypatch.setattr(swsweep, "PERMUTE_FROM", n)
+    reps = family_representatives(n)
+    assert reps == _orbit_minima(n)
+    assert len(reps) == oracles.burnside_multiset_orbits(
+        n, _lattice_alphabet(n), swsweep._normalize) == orbits
+
+
 def test_canonical_form_invariant_under_normalization():
     rng = random.Random(0)
     for _ in range(80):
@@ -131,3 +161,12 @@ def test_sweep_worker_split_agrees():
     serial = run_family_sweep(2)
     split = run_family_sweep(2, workers=2)
     assert serial.to_structured() == split.to_structured()
+
+
+def test_sweep_pool_is_sized_to_its_chunks(inline_pool):
+    serial = run_family_sweep(2)
+    split = run_family_sweep(2, workers=500)
+    # 165 representatives fit in one chunk
+    assert inline_pool == [1]
+    assert multiprocessing.active_children() == []
+    assert split == serial
