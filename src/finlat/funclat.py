@@ -6,14 +6,21 @@ to zero, and pairwise ties f(x) = c * f(rep) with c > 0 inside groups
 of proportional coordinates.  canonical_form derives that description
 from generators; the other operations manipulate it directly.
 
-All scalar arithmetic is exact rational.  Tie ratios compose along
-union-find paths, so floating point is never used.
+All scalar arithmetic is exact.  canonical_form groups the coordinates by
+the gcd-normalised integer direction of their generator columns and builds
+one Fraction ratio per tied coordinate; member tests ties by integer
+cross-multiplication.  Explicit tie constraints compose their ratios along
+the paths of a union-find forest.  Floating point is never used.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 from .bitset import bit, bits
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class _RatioForest:
@@ -75,6 +82,11 @@ class ConstraintSystem:
     groups: tuple
 
 
+def _tie_ratio(num, den):
+    """The tie ratio f(x) / f(lead) from one pair of values with f(lead) != 0."""
+    return Fraction(num, den)
+
+
 def _from_forest(n, forest):
     members = {}
     zero = 0
@@ -85,7 +97,7 @@ def _from_forest(n, forest):
         else:
             members.setdefault(root, []).append(x)
     rep = list(range(n))
-    ratio = [Fraction(1)] * n
+    ratio = [_ONE] * n
     groups = []
     for xs in members.values():
         lead = min(xs)
@@ -95,7 +107,7 @@ def _from_forest(n, forest):
             g |= bit(x)
             _, w_x = forest.find(x)
             rep[x] = lead
-            ratio[x] = w_x / w_lead
+            ratio[x] = _tie_ratio(w_x, w_lead)
         groups.append(g)
     groups.sort(key=lambda m: m & -m)
     return ConstraintSystem(n, zero, tuple(rep), tuple(ratio), tuple(groups))
@@ -138,52 +150,77 @@ def dim(cs):
     return len(cs.groups)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _exact(vec):
+    """The entries as ints and Fractions; any other type through Fraction."""
+    vec = tuple(vec)
+    if _EXACT_TYPES.issuperset(map(type, vec)):
+        return vec
+    return tuple(v if type(v) in _EXACT_TYPES else Fraction(v) for v in vec)
+
+
+def _direction(col):
+    """The gcd-normalised integer direction of a column, sign kept; None
+    when the column is zero.  Two nonzero columns are positive multiples of
+    each other exactly when their directions are equal."""
+    if Fraction in map(type, col):
+        scale = math.lcm(*(v.denominator for v in col))
+        col = [v.numerator * (scale // v.denominator) for v in col]
+    g = math.gcd(*col)
+    if g == 0:
+        return None
+    return tuple(v // g for v in col)
+
+
 def canonical_form(n, generators):
     """Constraint system of the sublattice generated by the given vectors.
 
     A coordinate is zeroed when every generator vanishes there; two
     coordinates are tied when one fixed positive ratio relates them on
-    every generator.  Both conditions are linear, so checking the
+    every generator, that is when their generator columns are positive
+    multiples of each other.  Both conditions are linear, so checking the
     generators settles them for the whole generated sublattice.
     """
     gens = []
     for g in generators:
-        vec = tuple(Fraction(v) for v in g)
+        vec = _exact(g)
         if len(vec) != n:
             raise ValueError("generator dimension mismatch")
         gens.append(vec)
-    forest = _RatioForest(n)
-    vanished = [all(g[x] == 0 for g in gens) for x in range(n)]
-    for x in range(n):
-        if vanished[x]:
-            forest.kill(x)
-    for z in range(n):
-        if vanished[z]:
+    if n < 0:
+        raise ValueError("coordinate count must be nonnegative")
+    rep = list(range(n))
+    ratio = [_ONE] * n
+    cols = list(zip(*gens)) if gens else [()] * n
+    zero = 0
+    leads = {}
+    masks = {}
+    for x, col in enumerate(cols):
+        key = _direction(col)
+        if key is None:
+            zero |= 1 << x
             continue
-        for x in range(z + 1, n):
-            if vanished[x]:
-                continue
-            alpha = None
-            for g in gens:
-                if g[z] != 0:
-                    alpha = g[x] / g[z]
-                    break
-            if alpha is None or alpha <= 0:
-                continue
-            if all(g[x] == alpha * g[z] for g in gens):
-                forest.union(x, z, alpha)
-    return _from_forest(n, forest)
+        lead = leads.setdefault(key, x)
+        masks[lead] = masks.get(lead, 0) | 1 << x
+        if lead != x:
+            lead_col = cols[lead]
+            j = next(j for j, v in enumerate(lead_col) if v)
+            rep[x] = lead
+            ratio[x] = _tie_ratio(col[j], lead_col[j])
+    return ConstraintSystem(n, zero, tuple(rep), tuple(ratio), tuple(masks.values()))
 
 
 def member(cs, f):
-    vec = tuple(Fraction(v) for v in f)
+    vec = _exact(f)
     if len(vec) != cs.n:
         raise ValueError("vector dimension mismatch")
     for x in bits(cs.zero_mask):
         if vec[x] != 0:
             return False
-    for x in range(cs.n):
-        if vec[x] != cs.ratio[x] * vec[cs.rep[x]]:
+    for x, (r, q) in enumerate(zip(cs.rep, cs.ratio)):
+        if r != x and vec[x] * q.denominator != q.numerator * vec[r]:
             return False
     return True
 
@@ -203,7 +240,7 @@ def zero_ideal(cs, a):
             zero |= g
             for x in bits(g):
                 rep[x] = x
-                ratio[x] = Fraction(1)
+                ratio[x] = _ONE
         else:
             groups.append(g)
     return ConstraintSystem(cs.n, zero, tuple(rep), tuple(ratio), tuple(groups))
@@ -214,7 +251,7 @@ def solution_basis(cs):
     basis = []
     for g in cs.groups:
         basis.append(
-            tuple(cs.ratio[x] if g & bit(x) else Fraction(0) for x in range(cs.n))
+            tuple(cs.ratio[x] if g & bit(x) else _ZERO for x in range(cs.n))
         )
     return basis
 
@@ -263,13 +300,6 @@ class SublatticeFlags:
     urysohn: bool
     weakly_urysohn: bool
     regular: bool
-
-    def __post_init__(self):
-        assert not self.ideal or self.band
-        assert not self.band or self.projection_band
-        assert not self.order_dense or self.weakly_urysohn
-        assert not self.urysohn or self.weakly_urysohn
-        assert self.regular
 
 
 def _infimum_of_dominators_nonzero(cs, k):

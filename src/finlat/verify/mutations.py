@@ -10,7 +10,6 @@ should never enable them.
 
 from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
 
 from .. import contmap
 from .. import funclat
@@ -49,25 +48,16 @@ def _install_saturation_drop():
 
 
 def _install_ratio_flip():
-    original = funclat._RatioForest
+    original = funclat._tie_ratio
 
-    class Flipped(original):
-        def union(self, x, z, alpha):
-            rx, wx = self.find(x)
-            rz, wz = self.find(z)
-            if rx == rz:
-                if wx != alpha * wz:
-                    self.dead[rx] = True
-                return
-            self.parent[rx] = rz
-            # reciprocal of the correct edge weight
-            self.weight[rx] = wx / (alpha * wz) if alpha * wz else Fraction(1)
-            self.dead[rz] = self.dead[rz] or self.dead[rx]
+    def flipped(num, den):
+        # reciprocal of the correct tie ratio
+        return original(den, num)
 
-    funclat._RatioForest = Flipped
+    funclat._tie_ratio = flipped
 
     def undo():
-        funclat._RatioForest = original
+        funclat._tie_ratio = original
 
     return undo
 
@@ -82,7 +72,7 @@ MUTATIONS = {
         _install_saturation_drop,
     ),
     "ratio-flip": (
-        "store the reciprocal edge weight in the proportionality forest",
+        "build every tie ratio upside down",
         _install_ratio_flip,
     ),
 }

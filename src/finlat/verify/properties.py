@@ -399,6 +399,16 @@ def _check_block_conditions(rel):
     return failures, na
 
 
+# the sublattice-flag hierarchy: the flag on the left implies the one on the
+# right; in finite dimension every sublattice is also regular
+_SUBLATTICE_IMPLICATIONS = (
+    ("ideal", "band"),
+    ("band", "projection_band"),
+    ("order_dense", "weakly_urysohn"),
+    ("urysohn", "weakly_urysohn"),
+)
+
+
 def _check_disjoint_identities(instance):
     n, gens = instance
     return _disjoint_identities_of(funclat.canonical_form(n, gens))
@@ -434,7 +444,16 @@ def _disjoint_identities_of(outer):
             if not funclat.contains(gdd_local, restricted):
                 return [{"identity": "double-complement-monotone",
                          "slice_zero": e.zero_mask, "pick": pick}], 0
-            if funclat.classify_sublattice(e, g).band and g != restricted:
+            flags = funclat.classify_sublattice(e, g)
+            broken = ["%s -> %s" % (a, b) for a, b in _SUBLATTICE_IMPLICATIONS
+                      if getattr(flags, a) and not getattr(flags, b)]
+            if not flags.regular:
+                broken.append("regular")
+            if broken:
+                return [{"check": "flag-hierarchy", "implication": b,
+                         "slice_zero": e.zero_mask, "pick": pick}
+                        for b in broken], 0
+            if flags.band and g != restricted:
                 return [{"identity": "band-restriction",
                          "slice_zero": e.zero_mask, "pick": pick}], 0
     return [], 0

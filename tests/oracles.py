@@ -295,3 +295,78 @@ class SimpleDSU:
     def component(self, x):
         root = self.find(x)
         return frozenset(y for y in self.parent if self.find(y) == root)
+
+
+def canonical_form(n, generators):
+    """Constraint system of the generated sublattice, derived pairwise.
+
+    Returns the tuple (n, zero_mask, rep, ratio, groups).  Every pair of
+    nonvanishing coordinates z < x is tested for one positive Fraction ratio
+    on all generators, and each tie found is merged into a union-find whose
+    edges carry f(x) = weight * f(parent).
+    """
+    gens = [tuple(Fraction(v) for v in g) for g in generators]
+    if n < 0 or any(len(g) != n for g in gens):
+        raise ValueError("bad dimension")
+    parent = list(range(n))
+    weight = [Fraction(1)] * n
+    vanished = [all(g[x] == 0 for g in gens) for x in range(n)]
+    dead = list(vanished)
+
+    def find(x):
+        w = Fraction(1)
+        while parent[x] != x:
+            w *= weight[x]
+            x = parent[x]
+        return x, w
+
+    for z in range(n):
+        for x in range(z + 1, n):
+            if vanished[z] or vanished[x]:
+                continue
+            alpha = next(g[x] / g[z] for g in gens if g[z] != 0)
+            if alpha <= 0 or any(g[x] != alpha * g[z] for g in gens):
+                continue
+            rx, wx = find(x)
+            rz, wz = find(z)
+            if rx == rz:
+                if wx != alpha * wz:
+                    dead[rx] = True
+                continue
+            parent[rx] = rz
+            weight[rx] = alpha * wz / wx
+            dead[rz] = dead[rz] or dead[rx]
+
+    zero = 0
+    members = {}
+    for x in range(n):
+        root, _ = find(x)
+        if dead[root]:
+            zero |= 1 << x
+        else:
+            members.setdefault(root, []).append(x)
+    rep = list(range(n))
+    ratio = [Fraction(1)] * n
+    groups = []
+    for xs in members.values():
+        lead = min(xs)
+        w_lead = find(lead)[1]
+        mask = 0
+        for x in xs:
+            mask |= 1 << x
+            rep[x] = lead
+            ratio[x] = find(x)[1] / w_lead
+        groups.append(mask)
+    groups.sort(key=lambda m: m & -m)
+    return n, zero, tuple(rep), tuple(ratio), tuple(groups)
+
+
+def member(system, f):
+    """Does f satisfy the zero and tie constraints of the tuple system?"""
+    n, zero_mask, rep, ratio, _ = system
+    vec = tuple(Fraction(v) for v in f)
+    if len(vec) != n:
+        raise ValueError("bad dimension")
+    if any(vec[x] != 0 for x in range(n) if zero_mask >> x & 1):
+        return False
+    return all(vec[x] == ratio[x] * vec[rep[x]] for x in range(n))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from finlat import (
     ConstraintSystem,
     canonical_form,
@@ -207,3 +208,50 @@ def test_generators_are_members(gens):
         assert member(sys3, g)
     for v in solution_basis(sys3):
         assert member(sys3, v)
+
+
+# --- the integer kernel against the pairwise Fraction oracle ---------------------
+
+kernel_entry = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3).map(lambda k: F(k, 1)),
+    st.sampled_from([0, F(0), 0.5, -1.5, 2.0, True, False]),
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(0, 5))
+    vec = st.tuples(*[kernel_entry] * n)
+    gens = draw(st.lists(vec, max_size=4))
+    if gens and n and draw(st.booleans()):
+        # make column x a fixed multiple of column z, of either sign
+        x, z = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.sampled_from([1, 2, F(1, 2), F(3, 1), -1, F(-2, 3)]))
+        gens = [g[:x] + (g[z] * c,) + g[x + 1:] for g in gens]
+    probes = draw(st.lists(vec, max_size=3))
+    probes += [tuple(a + 2 * b for a, b in zip(g, h))
+               for g, h in zip(gens, gens[1:])]
+    return n, gens, gens + probes
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_kernel_matches_pairwise_oracle(inputs):
+    n, gens, probes = inputs
+    got = canonical_form(n, gens)
+    expected = oracles.canonical_form(n, gens)
+    fields = (got.n, got.zero_mask, got.rep, got.ratio, got.groups)
+    # repr also tells an int ratio from a Fraction one
+    assert repr(fields) == repr(expected)
+    for v in probes + solution_basis(got):
+        assert member(got, v) == oracles.member(expected, v)
+
+
+@pytest.mark.parametrize("n,gens", [(-1, []), (-1, [()]), (2, [(1,)])])
+def test_kernel_rejects_bad_dimensions(n, gens):
+    with pytest.raises(ValueError):
+        canonical_form(n, gens)
+    with pytest.raises(ValueError):
+        oracles.canonical_form(n, gens)

@@ -361,8 +361,8 @@ def test_disagreeing_projection_route_trips_p_eqr(monkeypatch):
 OPTIMIZED_SCRIPT = """
 from dataclasses import replace
 import json
-from finlat import comphom, contmap
-from finlat.verify import run_suite
+from finlat import comphom, contmap, funclat
+from finlat.verify import replay_witness, run_suite
 
 out = {}
 try:
@@ -397,6 +397,17 @@ def weakly_open_but_not_almost_open(m):
 contmap.classify_map = weakly_open_but_not_almost_open
 report = run_suite(properties=("P-hier",), max_points=1, sample_budget=0)
 out["hierarchy"] = report.results[0].witness["detail"]
+classify_sublattice = funclat.classify_sublattice
+
+def irregular_band_without_projection(ambient, e):
+    flags = classify_sublattice(ambient, e)
+    if flags.band:
+        return replace(flags, projection_band=False, regular=False)
+    return flags
+
+funclat.classify_sublattice = irregular_band_without_projection
+report = run_suite(properties=("P-dis",), max_points=1, sample_budget=0)
+out["sublattice"] = replay_witness(report.results[0].witness)
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -417,4 +428,9 @@ def test_runtime_contracts_survive_optimize():
         "checks": {"P-hoc": "constructor", "P-hom": "structural-vs-definitional"},
         "hierarchy": {"check": "classification-consistency",
                       "implication": "weakly_open -> almost_open"},
+        "sublattice": [
+            {"check": "flag-hierarchy", "implication": implication,
+             "slice_zero": 1, "pick": 0}
+            for implication in ("band -> projection_band", "regular")
+        ],
     }

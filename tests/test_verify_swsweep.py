@@ -1,5 +1,6 @@
 """Family sweep: symmetry quotient soundness, caching, and report shape."""
 
+from concurrent.futures import ProcessPoolExecutor
 import json
 import math
 import multiprocessing
@@ -157,9 +158,20 @@ def test_sweep_reports_clean_and_cache_consistent():
         assert _ideal_intersection_of(system)[0] == menag
 
 
-def test_sweep_worker_split_agrees():
+def test_sweep_worker_split_agrees(monkeypatch):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    # 165 representatives in chunks of 16: eleven chunks for two workers
+    monkeypatch.setattr(swsweep, "_CHUNK", 16)
+    monkeypatch.setattr(swsweep, "ProcessPoolExecutor", RecordingPool)
     serial = run_family_sweep(2)
     split = run_family_sweep(2, workers=2)
+    assert sizes == [2]
     assert serial.to_structured() == split.to_structured()
 
 
