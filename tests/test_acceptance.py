@@ -6,6 +6,8 @@ its expected values from independent oracles; nothing is compared against
 the code path under test alone.
 """
 
+import hashlib
+import json
 import math
 import os
 from time import perf_counter
@@ -29,6 +31,22 @@ import oracles
 from conftest import family_of
 
 WORKERS = max(1, os.cpu_count() or 1)
+
+# sha256 of the structured results, encoded with sorted keys and compact
+# separators; the sweeps for n = 1..3 match perfbench/expected.json
+RESULT_SHA256 = {
+    "criterion-2": "3e5e4844344c276015a25533f60e309343b3443c551798afe404daeb94608278",
+    "sweep-1": "2cf3cb17d8d2d68a466a273dc186e3f6685ef53087e8fadce049fd5e90144734",
+    "sweep-2": "c5b0d959f4a7f5d31608596c843682108dc8d31701fe40c54225c0ea75a04f3e",
+    "sweep-3": "3fd32985e3d54989c454a053c486f0a16b0dadb48f35fedd69abbdf58712e534",
+    "sweep-4": "94e76102aac91bfa69f49097aab9e597f27303d2caf4487ab1678042510c8e91",
+}
+
+
+def _sha256(structured):
+    return hashlib.sha256(json.dumps(
+        structured, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
 
 
 def _line(n, detail):
@@ -87,6 +105,9 @@ def test_criterion_2_map_suites():
         # points passes through every suite
         assert result.exhaustive == 11310
         assert result.sampled >= 100_000
+    # the config is left out: it records the worker count
+    assert _sha256([r.to_structured() for r in report.results]) == (
+        RESULT_SHA256["criterion-2"])
     assert elapsed < 300.0
     _line(2, "7 suites x (11310 exhaustive + 100000 sampled) instances, "
              "zero counterexamples, %.1fs" % elapsed)
@@ -129,6 +150,7 @@ def test_criterion_4_identity_suites(family_sweeps):
     for n, report in family_sweeps.items():
         assert _mismatches_for(report, {"dis", "menag"}) == []
         assert report.ok
+        assert _sha256(report.to_structured()) == RESULT_SHA256["sweep-%d" % n]
     _line(4, "disjoint-complement and ideal-intersection identities hold "
              "over the same family, zero mismatches")
 
