@@ -39,7 +39,3 @@ def subsets_by_size(n):
     if n > 20:
         raise ValueError("subset enumeration capped at 20 points")
     return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
-
-
-def popcount_key(mask):
-    return (mask.bit_count(), mask)

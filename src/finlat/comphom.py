@@ -168,16 +168,6 @@ def kernel(t):
     return zero_ideal(full_space(t.n), used)
 
 
-def image_lattice(t):
-    """TF as a constraint system over the codomain coordinates."""
-    columns = []
-    for j in range(t.n):
-        unit = [Fraction(0)] * t.n
-        unit[j] = Fraction(1)
-        columns.append(t.apply(unit))
-    return canonical_form(t.m, columns)
-
-
 def _probe_positives(t):
     """A few nonnegative domain vectors exercising every coordinate."""
     vecs = [tuple(Fraction(1) for _ in range(t.n))]

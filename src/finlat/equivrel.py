@@ -93,10 +93,6 @@ def identity_relation(space):
     return EquivRel(space, [bit(x) for x in range(space.n)])
 
 
-def collapse_all(space):
-    return EquivRel(space, [space.full])
-
-
 def saturate(rel, a):
     """Union of the blocks meeting a (smallest block-union superset)."""
     out = 0
@@ -104,10 +100,6 @@ def saturate(rel, a):
         if b & a:
             out |= b
     return out
-
-
-def is_block_union(rel, a):
-    return saturate(rel, a) == a
 
 
 def is_closed_relation(rel):

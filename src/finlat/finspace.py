@@ -10,7 +10,7 @@ quantifier scans.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitset import bit, bits, full_mask, mask_to_list, subsets_by_size
+from .bitset import bit, bits, full_mask, mask_to_list
 
 DEFAULT_MAX_POINTS = 16
 ENUMERATION_MAX_POINTS = 5
@@ -308,13 +308,3 @@ def canonical_relabel(space):
         if best is None or fam < best:
             best = fam
     return best
-
-
-def dense_subsets(space):
-    """All dense subsets, ascending by (popcount, value)."""
-    return [a for a in subsets_by_size(space.n) if space.is_dense(a)]
-
-
-def closed_subsets(space):
-    """All closed subsets, ascending by (popcount, value)."""
-    return [a for a in subsets_by_size(space.n) if space.is_closed(a)]

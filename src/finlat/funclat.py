@@ -142,10 +142,6 @@ def full_space(n):
     return from_constraints(n)
 
 
-def zero_space(n):
-    return from_constraints(n, zeros=range(n))
-
-
 def dim(cs):
     return len(cs.groups)
 
@@ -363,18 +359,3 @@ def classify_sublattice(ambient, e):
         weakly_urysohn=weakly_urysohn,
         regular=regular,
     )
-
-
-def infimum_is_zero(n, vectors):
-    """Coordinatewise infimum of a finite nonnegative family is zero."""
-    vecs = []
-    for v in vectors:
-        vec = tuple(Fraction(c) for c in v)
-        if len(vec) != n:
-            raise ValueError("vector dimension mismatch")
-        if any(c < 0 for c in vec):
-            raise ValueError("negative entry")
-        vecs.append(vec)
-    if not vecs:
-        raise ValueError("empty family has no infimum")
-    return all(min(v[x] for v in vecs) == 0 for x in range(n))

@@ -31,7 +31,7 @@ from .bitset import mask_of, mask_to_list
 from .comphom import HomMatrix
 from .contmap import ContMap, make_map
 from .equivrel import EquivRel, from_blocks
-from .finspace import FinSpace, make_space
+from .finspace import FinSpace, _check_n, make_space
 from .funclat import ConstraintSystem, canonical_form, from_constraints
 
 KINDS = ("space", "map", "rel", "sublattice", "hom")
@@ -188,10 +188,21 @@ def _point_list(value, what):
     return value
 
 
+def _points_below(value, n, what):
+    """The point list, each point checked against 0..n-1 before any mask
+    is built from it."""
+    points = _point_list(value, what)
+    for p in points:
+        if not 0 <= p < n:
+            raise RecordError("%s names point %d outside 0..%d" % (what, p, n - 1))
+    return points
+
+
 def _build_space(fields):
     n = _need(fields, "n", "space")
     opens = _need(fields, "opens", "space")
-    masks = [mask_of(_point_list(u, "each open set")) for u in opens]
+    _check_n(n, None)
+    masks = [mask_of(_points_below(u, n, "each open set")) for u in opens]
     return make_space(n, masks)
 
 
@@ -213,7 +224,8 @@ def _build_rel(fields):
     blocks = _need(fields, "blocks", "rel")
     if not isinstance(blocks, list):
         raise RecordError("blocks must be a list of point lists")
-    return from_blocks(space, [_point_list(b, "each block") for b in blocks])
+    return from_blocks(space, [_points_below(b, space.n, "each block")
+                               for b in blocks])
 
 
 def _build_sublattice(fields):
@@ -223,10 +235,7 @@ def _build_sublattice(fields):
             raise RecordError(
                 "sublattice takes either generators or zeros/ties, not both"
             )
-        gens = [
-            tuple(Fraction(v) for v in _rational_list(g))
-            for g in fields["generators"]
-        ]
+        gens = [tuple(_rational_list(g)) for g in fields["generators"]]
         return canonical_form(n, gens)
     zeros = _point_list(fields.get("zeros", []), "zeros")
     ties = []
@@ -236,15 +245,22 @@ def _build_sublattice(fields):
         ties.append((
             _need(t, "x", "tie"),
             _need(t, "z", "tie"),
-            Fraction(_need(t, "ratio", "tie")),
+            _rational(_need(t, "ratio", "tie")),
         ))
     return from_constraints(n, zeros=zeros, ties=ties)
+
+
+def _rational(value):
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise RecordError("zero denominator in %r" % (value,)) from None
 
 
 def _rational_list(value):
     if not isinstance(value, list):
         raise RecordError("expected a list of numbers")
-    return [Fraction(v) for v in value]
+    return [_rational(v) for v in value]
 
 
 def _build_hom(fields):

@@ -409,9 +409,47 @@ _SUBLATTICE_IMPLICATIONS = (
 )
 
 
+# P-sw, P-dis and P-menag all start from canonical_form(n, gens), and P-dis
+# and P-menag depend on nothing else.  _check_stage sets this to a fresh
+# _StageCache after it installs the mutation and back to None when the stage
+# ends, so a check called outside a stage computes everything afresh.
+_stage_cache = None
+
+
+class _StageCache:
+    def __init__(self):
+        self.instance = None
+        self.system = None
+        self.verdicts = {}
+
+
+def _system_of(instance):
+    """canonical_form(n, gens); inside a stage the form of the instance
+    checked last is kept for the next check of the same instance."""
+    cache = _stage_cache
+    if cache is None:
+        return funclat.canonical_form(*instance)
+    if cache.instance is not instance:
+        cache.system = funclat.canonical_form(*instance)
+        cache.instance = instance
+    return cache.system
+
+
+def _per_system(audit, instance):
+    """audit(canonical system); inside a stage, once per distinct system."""
+    system = _system_of(instance)
+    cache = _stage_cache
+    if cache is None:
+        return audit(system)
+    key = (audit, system)
+    found = cache.verdicts.get(key)
+    if found is None:
+        found = cache.verdicts[key] = audit(system)
+    return found
+
+
 def _check_disjoint_identities(instance):
-    n, gens = instance
-    return _disjoint_identities_of(funclat.canonical_form(n, gens))
+    return _per_system(_disjoint_identities_of, instance)
 
 
 def _disjoint_identities_of(outer):
@@ -460,8 +498,7 @@ def _disjoint_identities_of(outer):
 
 
 def _check_ideal_intersection(instance):
-    n, gens = instance
-    return _ideal_intersection_of(funclat.canonical_form(n, gens))
+    return _per_system(_ideal_intersection_of, instance)
 
 
 def _ideal_intersection_of(sub):
@@ -477,7 +514,7 @@ def _ideal_intersection_of(sub):
 
 def _check_span_closure(instance):
     n, gens = instance
-    cs = funclat.canonical_form(n, gens)
+    cs = _system_of(instance)
     for g in gens:
         if not funclat.member(cs, g):
             return [{"check": "generator-membership", "generator": list(g)}], 0
@@ -937,56 +974,94 @@ class _Agg:
     witness: object = None
 
 
-def _check_stage(kind, pids, cfg, stage, start=0, stop=0):
+def _check_stage(kind, pids, cfg, stage, start=0, stop=0, instances=None):
     """Check one stage's instances in stream order; returns {pid: _Agg}.
 
-    The sampled stage covers the indices start..stop-1.  The mutation is
-    installed here, in whichever process checks the instances.
+    The sampled stage covers the indices start..stop-1.  Given
+    ``instances``, the stage checks that list instead, numbered from
+    ``start``.  The mutation, then a fresh stage cache, are installed here,
+    in whichever process checks the instances.
     """
+    global _stage_cache
     totals = {pid: _Agg() for pid in pids}
     checked = 0
     with apply_mutation(cfg.mutation):
-        if stage == "exhaustive":
-            stream = enumerate(_exhaustive_stream(kind, cfg))
-        else:
-            stream = ((i, _sample_instance(kind, cfg, i)) for i in range(start, stop))
-        for index, instance in stream:
-            checked += 1
-            for pid in pids:
-                agg = totals[pid]
-                t0 = time.perf_counter()
-                failures, na = _safe_check(pid, instance)
-                agg.seconds += time.perf_counter() - t0
-                agg.na += na
-                if failures:
-                    agg.failures += 1
-                    if agg.witness is None:
-                        agg.witness = dict(
-                            property=pid, stage=stage, index=index,
-                            detail=failures[0], **_describe(kind, instance),
-                        )
+        _stage_cache = _StageCache()
+        try:
+            if instances is not None:
+                stream = enumerate(instances, start)
+            elif stage == "exhaustive":
+                stream = enumerate(_exhaustive_stream(kind, cfg))
+            else:
+                stream = ((i, _sample_instance(kind, cfg, i))
+                          for i in range(start, stop))
+            for index, instance in stream:
+                checked += 1
+                for pid in pids:
+                    agg = totals[pid]
+                    t0 = time.perf_counter()
+                    failures, na = _safe_check(pid, instance)
+                    agg.seconds += time.perf_counter() - t0
+                    agg.na += na
+                    if failures:
+                        agg.failures += 1
+                        if agg.witness is None:
+                            agg.witness = dict(
+                                property=pid, stage=stage, index=index,
+                                detail=failures[0], **_describe(kind, instance),
+                            )
+        finally:
+            _stage_cache = None
     for agg in totals.values():
         setattr(agg, stage, checked)
     return totals
 
 
-def _stage_parts(kind, pids, cfg):
-    """Per-stage results in stream order: exhaustive, then sampled spans."""
-    parts = [_check_stage(kind, pids, cfg, "exhaustive")]
-    budget = cfg.sample_budget
-    if budget <= 0:
-        return parts
+def _span_parts(kind, pids, cfg, stage, total, instances=None):
+    """The stage's indices 0..total-1 checked in stream order: as one span
+    inline, or in spans of at least 64 in a pool of at most cfg.workers."""
+    if total <= 0:
+        return []
     if cfg.workers <= 1:
-        return parts + [_check_stage(kind, pids, cfg, "sampled", 0, budget)]
-    step = max(64, -(-budget // (cfg.workers * 4)))
-    starts = range(0, budget, step)
+        return [_check_stage(kind, pids, cfg, stage, 0, total, instances)]
+    step = max(64, -(-total // (cfg.workers * 4)))
+    starts = range(0, total, step)
     with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts))) as pool:
         futures = [
-            pool.submit(_check_stage, kind, pids, cfg, "sampled",
-                        a, min(a + step, budget))
+            pool.submit(_check_stage, kind, pids, cfg, stage, a,
+                        min(a + step, total),
+                        None if instances is None else instances[a:a + step])
             for a in starts
         ]
-        return parts + [f.result() for f in futures]
+        return [f.result() for f in futures]
+
+
+def _stage_parts(kind, pids, cfg):
+    """Per-stage results in stream order: exhaustive, then sampled spans."""
+    return ([_check_stage(kind, pids, cfg, "exhaustive")]
+            + _span_parts(kind, pids, cfg, "sampled", cfg.sample_budget))
+
+
+def _summed(pid, aggs):
+    # aggs are in stream order, so the first witness found is the earliest
+    return PropertyResult(
+        property_id=pid,
+        exhaustive=sum(a.exhaustive for a in aggs),
+        sampled=sum(a.sampled for a in aggs),
+        failures=sum(a.failures for a in aggs),
+        not_applicable=sum(a.na for a in aggs),
+        witness=next((a.witness for a in aggs if a.witness), None),
+        seconds=sum(a.seconds for a in aggs),
+    )
+
+
+def check_instances(pids, instances, *, workers=1):
+    """Check an explicit instance list, as an exhaustive stream, with
+    properties of one kind; returns their PropertyResults in pids order."""
+    kind = PROPERTIES[pids[0]].kind
+    parts = _span_parts(kind, pids, SuiteConfig(workers=workers), "exhaustive",
+                        len(instances), instances)
+    return tuple(_summed(pid, [part[pid] for part in parts]) for pid in pids)
 
 
 def run_suite(cfg=None, **overrides):
@@ -1002,17 +1077,5 @@ def run_suite(cfg=None, **overrides):
         for part in _stage_parts(kind, tuple(pids), cfg):
             for pid, agg in part.items():
                 parts[pid].append(agg)
-    # parts are in stream order, so the first witness found is the earliest
-    results = tuple(
-        PropertyResult(
-            property_id=pid,
-            exhaustive=sum(a.exhaustive for a in aggs),
-            sampled=sum(a.sampled for a in aggs),
-            failures=sum(a.failures for a in aggs),
-            not_applicable=sum(a.na for a in aggs),
-            witness=next((a.witness for a in aggs if a.witness), None),
-            seconds=sum(a.seconds for a in aggs),
-        )
-        for pid, aggs in parts.items()
-    )
+    results = tuple(_summed(pid, aggs) for pid, aggs in parts.items())
     return SuiteReport(config=cfg.to_dict(), results=results)

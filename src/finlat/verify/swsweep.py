@@ -11,27 +11,24 @@ orbit.  Each generator multiset is packed into one integer key whose order
 is the lexicographic order of its sorted alphabet indices, so the orbit
 minimum is an elementwise minimum of keys over the permutations.
 The equivariances themselves are property-tested separately.
+
+The representatives are one exhaustive stream for the suite runner, checked
+with P-sw, P-dis and P-menag: a mutation installed around the sweep applies
+to it, and a failure or crash is counted with a replayable witness.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 import math
 
 import numpy as np
 
-from .. import funclat
-from .properties import (
-    _check_span_closure,
-    _disjoint_identities_of,
-    _ideal_intersection_of,
-    _lattice_alphabet,
-)
+from .properties import _lattice_alphabet, check_instances
 
 PERMUTE_FROM = 4
 MAX_GENS = 3
-# instances per task sent to a sweep worker
-_CHUNK = 256
+# the properties the sweep checks, with the suite label of their mismatches
+_SUITES = {"P-sw": "closure", "P-dis": "dis", "P-menag": "menag"}
 
 
 def _normalize(vec):
@@ -45,12 +42,6 @@ def _normalize(vec):
         if v:
             return vec if v > 0 else tuple(-w for w in vec)
     return None
-
-
-def normalize_generators(gens):
-    """Multiset normal form: primitive, sign-fixed, zero-free, sorted."""
-    out = [w for w in (_normalize(g) for g in gens) if w is not None]
-    return tuple(sorted(out))
 
 
 def _permutation_quotient(n, alphabet):
@@ -113,41 +104,26 @@ def family_representatives(n):
     return _permutation_quotient(n, alphabet)
 
 
-# the identity audits depend only on the canonical system, and distinct
-# generator tuples collapse onto a few dozen systems, so cache per system
-_SYSTEM_CACHE = {}
-
-
-def _check_instance(args):
-    n, gens = args
-    failures = []
-    found, _ = _check_span_closure((n, gens))
-    if found:
-        failures.append({"suite": "closure", "detail": found[0]})
-    outer = funclat.canonical_form(n, gens)
-    cached = _SYSTEM_CACHE.get(outer)
-    if cached is None:
-        cached = (
-            _disjoint_identities_of(outer)[0],
-            _ideal_intersection_of(outer)[0],
-        )
-        _SYSTEM_CACHE[outer] = cached
-    for label, found in zip(("dis", "menag"), cached):
-        if found:
-            failures.append({"suite": label, "detail": found[0]})
-    return failures
-
-
 @dataclass(frozen=True)
 class FamilySweepReport:
     n: int
     alphabet: int
     representatives: int
-    mismatches: tuple
+    # PropertyResults of P-sw, P-dis and P-menag, in that order
+    results: tuple
 
     @property
     def ok(self):
-        return not self.mismatches
+        return all(r.failures == 0 for r in self.results)
+
+    @property
+    def mismatches(self):
+        """One (generators, [failure]) entry per failing property's witness."""
+        return tuple(
+            (tuple(tuple(g) for g in r.witness["generators"]),
+             [{"suite": _SUITES[r.property_id], "detail": r.witness["detail"]}])
+            for r in self.results if r.witness is not None
+        )
 
     def to_structured(self):
         return {
@@ -163,26 +139,12 @@ class FamilySweepReport:
 
 
 def run_family_sweep(n, *, workers=1):
-    _SYSTEM_CACHE.clear()
     reps = family_representatives(n)
-    instances = [(n, gens) for gens in reps]
-    mismatches = []
-    if workers <= 1:
-        results = map(_check_instance, instances)
-    else:
-        chunks = -(-len(instances) // _CHUNK)
-        pool = ProcessPoolExecutor(max_workers=min(workers, chunks))
-        results = pool.map(_check_instance, instances, chunksize=_CHUNK)
-    try:
-        for gens, failures in zip(reps, results):
-            if failures:
-                mismatches.append((gens, failures))
-    finally:
-        if workers > 1:
-            pool.shutdown()
+    results = check_instances(tuple(_SUITES), [(n, gens) for gens in reps],
+                              workers=workers)
     return FamilySweepReport(
         n=n,
         alphabet=len(_lattice_alphabet(n)),
         representatives=len(reps),
-        mismatches=tuple(mismatches),
+        results=results,
     )

@@ -38,11 +38,11 @@ def small_spaces():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace the process pools of the suite runner and the family sweep by
-    a stand-in that runs the work inline; yields the pool sizes asked for."""
+    """Replace the suite runner's process pool by a stand-in that runs the
+    work inline; yields the pool sizes asked for."""
     from concurrent.futures import Future
 
-    from finlat.verify import properties, swsweep
+    from finlat.verify import properties
 
     sizes = []
 
@@ -61,12 +61,5 @@ def inline_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-        def shutdown(self):
-            pass
-
-    for module in (properties, swsweep):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(properties, "ProcessPoolExecutor", InlinePool)
     return sizes

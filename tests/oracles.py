@@ -8,6 +8,7 @@ these and the fast bitmask routines is a genuine cross-check.
 
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import gcd
 
 
 def powerset(points):
@@ -217,6 +218,19 @@ def frac_rows(rows):
 
 
 BELL = [1, 1, 2, 5, 15, 52]
+
+
+def normalize_generators(gens):
+    """Multiset normal form: primitive, sign-fixed, zero-free, sorted."""
+    out = []
+    for vec in gens:
+        g = gcd(*vec)
+        if g == 0:
+            continue
+        vec = tuple(v // g for v in vec)
+        lead = next(v for v in vec if v)
+        out.append(vec if lead > 0 else tuple(-v for v in vec))
+    return tuple(sorted(out))
 
 
 def burnside_multiset_orbits(n, alphabet, normalize):

@@ -4,7 +4,6 @@ from finlat.bitset import (
     full_mask,
     mask_of,
     mask_to_list,
-    popcount_key,
     subsets_by_size,
 )
 
@@ -33,5 +32,5 @@ def test_subsets_by_size_order_and_count():
     assert len(subs) == 8
     assert subs[0] == 0
     assert subs[-1] == 0b111
-    keys = [popcount_key(s) for s in subs]
+    keys = [(s.bit_count(), s) for s in subs]
     assert keys == sorted(keys)

@@ -383,6 +383,30 @@ def test_constraint_out_of_range_is_usage_error(capsys, tmp_path, text):
     assert "bad sublattice record" in err
 
 
+FAR = 10 ** 12
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("hom", "check"), 'hom { rows = [ ["1/0", "0"] ] }'),
+    (("lattice", "canonical"), 'sublattice { n = 2; generators = [ ["1/0", 1] ] }'),
+    (("lattice", "canonical"),
+     'sublattice { n = 2; ties = [ {x=1; z=0; ratio="1/0"} ] }'),
+    (("space-props",), "space { n = 2; opens = [ [], [2], [0,1] ] }"),
+    (("space-props",), "space { n = 2; opens = [ [], [-1], [0,1] ] }"),
+    (("space-props",), "space { n = 2; opens = [ [], [%d], [0,1] ] }" % FAR),
+    (("quotient",), "rel { space = %s; blocks = [ [0], [%d] ] }" % (DISC2, FAR)),
+], ids=["hom-zero-denominator", "generator-zero-denominator",
+        "tie-zero-denominator", "point-n", "point-negative", "point-far",
+        "block-point-far"])
+def test_malformed_value_is_usage_error(capsys, tmp_path, argv, text):
+    path = record_file(tmp_path, "bad.rec", text)
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_malformed_record_is_usage_error(capsys, tmp_path):
     path = record_file(tmp_path, "bad.rec", "space { n = 2; opens = [ [] ")
     code, _, err = run_cli(capsys, "classify-map", path)

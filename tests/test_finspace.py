@@ -15,7 +15,6 @@ from finlat import (
     subspace,
 )
 from finlat.bitset import bits, full_mask
-from finlat.finspace import closed_subsets, dense_subsets
 
 
 # --- enumeration against the independent filter oracle ---------------------
@@ -88,9 +87,10 @@ def test_dense_and_closed_listings():
             s for s in oracles.powerset(pts)
             if oracles.closure(space.n, family, s) == pts
         }
-        assert {set_from(m) for m in dense_subsets(space)} == want_dense
+        subsets = range(space.full + 1)
+        assert {set_from(m) for m in subsets if space.is_dense(m)} == want_dense
         want_closed = {pts - u for u in family}
-        assert {set_from(m) for m in closed_subsets(space)} == want_closed
+        assert {set_from(m) for m in subsets if space.is_closed(m)} == want_closed
 
 
 # --- constructors and validation -------------------------------------------

@@ -17,12 +17,7 @@ from finlat import (
     solution_basis,
     zero_ideal,
 )
-from finlat.funclat import (
-    dim,
-    from_constraints,
-    infimum_is_zero,
-    zero_space,
-)
+from finlat.funclat import dim, from_constraints
 
 F = Fraction
 
@@ -52,8 +47,9 @@ def test_canonical_form_keeps_fractional_ratio():
 
 
 def test_canonical_form_of_nothing_is_zero():
-    assert canonical_form(2, []) == zero_space(2)
-    assert canonical_form(2, [(0, 0)]) == zero_space(2)
+    zero = from_constraints(2, zeros=range(2))
+    assert canonical_form(2, []) == zero
+    assert canonical_form(2, [(0, 0)]) == zero
 
 
 def test_contradictory_ties_zero_the_group():
@@ -97,7 +93,7 @@ def test_zero_ideal_kills_whole_groups():
 def test_solution_basis_spans_one_vector_per_group():
     sys3 = canonical_form(3, [(1, 1, 0), (0, 0, 2)])
     assert solution_basis(sys3) == [(1, 1, 0), (0, 0, 1)]
-    assert solution_basis(zero_space(2)) == []
+    assert solution_basis(canonical_form(2, [])) == []
 
 
 def test_disjoint_complement_is_support_annihilator():
@@ -118,7 +114,7 @@ def test_intersection_and_containment():
     sys3 = canonical_form(3, [(1, 1, 0), (0, 0, 2)])
     assert contains(full3, sys3)
     assert not contains(sys3, full3)
-    assert contains(sys3, zero_space(3))
+    assert contains(sys3, canonical_form(3, []))
 
 
 # --- structure flags, frozen by hand ------------------------------------------
@@ -136,7 +132,7 @@ def test_full_lattice_has_every_property():
 
 
 def test_zero_sublattice_is_a_degenerate_band():
-    f = classify_sublattice(full_space(2), zero_space(2))
+    f = classify_sublattice(full_space(2), canonical_form(2, []))
     assert flags_tuple(f) == (True, True, True, False, False, False, True)
 
 
@@ -168,17 +164,6 @@ def test_classify_requires_containment():
     axis = canonical_form(2, [(1, 0)])
     with pytest.raises(ValueError):
         classify_sublattice(axis, full_space(2))
-
-
-# --- infimum helper --------------------------------------------------------------
-
-def test_infimum_is_zero():
-    assert infimum_is_zero(2, [(1, 0), (0, 1)])
-    assert not infimum_is_zero(2, [(1, 1), (2, 1)])
-    with pytest.raises(ValueError):
-        infimum_is_zero(2, [(-1, 0)])
-    with pytest.raises(ValueError):
-        infimum_is_zero(2, [])
 
 
 # --- closure invariance of the canonical system ----------------------------------

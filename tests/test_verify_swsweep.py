@@ -11,17 +11,16 @@ import pytest
 
 import oracles
 from finlat import canonical_form, member
-from finlat.verify import swsweep
-from finlat.verify.properties import (
-    _disjoint_identities_of,
-    _ideal_intersection_of,
-    _lattice_alphabet,
+from finlat.verify import (
+    PROPERTIES,
+    apply_mutation,
+    properties,
+    replay_witness,
+    swsweep,
 )
-from finlat.verify.swsweep import (
-    family_representatives,
-    normalize_generators,
-    run_family_sweep,
-)
+from finlat.verify.properties import _lattice_alphabet
+from finlat.verify.swsweep import family_representatives, run_family_sweep
+from oracles import normalize_generators
 
 
 def _primitive_count(n, bound=2):
@@ -144,21 +143,28 @@ def test_membership_equivariant_under_coordinate_permutation():
             assert member(cs, vec) == member(csp, pvec)
 
 
-def test_sweep_reports_clean_and_cache_consistent():
-    one = run_family_sweep(1)
-    assert (one.n, one.alphabet, one.representatives, one.ok) == (1, 1, 4, True)
-    two = run_family_sweep(2)
-    assert (two.alphabet, two.representatives, two.ok) == (8, 165, True)
-    assert two.mismatches == ()
-    json.dumps(two.to_structured())
-    # far fewer distinct canonical systems than representatives
-    assert 0 < len(swsweep._SYSTEM_CACHE) < two.representatives
-    for system, (dis, menag) in swsweep._SYSTEM_CACHE.items():
-        assert _disjoint_identities_of(system)[0] == dis
-        assert _ideal_intersection_of(system)[0] == menag
+def _results(report):
+    # PropertyResult.seconds takes part in dataclass equality
+    return [r.to_structured() for r in report.results]
 
 
-def test_sweep_worker_split_agrees(monkeypatch):
+@pytest.fixture
+def stage_caches(monkeypatch):
+    """Record every stage cache the suite runner creates."""
+    caches = []
+
+    class RecordingCache(properties._StageCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(properties, "_StageCache", RecordingCache)
+    return caches
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the size of every process pool the suite runner opens."""
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -166,19 +172,70 @@ def test_sweep_worker_split_agrees(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    # 165 representatives in chunks of 16: eleven chunks for two workers
-    monkeypatch.setattr(swsweep, "_CHUNK", 16)
-    monkeypatch.setattr(swsweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(properties, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_sweep_reports_clean_and_cache_consistent(stage_caches):
+    one = run_family_sweep(1)
+    assert (one.n, one.alphabet, one.representatives, one.ok) == (1, 1, 4, True)
+    stage_caches.clear()
+    two = run_family_sweep(2)
+    assert (two.alphabet, two.representatives, two.ok) == (8, 165, True)
+    assert two.mismatches == ()
+    assert [(r.property_id, r.exhaustive, r.sampled, r.failures)
+            for r in two.results] == [
+        ("P-sw", 165, 0, 0), ("P-dis", 165, 0, 0), ("P-menag", 165, 0, 0)]
+    json.dumps(two.to_structured())
+    # a serial sweep is one stage; the cache lives only inside it
+    (cache,) = stage_caches
+    assert properties._stage_cache is None
+    # far fewer distinct canonical systems than representatives
+    assert 0 < len(cache.verdicts) < two.representatives
+    audits = {
+        "P-dis": properties._disjoint_identities_of,
+        "P-menag": properties._ideal_intersection_of,
+    }
+    assert {audit for audit, _ in cache.verdicts} == set(audits.values())
+    for (audit, system), verdict in cache.verdicts.items():
+        assert audit(system) == verdict
+    # every cached verdict equals the uncached direct check of each instance
+    for gens in family_representatives(2):
+        system = canonical_form(2, gens)
+        for pid, audit in audits.items():
+            assert PROPERTIES[pid].check((2, gens)) == cache.verdicts[audit, system]
+
+
+def test_sweep_worker_split_agrees(pool_sizes):
     serial = run_family_sweep(2)
     split = run_family_sweep(2, workers=2)
-    assert sizes == [2]
+    # 165 representatives in spans of 64: three spans for two workers
+    assert pool_sizes == [2]
     assert serial.to_structured() == split.to_structured()
+    assert _results(serial) == _results(split)
 
 
 def test_sweep_pool_is_sized_to_its_chunks(inline_pool):
     serial = run_family_sweep(2)
     split = run_family_sweep(2, workers=500)
-    # 165 representatives fit in one chunk
-    assert inline_pool == [1]
+    # 165 representatives make three spans of at least 64
+    assert inline_pool == [3]
     assert multiprocessing.active_children() == []
-    assert split == serial
+    assert _results(split) == _results(serial)
+
+
+def test_mutation_applies_to_the_sweep(pool_sizes):
+    with apply_mutation("ratio-flip"):
+        serial = run_family_sweep(2)
+        split = run_family_sweep(2, workers=2)
+        assert pool_sizes == [2]
+        assert _results(serial) == _results(split)
+        assert not serial.ok
+        assert all(r.failures > 0 for r in serial.results)
+        assert [fails[0]["suite"] for _, fails in serial.mismatches] == [
+            "closure", "dis", "menag"]
+        # every witness replays under the bug
+        for r in serial.results:
+            assert replay_witness(r.witness), r.property_id
+    for r in serial.results:
+        assert replay_witness(r.witness) == [], r.property_id
