@@ -372,15 +372,15 @@ def build_parser():
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--max-points", type=int, default=3)
+    p.add_argument("--max-points", type=int, default=SuiteConfig.max_points)
     p.add_argument("--props", nargs="+", default=None,
                    help="property ids to run (default: all)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--sample-budget", type=int, default=2000)
-    p.add_argument("--sample-points", type=int, default=4)
-    p.add_argument("--lattice-dim", type=int, default=3)
-    p.add_argument("--mutation", default=None,
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p.add_argument("--workers", type=int, default=SuiteConfig.workers)
+    p.add_argument("--sample-budget", type=int, default=SuiteConfig.sample_budget)
+    p.add_argument("--sample-points", type=int, default=SuiteConfig.sample_points)
+    p.add_argument("--lattice-dim", type=int, default=SuiteConfig.lattice_dim)
+    p.add_argument("--mutation", default=SuiteConfig.mutation,
                    help="named defect to install first (expected to fail)")
     p.add_argument("--include-timing", action="store_true")
     _add_format(p)

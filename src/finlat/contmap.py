@@ -44,17 +44,12 @@ class ContMap:
             fibers[y] |= bit(x)
         self.fibers = tuple(fibers)
         self._image_bit = tuple(bit(y) for y in self.table)
-        # Continuity for finite spaces: the image of every minimal open
-        # neighbourhood must stay inside the image point's own star.
-        for x in range(domain.n):
-            target = codomain.stars[self.table[x]]
-            for x2 in bits(domain.stars[x]):
-                if not target & bit(self.table[x2]):
-                    raise NotContinuous(
-                        "preimage of the star of point %d is not open"
-                        % self.table[x],
-                        witness_open=target,
-                    )
+        y = _discontinuity(domain, codomain, self.table)
+        if y is not None:
+            raise NotContinuous(
+                "preimage of the star of point %d is not open" % y,
+                witness_open=codomain.stars[y],
+            )
 
     def __eq__(self, other):
         return (
@@ -71,8 +66,19 @@ class ContMap:
         return "ContMap(table=%r)" % (self.table,)
 
 
-def make_map(domain, codomain, table):
-    return ContMap(domain, codomain, table)
+def _discontinuity(domain, codomain, table):
+    """The first image point whose star has a preimage that is not open, or
+    None when the table is continuous.
+
+    Continuity for finite spaces: the image of every minimal open
+    neighbourhood must stay inside the image point's own star.
+    """
+    for x in range(domain.n):
+        target = codomain.stars[table[x]]
+        for x2 in bits(domain.stars[x]):
+            if not target & bit(table[x2]):
+                return table[x]
+    return None
 
 
 def image(m, a):
@@ -606,17 +612,6 @@ def enumerate_continuous_maps(domain, codomain, *, budget=1 << 20):
         raise SpaceTooLarge(
             "%d candidate tables exceed the budget %d" % (total, budget)
         )
-    dstars = domain.stars
-    cstars = codomain.stars
     for table in product(range(codomain.n), repeat=domain.n):
-        ok = True
-        for x in range(domain.n):
-            target = cstars[table[x]]
-            for x2 in bits(dstars[x]):
-                if not target & bit(table[x2]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _discontinuity(domain, codomain, table) is None:
             yield ContMap(domain, codomain, table)

@@ -288,23 +288,3 @@ def enumerate_topologies(n, *, strategy="preorder", max_points=None):
         yield from spaces
     else:
         raise ValueError("unknown strategy %r" % (strategy,))
-
-
-def canonical_relabel(space):
-    """Lexicographically least opens family over all point relabelings.
-
-    Reporting helper for homeomorphism classes; the workbench itself
-    always works with labelled spaces.
-    """
-    from itertools import permutations
-
-    if space.n > 8:
-        raise SpaceTooLarge("canonical relabeling is exhaustive only up to n=8")
-    best = None
-    for perm in permutations(range(space.n)):
-        fam = tuple(
-            sorted(sum(bit(perm[x]) for x in bits(m)) for m in space.opens)
-        )
-        if best is None or fam < best:
-            best = fam
-    return best

@@ -22,6 +22,9 @@ Record kinds and their fields:
 A <space> is an inline space record or an @ref to a named record
 defined earlier in the same file.  Opens are sorted point lists.
 Rational entries (hom rows, tie ratios) are quoted "p/q" strings.
+
+Brackets nest at most MAX_NESTING deep.  A sublattice's n and a hom's row
+and column counts are at most the spaces' point limit, DEFAULT_MAX_POINTS.
 """
 
 import re
@@ -29,12 +32,14 @@ from fractions import Fraction
 
 from .bitset import mask_of, mask_to_list
 from .comphom import HomMatrix
-from .contmap import ContMap, make_map
+from .contmap import ContMap
 from .equivrel import EquivRel, from_blocks
-from .finspace import FinSpace, _check_n, make_space
+from .finspace import DEFAULT_MAX_POINTS, FinSpace, _check_n, make_space
 from .funclat import ConstraintSystem, canonical_form, from_constraints
 
 KINDS = ("space", "map", "rel", "sublattice", "hom")
+# the deepest "[" and "{" nesting parsed; a legal record uses at most four
+MAX_NESTING = 32
 
 
 class RecordError(ValueError):
@@ -60,7 +65,10 @@ def _tokenize(text):
         line += text.count("\n", pos, m.end())
         pos = m.end()
         if m.lastgroup == "int":
-            out.append(("int", int(m.group()), line))
+            try:
+                out.append(("int", int(m.group()), line))
+            except ValueError:  # past the interpreter's digit limit
+                raise RecordError("line %d: integer too long" % line) from None
         elif m.lastgroup == "str":
             out.append(("str", m.group()[1:-1], line))
         elif m.lastgroup == "ident":
@@ -110,7 +118,7 @@ class _Parser:
                 raise RecordError(
                     "line %d: unknown record kind %r" % (tok[2], tok[1])
                 )
-            obj = self._build(tok[1], self._fields(), tok[2])
+            obj = self._build(tok[1], self._fields(1), tok[2])
             if name is not None:
                 self.env[name] = obj
             records.append((name, obj))
@@ -118,7 +126,14 @@ class _Parser:
             raise RecordError("no records found")
         return records
 
-    def _fields(self):
+    def _nest(self, depth):
+        if depth > MAX_NESTING:
+            raise RecordError("line %d: brackets nested deeper than %d"
+                              % (self.peek()[2], MAX_NESTING))
+
+    def _fields(self, depth):
+        """The fields of a "{" body that is depth brackets deep."""
+        self._nest(depth)
         self.take("punct", "{")
         fields = {}
         while True:
@@ -128,7 +143,7 @@ class _Parser:
                 return fields
             key = self.take("ident")
             self.take("punct", "=")
-            fields[key[1]] = self._value()
+            fields[key[1]] = self._value(depth)
             if self.peek()[:2] == ("punct", ";"):
                 self.take()
             elif self.peek()[:2] != ("punct", "}"):
@@ -136,7 +151,8 @@ class _Parser:
                     "line %d: expected ';' or '}'" % self.peek()[2]
                 )
 
-    def _value(self):
+    def _value(self, depth):
+        """A value inside depth brackets."""
         ttype, val, ln = self.peek()
         if ttype in ("int", "str"):
             self.take()
@@ -148,10 +164,11 @@ class _Parser:
                 raise RecordError("line %d: undefined name %r" % (ref[2], ref[1]))
             return self.env[ref[1]]
         if (ttype, val) == ("punct", "["):
+            self._nest(depth + 1)
             self.take()
             items = []
             while self.peek()[:2] != ("punct", "]"):
-                items.append(self._value())
+                items.append(self._value(depth + 1))
                 if self.peek()[:2] == ("punct", ","):
                     self.take()
                 elif self.peek()[:2] != ("punct", "]"):
@@ -159,10 +176,10 @@ class _Parser:
             self.take()
             return items
         if (ttype, val) == ("punct", "{"):
-            return self._fields()
+            return self._fields(depth + 1)
         if ttype == "ident" and val in KINDS:
             self.take()
-            return self._build(val, self._fields(), ln)
+            return self._build(val, self._fields(depth + 1), ln)
         raise RecordError("line %d: expected a value, found %r" % (ln, val))
 
     def _build(self, kind, fields, line):
@@ -216,7 +233,7 @@ def _build_map(fields):
     dom = _as_space(_need(fields, "domain", "map"), "domain")
     cod = _as_space(_need(fields, "codomain", "map"), "codomain")
     table = _point_list(_need(fields, "table", "map"), "table")
-    return make_map(dom, cod, table)
+    return ContMap(dom, cod, table)
 
 
 def _build_rel(fields):
@@ -228,8 +245,17 @@ def _build_rel(fields):
                                for b in blocks])
 
 
+def _dimension(value, what):
+    """value, checked against the spaces' point limit before anything of
+    that size is built."""
+    if value > DEFAULT_MAX_POINTS:
+        raise RecordError("%s %d exceeds the limit %d"
+                          % (what, value, DEFAULT_MAX_POINTS))
+    return value
+
+
 def _build_sublattice(fields):
-    n = _need(fields, "n", "sublattice")
+    n = _dimension(_need(fields, "n", "sublattice"), "sublattice n")
     if "generators" in fields:
         if "zeros" in fields or "ties" in fields:
             raise RecordError(
@@ -267,7 +293,11 @@ def _build_hom(fields):
     rows = _need(fields, "rows", "hom")
     if not isinstance(rows, list):
         raise RecordError("rows must be a list of lists")
-    return HomMatrix([_rational_list(r) for r in rows])
+    _dimension(len(rows), "hom row count")
+    rows = [_rational_list(r) for r in rows]
+    for r in rows:
+        _dimension(len(r), "hom column count")
+    return HomMatrix(rows)
 
 
 _BUILDERS = {

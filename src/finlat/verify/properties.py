@@ -10,8 +10,7 @@ stream order becomes the witness and can be replayed from its record text.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 import math
@@ -177,10 +176,12 @@ def _suite_of(proc):
     return "P-mirr" if proc.hypothesis is not None else _SUITE_OF_TARGET[proc.target]
 
 
-@lru_cache(maxsize=1)
-def _refs_of(m):
-    # one slot: the five procedure suites check each map in turn
-    return _MapRefs(m)
+# procedure kind -> is its verdict sound against the reference value
+_SOUND = {
+    "iff": lambda got, ref: got == ref,
+    "necessary": lambda got, ref: got or not ref,
+    "sufficient": lambda got, ref: ref or not got,
+}
 
 
 def _procedure_check(prop_id):
@@ -188,7 +189,7 @@ def _procedure_check(prop_id):
                  if _suite_of(contmap.PROCEDURES[pid]) == prop_id)
 
     def check(m):
-        refs = _refs_of(m)
+        refs = _derived(_MapRefs, m)
         failures = []
         na = 0
         for pid in pids:
@@ -198,13 +199,7 @@ def _procedure_check(prop_id):
                 na += 1
                 continue
             ref = refs.get(proc.target)
-            if proc.kind == "iff":
-                ok = got == ref
-            elif proc.kind == "necessary":
-                ok = got or not ref
-            else:  # sufficient
-                ok = ref or not got
-            if not ok:
+            if not _SOUND[proc.kind](got, ref):
                 failures.append({
                     "procedure": pid,
                     "target": proc.target,
@@ -409,8 +404,9 @@ _SUBLATTICE_IMPLICATIONS = (
 )
 
 
-# P-sw, P-dis and P-menag all start from canonical_form(n, gens), and P-dis
-# and P-menag depend on nothing else.  _check_stage sets this to a fresh
+# The checks of one kind share work per instance: the map suites one
+# _MapRefs, and P-sw, P-dis and P-menag canonical_form(n, gens), on which
+# P-dis and P-menag alone depend.  _check_stage sets this to a fresh
 # _StageCache after it installs the mutation and back to None when the stage
 # ends, so a check called outside a stage computes everything afresh.
 _stage_cache = None
@@ -419,25 +415,32 @@ _stage_cache = None
 class _StageCache:
     def __init__(self):
         self.instance = None
-        self.system = None
+        self.derived = {}
         self.verdicts = {}
 
 
-def _system_of(instance):
-    """canonical_form(n, gens); inside a stage the form of the instance
-    checked last is kept for the next check of the same instance."""
+def _derived(make, instance):
+    """make(instance); inside a stage, the values derived from the instance
+    checked last are kept for the next check of the same instance."""
     cache = _stage_cache
     if cache is None:
-        return funclat.canonical_form(*instance)
+        return make(instance)
     if cache.instance is not instance:
-        cache.system = funclat.canonical_form(*instance)
         cache.instance = instance
-    return cache.system
+        cache.derived = {}
+    if make not in cache.derived:
+        cache.derived[make] = make(instance)
+    return cache.derived[make]
+
+
+def _system_of(instance):
+    # looked up at call time, so mutations and tracers of funclat reach it
+    return funclat.canonical_form(*instance)
 
 
 def _per_system(audit, instance):
     """audit(canonical system); inside a stage, once per distinct system."""
-    system = _system_of(instance)
+    system = _derived(_system_of, instance)
     cache = _stage_cache
     if cache is None:
         return audit(system)
@@ -514,7 +517,7 @@ def _ideal_intersection_of(sub):
 
 def _check_span_closure(instance):
     n, gens = instance
-    cs = _system_of(instance)
+    cs = _derived(_system_of, instance)
     for g in gens:
         if not funclat.member(cs, g):
             return [{"check": "generator-membership", "generator": list(g)}], 0
@@ -667,7 +670,8 @@ PROPERTY_ORDER = tuple(PROPERTIES)
 
 
 # ---------------------------------------------------------------------------
-# instance streams
+# instance kinds: the exhaustive stream, the seeded sampler and the witness
+# record of each kind of instance a property checks
 
 def _spaces_upto(max_points):
     out = []
@@ -676,15 +680,15 @@ def _spaces_upto(max_points):
     return out
 
 
-def _exhaustive_maps(max_points):
-    spaces = _spaces_upto(max_points)
+def _exhaustive_maps(cfg):
+    spaces = _spaces_upto(cfg.max_points)
     for dom in spaces:
         for cod in spaces:
             yield from contmap.enumerate_continuous_maps(dom, cod)
 
 
-def _exhaustive_rels(max_points):
-    for space in _spaces_upto(max_points):
+def _exhaustive_rels(cfg):
+    for space in _spaces_upto(cfg.max_points):
         for rgs in equivrel._partitions_of(space.n):
             blocks = {}
             for x, g in enumerate(rgs):
@@ -692,24 +696,28 @@ def _exhaustive_rels(max_points):
             yield equivrel.EquivRel(space, blocks.values())
 
 
+def _normalize(vec):
+    """The primitive integer vector on vec's ray, first nonzero entry
+    positive; None for the zero vector."""
+    g = 0
+    for v in vec:
+        g = math.gcd(g, abs(v))
+    if g == 0:
+        return None
+    vec = tuple(v // g for v in vec)
+    for v in vec:
+        if v:
+            return vec if v > 0 else tuple(-w for w in vec)
+    return None
+
+
 def _lattice_alphabet(n, bound=2):
-    out = set()
-    for vec in product(range(-bound, bound + 1), repeat=n):
-        g = 0
-        for v in vec:
-            g = math.gcd(g, abs(v))
-        if g != 1:
-            continue
-        for v in vec:
-            if v:
-                if v < 0:
-                    vec = tuple(-w for w in vec)
-                break
-        out.add(vec)
+    out = {_normalize(vec) for vec in product(range(-bound, bound + 1), repeat=n)}
+    out.discard(None)
     return sorted(out)
 
 
-def _exhaustive_lattices(max_dim=2, max_gens=2):
+def _exhaustive_lattices(cfg, max_dim=2, max_gens=2):
     for n in range(1, max_dim + 1):
         alphabet = _lattice_alphabet(n)
         for k in range(max_gens + 1):
@@ -717,7 +725,7 @@ def _exhaustive_lattices(max_dim=2, max_gens=2):
                 yield (n, gens)
 
 
-def _exhaustive_homs(max_side=2):
+def _exhaustive_homs(cfg, max_side=2):
     vals = (Fraction(-1), Fraction(0), Fraction(1))
     for m_rows in range(1, max_side + 1):
         for n_cols in range(1, max_side + 1):
@@ -728,9 +736,9 @@ def _exhaustive_homs(max_side=2):
                 )
 
 
-def _exhaustive_monomials(max_side, max_val=3):
-    for m_rows in range(1, max_side + 1):
-        for n_cols in range(1, max_side + 1):
+def _exhaustive_monomials(cfg, max_val=3):
+    for m_rows in range(1, cfg.max_points + 1):
+        for n_cols in range(1, cfg.max_points + 1):
             choices = [(None, 0)] + [
                 (j, v) for j in range(n_cols) for v in range(1, max_val + 1)
             ]
@@ -744,17 +752,17 @@ def _exhaustive_monomials(max_side, max_val=3):
                 yield tuple(rows)
 
 
-def _exhaustive_dismaps(max_points):
-    for n_dom in range(1, max_points + 1):
+def _exhaustive_dismaps(cfg):
+    for n_dom in range(1, cfg.max_points + 1):
         dom = discrete_space(n_dom)
-        for n_cod in range(1, max_points + 1):
+        for n_cod in range(1, cfg.max_points + 1):
             cod = discrete_space(n_cod)
             for table in product(range(n_cod), repeat=n_dom):
                 yield ContMap(dom, cod, table)
 
 
-def _rng(seed, kind, index):
-    return random.Random("%s:%s:%d" % (seed, kind, index))
+def _rng(seed, label, index):
+    return random.Random("%s:%s:%d" % (seed, label, index))
 
 
 def _random_space(rng, n):
@@ -772,10 +780,10 @@ def _random_space(rng, n):
     return from_stars(n, stars)
 
 
-def _sample_map(seed, index, n):
-    rng = _rng(seed, "map", index)
-    dom = _random_space(rng, n)
-    cod = _random_space(rng, n)
+def _sample_map(cfg, index):
+    rng = _rng(cfg.seed, "map", index)
+    dom = _random_space(rng, cfg.sample_points)
+    cod = _random_space(rng, cfg.sample_points)
     for _ in range(40):
         table = tuple(rng.randrange(cod.n) for _ in range(dom.n))
         try:
@@ -785,9 +793,9 @@ def _sample_map(seed, index, n):
     return ContMap(dom, cod, (rng.randrange(cod.n),) * dom.n)
 
 
-def _sample_rel(seed, index, n):
-    rng = _rng(seed, "rel", index)
-    space = _random_space(rng, n)
+def _sample_rel(cfg, index):
+    rng = _rng(cfg.seed, "rel", index)
+    space = _random_space(rng, cfg.sample_points)
     blocks = {0: bit(0)}
     top = 0
     for x in range(1, space.n):
@@ -797,17 +805,17 @@ def _sample_rel(seed, index, n):
     return equivrel.EquivRel(space, blocks.values())
 
 
-def _sample_lattice(seed, index, dim_):
-    rng = _rng(seed, "lattice", index)
+def _sample_lattice(cfg, index):
+    rng = _rng(cfg.seed, "lattice", index)
     k = rng.randrange(4)
     gens = tuple(
-        tuple(rng.randint(-2, 2) for _ in range(dim_)) for _ in range(k)
+        tuple(rng.randint(-2, 2) for _ in range(cfg.lattice_dim)) for _ in range(k)
     )
-    return (dim_, gens)
+    return (cfg.lattice_dim, gens)
 
 
-def _sample_hom(seed, index):
-    rng = _rng(seed, "hom", index)
+def _sample_hom(cfg, index):
+    rng = _rng(cfg.seed, "hom", index)
     m_rows = rng.randint(1, 3)
     n_cols = rng.randint(1, 3)
     return tuple(
@@ -816,8 +824,8 @@ def _sample_hom(seed, index):
     )
 
 
-def _sample_monohom(seed, index):
-    rng = _rng(seed, "monohom", index)
+def _sample_monohom(cfg, index):
+    rng = _rng(cfg.seed, "monohom", index)
     m_rows = rng.randint(1, 3)
     n_cols = rng.randint(1, 3)
     rows = []
@@ -829,60 +837,63 @@ def _sample_monohom(seed, index):
     return tuple(rows)
 
 
-def _sample_dismap(seed, index, n):
-    rng = _rng(seed, "dismap", index)
-    dom = discrete_space(rng.randint(1, n))
-    cod = discrete_space(rng.randint(1, n))
+def _sample_dismap(cfg, index):
+    rng = _rng(cfg.seed, "dismap", index)
+    dom = discrete_space(rng.randint(1, cfg.sample_points))
+    cod = discrete_space(rng.randint(1, cfg.sample_points))
     table = tuple(rng.randrange(cod.n) for _ in range(dom.n))
     return ContMap(dom, cod, table)
 
 
-def _exhaustive_stream(kind, cfg):
-    if kind == "map":
-        return _exhaustive_maps(cfg.max_points)
-    if kind == "rel":
-        return _exhaustive_rels(cfg.max_points)
-    if kind == "lattice":
-        return _exhaustive_lattices()
-    if kind == "hom":
-        return _exhaustive_homs()
-    if kind == "monohom":
-        return _exhaustive_monomials(cfg.max_points)
-    return _exhaustive_dismaps(cfg.max_points)
+def _describe_lattice(instance):
+    n, gens = instance
+    body = ", ".join("[%s]" % ",".join(str(v) for v in g) for g in gens)
+    return {
+        "record": "sublattice { n = %d; generators = [ %s ] }" % (n, body),
+        "n": n,
+        "generators": [list(g) for g in gens],
+    }
 
 
-def _sample_instance(kind, cfg, index):
-    if kind == "map":
-        return _sample_map(cfg.seed, index, cfg.sample_points)
-    if kind == "rel":
-        return _sample_rel(cfg.seed, index, cfg.sample_points)
-    if kind == "lattice":
-        return _sample_lattice(cfg.seed, index, cfg.lattice_dim)
-    if kind == "hom":
-        return _sample_hom(cfg.seed, index)
-    if kind == "monohom":
-        return _sample_monohom(cfg.seed, index)
-    return _sample_dismap(cfg.seed, index, cfg.sample_points)
+@dataclass(frozen=True)
+class _Kind:
+    exhaustive: object  # cfg -> the instances in stream order
+    sample: object      # (cfg, index) -> the sampled instance at index
+    describe: object    # instance -> the witness fields that record it
+    rebuild: object     # witness -> an instance equal to the described one
+
+
+_MAP_WITNESS = dict(
+    describe=lambda m: {"record": records.emit_map(m)},
+    rebuild=lambda witness: records.load_record(witness["record"], "map"),
+)
+_ROWS_WITNESS = dict(
+    describe=lambda rows: {"rows": [[str(v) for v in row] for row in rows]},
+    rebuild=lambda witness: tuple(
+        tuple(Fraction(v) for v in row) for row in witness["rows"]),
+)
+
+# Stages and worker processes pass the kind's name, never the _Kind.
+_KINDS = {
+    "map": _Kind(_exhaustive_maps, _sample_map, **_MAP_WITNESS),
+    "rel": _Kind(
+        _exhaustive_rels, _sample_rel,
+        describe=lambda rel: {"record": records.emit_rel(rel)},
+        rebuild=lambda witness: records.load_record(witness["record"], "rel"),
+    ),
+    "lattice": _Kind(
+        _exhaustive_lattices, _sample_lattice, _describe_lattice,
+        rebuild=lambda witness: (
+            witness["n"], tuple(tuple(g) for g in witness["generators"])),
+    ),
+    "hom": _Kind(_exhaustive_homs, _sample_hom, **_ROWS_WITNESS),
+    "monohom": _Kind(_exhaustive_monomials, _sample_monohom, **_ROWS_WITNESS),
+    "dismap": _Kind(_exhaustive_dismaps, _sample_dismap, **_MAP_WITNESS),
+}
 
 
 # ---------------------------------------------------------------------------
 # witnesses
-
-def _describe(kind, instance):
-    if kind in ("map", "dismap"):
-        return {"record": records.emit_map(instance)}
-    if kind == "rel":
-        return {"record": records.emit_rel(instance)}
-    if kind == "lattice":
-        n, gens = instance
-        body = ", ".join("[%s]" % ",".join(str(v) for v in g) for g in gens)
-        return {
-            "record": "sublattice { n = %d; generators = [ %s ] }" % (n, body),
-            "n": n,
-            "generators": [list(g) for g in gens],
-        }
-    return {"rows": [[str(v) for v in row] for row in instance]}
-
 
 def _safe_check(pid, instance):
     try:
@@ -897,17 +908,7 @@ def replay_witness(witness):
     Returns the fresh failure list; empty means the instance passes now.
     """
     pid = witness["property"]
-    kind = PROPERTIES[pid].kind
-    if kind in ("map", "dismap"):
-        instance = records.load_record(witness["record"], "map")
-    elif kind == "rel":
-        instance = records.load_record(witness["record"], "rel")
-    elif kind == "lattice":
-        instance = (witness["n"], tuple(tuple(g) for g in witness["generators"]))
-    else:
-        instance = tuple(
-            tuple(Fraction(v) for v in row) for row in witness["rows"]
-        )
+    instance = _KINDS[PROPERTIES[pid].kind].rebuild(witness)
     failures, _ = _safe_check(pid, instance)
     return failures
 
@@ -931,17 +932,9 @@ class SuiteConfig:
         return tuple(self.properties) or PROPERTY_ORDER
 
     def to_dict(self):
-        return {
-            "max_points": self.max_points,
-            "sample_points": self.sample_points,
-            "sample_budget": self.sample_budget,
-            "properties": list(self.selected()),
-            "seed": self.seed,
-            "workers": self.workers,
-            "lattice_dim": self.lattice_dim,
-            "mutation": self.mutation,
-            "include_timing": self.include_timing,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["properties"] = list(self.selected())
+        return out
 
 
 def _validate(cfg):
@@ -983,6 +976,7 @@ def _check_stage(kind, pids, cfg, stage, start=0, stop=0, instances=None):
     in whichever process checks the instances.
     """
     global _stage_cache
+    spec = _KINDS[kind]
     totals = {pid: _Agg() for pid in pids}
     checked = 0
     with apply_mutation(cfg.mutation):
@@ -991,10 +985,9 @@ def _check_stage(kind, pids, cfg, stage, start=0, stop=0, instances=None):
             if instances is not None:
                 stream = enumerate(instances, start)
             elif stage == "exhaustive":
-                stream = enumerate(_exhaustive_stream(kind, cfg))
+                stream = enumerate(spec.exhaustive(cfg))
             else:
-                stream = ((i, _sample_instance(kind, cfg, i))
-                          for i in range(start, stop))
+                stream = ((i, spec.sample(cfg, i)) for i in range(start, stop))
             for index, instance in stream:
                 checked += 1
                 for pid in pids:
@@ -1008,7 +1001,7 @@ def _check_stage(kind, pids, cfg, stage, start=0, stop=0, instances=None):
                         if agg.witness is None:
                             agg.witness = dict(
                                 property=pid, stage=stage, index=index,
-                                detail=failures[0], **_describe(kind, instance),
+                                detail=failures[0], **spec.describe(instance),
                             )
         finally:
             _stage_cache = None
@@ -1034,12 +1027,6 @@ def _span_parts(kind, pids, cfg, stage, total, instances=None):
             for a in starts
         ]
         return [f.result() for f in futures]
-
-
-def _stage_parts(kind, pids, cfg):
-    """Per-stage results in stream order: exhaustive, then sampled spans."""
-    return ([_check_stage(kind, pids, cfg, "exhaustive")]
-            + _span_parts(kind, pids, cfg, "sampled", cfg.sample_budget))
 
 
 def _summed(pid, aggs):
@@ -1074,7 +1061,10 @@ def run_suite(cfg=None, **overrides):
         by_kind.setdefault(PROPERTIES[pid].kind, []).append(pid)
     parts = {pid: [] for pid in selected}
     for kind, pids in by_kind.items():
-        for part in _stage_parts(kind, tuple(pids), cfg):
+        pids = tuple(pids)
+        # per-stage results in stream order: exhaustive, then sampled spans
+        for part in ([_check_stage(kind, pids, cfg, "exhaustive")]
+                     + _span_parts(kind, pids, cfg, "sampled", cfg.sample_budget)):
             for pid, agg in part.items():
                 parts[pid].append(agg)
     results = tuple(_summed(pid, aggs) for pid, aggs in parts.items())

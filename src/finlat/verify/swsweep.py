@@ -19,29 +19,15 @@ to it, and a failure or crash is counted with a replayable witness.
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-import math
 
 import numpy as np
 
-from .properties import _lattice_alphabet, check_instances
+from .properties import _lattice_alphabet, _normalize, check_instances
 
 PERMUTE_FROM = 4
 MAX_GENS = 3
 # the properties the sweep checks, with the suite label of their mismatches
 _SUITES = {"P-sw": "closure", "P-dis": "dis", "P-menag": "menag"}
-
-
-def _normalize(vec):
-    g = 0
-    for v in vec:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return None
-    vec = tuple(v // g for v in vec)
-    for v in vec:
-        if v:
-            return vec if v > 0 else tuple(-w for w in vec)
-    return None
 
 
 def _permutation_quotient(n, alphabet):

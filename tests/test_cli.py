@@ -384,6 +384,7 @@ def test_constraint_out_of_range_is_usage_error(capsys, tmp_path, text):
 
 
 FAR = 10 ** 12
+DEEP = 3000
 
 
 @pytest.mark.parametrize("argv,text", [
@@ -395,9 +396,16 @@ FAR = 10 ** 12
     (("space-props",), "space { n = 2; opens = [ [], [-1], [0,1] ] }"),
     (("space-props",), "space { n = 2; opens = [ [], [%d], [0,1] ] }" % FAR),
     (("quotient",), "rel { space = %s; blocks = [ [0], [%d] ] }" % (DISC2, FAR)),
+    (("space-props",), "space { n = 1; opens = %s%s }" % ("[" * DEEP, "]" * DEEP)),
+    (("space-props",), "space { n = 1; opens = %s1%s }" % ("{ a = " * DEEP,
+                                                           " }" * DEEP)),
+    (("lattice", "canonical"), "sublattice { n = 17; generators = [] }"),
+    (("lattice", "canonical"), "sublattice { n = 100000000; generators = [] }"),
+    (("hom", "check"), 'hom { rows = [ [%s] ] }' % ",".join(['"1"'] + ['"0"'] * 16)),
 ], ids=["hom-zero-denominator", "generator-zero-denominator",
         "tie-zero-denominator", "point-n", "point-negative", "point-far",
-        "block-point-far"])
+        "block-point-far", "deep-lists", "deep-fields", "sublattice-n-17",
+        "sublattice-n-huge", "hom-17-columns"])
 def test_malformed_value_is_usage_error(capsys, tmp_path, argv, text):
     path = record_file(tmp_path, "bad.rec", text)
     code, out, err = run_cli(capsys, *argv, path)

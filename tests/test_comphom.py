@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from finlat import (
     CertificateMismatch,
+    ContMap,
     CertificateReport,
     HomMatrix,
     NotHomomorphism,
@@ -17,7 +18,6 @@ from finlat import (
     hoc_conditions,
     hom_from_map,
     is_homomorphism,
-    make_map,
     make_space,
     canonical_form,
     zero_ideal,
@@ -110,9 +110,9 @@ def test_normal_form_matches_dense_rows(m, n, data):
 
 def test_composition_operator_of_a_map():
     sierp = make_space(2, [0, 0b10, 0b11])
-    ident = make_map(discrete_space(2), sierp, [0, 1])
+    ident = ContMap(discrete_space(2), sierp, [0, 1])
     assert hom_from_map(ident).entries == ((F(1), F(0)), (F(0), F(1)))
-    const = make_map(discrete_space(2), discrete_space(2), [0, 0])
+    const = ContMap(discrete_space(2), discrete_space(2), [0, 0])
     assert hom_from_map(const).entries == ((F(1), F(0)), (F(1), F(0)))
     dense = HomMatrix([[1, 0], [1, 0]])
     assert hom_from_map(const) == dense
@@ -139,7 +139,7 @@ def test_conditions_hold_on_certified_operators():
 # --- certificates vs direct verdicts -------------------------------------------
 
 def test_certify_discrete_cross_check_runs():
-    const = make_map(discrete_space(2), discrete_space(2), [0, 0])
+    const = ContMap(discrete_space(2), discrete_space(2), [0, 0])
     report = certify_composition(const, full_space(2))
     assert report.discrete
     assert set(report.conclusions) == {
@@ -153,14 +153,14 @@ def test_certify_discrete_cross_check_runs():
 
 def test_certify_non_discrete_needs_full_lattice():
     sierp = make_space(2, [0, 0b10, 0b11])
-    m = make_map(discrete_space(2), sierp, [0, 1])
+    m = ContMap(discrete_space(2), sierp, [0, 1])
     assert not certify_composition(m, full_space(2)).discrete
     with pytest.raises(ValueError):
         certify_composition(m, canonical_form(2, [(1, 0)]))
 
 
 def test_certify_discrete_needs_dense_urysohn_lattice():
-    const = make_map(discrete_space(2), discrete_space(2), [0, 0])
+    const = ContMap(discrete_space(2), discrete_space(2), [0, 0])
     with pytest.raises(ValueError):
         certify_composition(const, canonical_form(2, [(1, 0)]))
     with pytest.raises(ValueError):

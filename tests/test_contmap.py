@@ -5,13 +5,13 @@ import pytest
 import oracles
 from conftest import family_of, set_from, spaces_upto
 from finlat import (
+    ContMap,
     NotContinuous,
     PROCEDURES,
     classify_map,
     decide_by,
     discrete_space,
     enumerate_continuous_maps,
-    make_map,
     make_space,
     saturation,
 )
@@ -44,11 +44,13 @@ def test_enumeration_agrees_with_oracle_filter():
         assert got == want
 
 
-def test_make_map_rejects_discontinuous_table():
+def test_contmap_rejects_discontinuous_table():
     sierp = make_space(2, [0, 0b10, 0b11])
     with pytest.raises(NotContinuous) as err:
-        make_map(sierp, discrete_space(2), [0, 1])
-    assert err.value.witness_open is not None
+        ContMap(sierp, discrete_space(2), [0, 1])
+    # the star {0} of the image of 0 pulls back to {0}, which is not open
+    assert str(err.value) == "preimage of the star of point 0 is not open"
+    assert err.value.witness_open == 0b01
 
 
 def test_enumeration_budget_guard():
@@ -117,7 +119,7 @@ def test_class_flags_match_oracles_exhaustively():
 def test_two_point_discrete_to_sierpinski_frozen():
     dom = discrete_space(2)
     sierp = make_space(2, [0, 0b10, 0b11])
-    cls = classify_map(make_map(dom, sierp, [0, 1]))
+    cls = classify_map(ContMap(dom, sierp, [0, 1]))
     # image of the open {0} is {0}, whose closure {0} has empty interior
     assert not cls.almost_open
     assert not cls.skeletal
@@ -128,7 +130,7 @@ def test_two_point_discrete_to_sierpinski_frozen():
 
 def test_identity_is_everything():
     for space in spaces_upto(3):
-        cls = classify_map(make_map(space, space, list(range(space.n))))
+        cls = classify_map(ContMap(space, space, list(range(space.n))))
         assert cls.weakly_open and cls.almost_open and cls.skeletal
         assert cls.strongly_skeletal and cls.irreducible
         assert cls.embedding and cls.quotient_map
@@ -151,7 +153,7 @@ def test_registry_contents():
 
 def test_decide_by_contract():
     dom = discrete_space(2)
-    m = make_map(dom, dom, [0, 0])
+    m = ContMap(dom, dom, [0, 0])
     with pytest.raises(ValueError):
         decide_by(m, "weakly_open", "no-such-procedure")
     with pytest.raises(ValueError):
@@ -160,7 +162,7 @@ def test_decide_by_contract():
     assert decide_by(m, "irreducible", "mirr-i") in (True, False)
     # mirr-iii requires a discrete domain
     sierp = make_space(2, [0, 0b10, 0b11])
-    ident = make_map(sierp, sierp, [0, 1])
+    ident = ContMap(sierp, sierp, [0, 1])
     assert decide_by(ident, "almost_injective", "mirr-iii") is None
 
 

@@ -6,7 +6,6 @@ import oracles
 from conftest import family_of, mask_from, set_from, spaces_upto
 from finlat import (
     InvalidTopology,
-    canonical_relabel,
     classify_subset,
     discrete_space,
     enumerate_topologies,
@@ -140,13 +139,6 @@ def test_subspace_carries_relative_topology():
                 frozenset(mapping[i] for i in bits(u)) for u in sub.opens
             }
             assert got == relative
-
-
-def test_canonical_relabel_is_permutation_invariant():
-    s1 = make_space(3, [0, 0b001, 0b011, 0b111])
-    s2 = make_space(3, [0, 0b100, 0b110, 0b111])  # same chain, relabeled
-    assert canonical_relabel(s1) == canonical_relabel(s2)
-    assert canonical_relabel(s1) != canonical_relabel(discrete_space(3))
 
 
 # --- structural invariants under random stars ------------------------------

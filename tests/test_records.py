@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import spaces_upto
 from finlat import (
+    ConstraintSystem,
     ContMap,
     EquivRel,
     FinSpace,
@@ -19,6 +20,7 @@ from finlat import (
 )
 from finlat.equivrel import _partitions_of
 from finlat.records import (
+    KINDS,
     emit_hom,
     emit_map,
     emit_rel,
@@ -140,3 +142,90 @@ def test_hom_round_trip(m, n, data):
         rows.append(row)
     t = HomMatrix(rows)
     assert load_record(emit_hom(t), "hom") == t
+
+
+# --- fuzzing: token streams drawn from the grammar --------------------------
+
+_NAMES = st.sampled_from(("a", "b"))
+_INT_TOKENS = st.one_of(
+    st.integers(0, 2).map(str),
+    st.integers(-3, 18).map(str),
+    st.sampled_from(("-1000000000000", "1000000000000", "100000000",
+                     "18446744073709551616", "9" * 5000)),
+)
+_STR_TOKENS = st.sampled_from(
+    ('"1/0"', '"0/0"', '"1/2"', '"-3/4"', '"0"', '"2"', '"x"', '""', '"1e3"')
+)
+_PUNCT_TOKENS = st.sampled_from(tuple("{}[]=;,@"))
+_SPACES = st.one_of(_NAMES.map("@".__add__), st.sampled_from((
+    "space { n = 2; opens = [ [], [1], [0,1] ] }",
+    "space { n = 2; opens = [ [], [0], [1], [0,1] ] }",
+    "space { n = 1; opens = [ [], [0] ] }",
+)))
+
+
+def _list(item, max_size=4):
+    return st.lists(item, max_size=max_size).map(
+        lambda xs: "[ %s ]" % ", ".join(xs))
+
+
+def _body(fields):
+    """A "{ fields }" body; each (key, value strategy) is mostly kept."""
+    kept = st.tuples(*(st.one_of(st.tuples(st.just(k), v), st.tuples(
+        st.just(k), v), st.none()) for k, v in fields))
+    return kept.map(lambda fs: "{ %s }" % "; ".join(
+        "%s = %s" % f for f in fs if f is not None))
+
+
+def _compound(value):
+    return st.one_of(_list(value), _body([(k, value) for k in "xyz"]))
+
+
+# any value at all, then each field's plausible values or any value
+_VALUE = st.recursive(
+    st.one_of(_INT_TOKENS, _STR_TOKENS, _SPACES), _compound, max_leaves=12)
+_POINTS = _list(st.one_of(st.integers(0, 1).map(str), _INT_TOKENS), 3)
+_NUMBERS = _list(st.one_of(_INT_TOKENS, _STR_TOKENS), 3)
+_TIE = _body([("x", _INT_TOKENS), ("z", _INT_TOKENS), ("ratio", _STR_TOKENS)])
+_FIELDS = {
+    "space": [("n", _INT_TOKENS), ("opens", _list(_POINTS))],
+    "map": [("domain", _SPACES), ("codomain", _SPACES), ("table", _POINTS)],
+    "rel": [("space", _SPACES), ("blocks", _list(_POINTS))],
+    "sublattice": [("n", _INT_TOKENS), ("generators", _list(_NUMBERS)),
+                   ("zeros", _POINTS), ("ties", _list(_TIE, 2))],
+    "hom": [("rows", _list(_NUMBERS))],
+}
+_RECORD = st.tuples(
+    st.one_of(st.just(""), _NAMES.map("{} =".format)),
+    st.sampled_from(sorted(_FIELDS)).flatmap(lambda k: _body(
+        [(key, st.one_of(v, v, _VALUE)) for key, v in _FIELDS[k]]
+    ).map((k + " ").__add__)),
+).map(" ".join)
+_TOKEN_SOUP = st.lists(
+    st.one_of(_INT_TOKENS, _STR_TOKENS, _PUNCT_TOKENS,
+              st.sampled_from(KINDS + ("n", "opens", "rows", "a", "b"))),
+    max_size=40,
+).map(" ".join)
+
+_EMIT = {
+    FinSpace: emit_space,
+    ContMap: emit_map,
+    EquivRel: emit_rel,
+    ConstraintSystem: emit_sublattice,
+    HomMatrix: emit_hom,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_TOKEN_SOUP, st.lists(_RECORD, min_size=1, max_size=2).map("\n".join)))
+def test_token_streams_parse_or_raise_record_error(text):
+    """Any token stream gives records that emit and parse back equal, or a
+    RecordError; never another exception."""
+    try:
+        parsed = parse_records(text)
+    except RecordError:
+        return
+    for _, obj in parsed:
+        back = load_record(_EMIT[type(obj)](obj))
+        assert type(back) is type(obj)
+        assert back == obj

@@ -1,5 +1,6 @@
 """Suite runner mechanics: registry, streams, determinism, fault injection."""
 
+import ast
 from fractions import Fraction
 import itertools
 import json
@@ -16,6 +17,7 @@ import finlat
 from finlat import comphom, contmap, discrete_space, enumerate_topologies
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify.properties import (
+    _KINDS,
     PROPERTIES,
     PROPERTY_ORDER,
     SuiteConfig,
@@ -50,6 +52,17 @@ def test_registry_frozen():
     for pid in PROPERTY_ORDER:
         assert PROPERTIES[pid].description
         assert callable(PROPERTIES[pid].check)
+
+
+@pytest.mark.parametrize("kind", sorted(set(EXPECTED_KINDS.values())))
+def test_witness_fields_rebuild_each_kind(kind):
+    # the replay path of every kind, including those no mutation reaches
+    assert set(_KINDS) == set(EXPECTED_KINDS.values())
+    spec = _KINDS[kind]
+    cfg = SuiteConfig(max_points=2)
+    for instance in (next(iter(spec.exhaustive(cfg))), spec.sample(cfg, 0)):
+        witness = json.loads(json.dumps(spec.describe(instance)))
+        assert spec.rebuild(witness) == instance
 
 
 def test_tiny_suite_passes_in_order():
@@ -410,6 +423,18 @@ report = run_suite(properties=("P-dis",), max_points=1, sample_budget=0)
 out["sublattice"] = replay_witness(report.results[0].witness)
 print(json.dumps(out, sort_keys=True))
 """
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert, so no runtime contract may rest on one
+    root = Path(finlat.__file__).resolve().parent
+    found = [
+        "%s:%d" % (path.relative_to(root), node.lineno)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_runtime_contracts_survive_optimize():

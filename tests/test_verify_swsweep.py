@@ -33,9 +33,14 @@ def _primitive_count(n, bound=2):
     return hits // 2
 
 
-@pytest.mark.parametrize("n,size", [(1, 1), (2, 8), (3, 49), (4, 272)])
+@pytest.mark.parametrize("n,size", [(1, 1), (2, 8), (3, 49), (4, 272), (5, 1441)])
 def test_alphabet_sizes(n, size):
-    assert len(_lattice_alphabet(n)) == size == _primitive_count(n)
+    alphabet = _lattice_alphabet(n)
+    assert len(alphabet) == size == _primitive_count(n)
+    # sorted, distinct, primitive and sign-normalized: the whole census
+    assert alphabet == sorted(set(alphabet))
+    for vec in alphabet:
+        assert math.gcd(*vec) == 1 and next(v for v in vec if v) > 0
 
 
 def test_alphabet_two_listed():
