@@ -7,6 +7,7 @@ emitted), 2 usage or parse error.
 """
 
 import argparse
+from dataclasses import asdict
 import json
 import sys
 
@@ -52,16 +53,8 @@ def _cmd_space_props(args):
         mask = mask_of(args.subset)
         if mask & ~space.full:
             raise ValueError("subset points must lie in 0..%d" % (space.n - 1))
-        props = finspace.classify_subset(space, mask)
-        flags = {
-            "open": space.is_open(mask),
-            "closed": props.closed,
-            "dense": props.dense,
-            "nowhere_dense": props.nowhere_dense,
-            "canonically_closed": props.canonically_closed,
-            "canonically_open": props.canonically_open,
-            "clopen": props.clopen,
-        }
+        flags = {"open": space.is_open(mask),
+                 **asdict(finspace.classify_subset(space, mask))}
         lines.append("subset [%s]:" % ",".join(str(x) for x in sorted(set(args.subset))))
         for name, value in flags.items():
             lines.append("  %-20s %s" % (name, _flag(value)))
@@ -146,18 +139,14 @@ def _cmd_lattice_classify(args):
         )
     if not funclat.contains(ambient, sub):
         raise ValueError("second record is not a sublattice of the first")
-    flags = funclat.classify_sublattice(ambient, sub)
-    names = (
-        "ideal", "band", "projection_band", "order_dense",
-        "urysohn", "weakly_urysohn", "regular",
-    )
+    flags = asdict(funclat.classify_sublattice(ambient, sub))
     lines = [records.emit_sublattice(ambient), records.emit_sublattice(sub), ""]
-    for name in names:
-        lines.append("%-17s %s" % (name, _flag(getattr(flags, name))))
+    for name, value in flags.items():
+        lines.append("%-17s %s" % (name, _flag(value)))
     structured = {
         "ambient_record": records.emit_sublattice(ambient),
         "sub_record": records.emit_sublattice(sub),
-        "flags": {name: getattr(flags, name) for name in names},
+        "flags": flags,
     }
     _emit(args, lines, structured)
     return 0
@@ -173,15 +162,11 @@ def _cmd_hom_check(args):
         if not isinstance(exc, comphom.NotHomomorphism):
             raise
         witness = list(str(v) for v in exc.witness) if exc.witness else None
-        if args.format == "structured":
-            print(json.dumps(
-                {"accepted": False, "reason": str(exc), "witness": witness},
-                sort_keys=True, separators=(",", ":"),
-            ))
-        else:
-            print("rejected: %s" % exc)
-            if witness:
-                print("witness f = [%s]" % ", ".join(witness))
+        lines = ["rejected: %s" % exc]
+        if witness:
+            lines.append("witness f = [%s]" % ", ".join(witness))
+        _emit(args, lines,
+              {"accepted": False, "reason": str(exc), "witness": witness})
         return 1
     conditions = comphom.hoc_conditions(t)
     lines = [
@@ -255,22 +240,12 @@ def _cmd_enumerate(args):
         spaces = filtered if args.strategy == "filter" else preorder
     else:
         spaces = preorder
+    structured = {"n": n, "count": len(spaces), "strategy": args.strategy}
     if args.count_only:
-        if args.format == "structured":
-            print(json.dumps(
-                {"n": n, "count": len(spaces), "strategy": args.strategy},
-                sort_keys=True, separators=(",", ":"),
-            ))
-        else:
-            print(len(spaces))
+        _emit(args, [str(len(spaces))], structured)
         return 0
     lines = [records.emit_space(s) for s in spaces]
-    structured = {
-        "n": n,
-        "count": len(spaces),
-        "strategy": args.strategy,
-        "records": lines,
-    }
+    structured["records"] = lines
     _emit(args, lines, structured)
     return 0
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .bitset import bit, bits
 from .contmap import classify_map
 from .funclat import (
-    ConstraintSystem,
+    band_complement,
     canonical_form,
     classify_sublattice,
     contains,
@@ -195,32 +195,33 @@ def _chain_continuity(t):
 
 
 def _directed_sup_preservation(t):
-    """T must carry sups of upward-directed families to sups of images."""
+    """T must carry sups of upward-directed families to sups of images.
+
+    Each probe pair a, b gives the directed family {a, b, a v b}, whose sup
+    is a v b; the subset indicators ordered by inclusion form a chain whose
+    sup is the all-ones vector.
+    """
     probes = _probe_positives(t)
-    families = []
-    for a in probes:
-        for b in probes:
-            top = tuple(max(x, y) for x, y in zip(a, b))
-            families.append((a, b, top))
+    images = [t.apply(a) for a in probes]
+    for a, ta in zip(probes, images):
+        for b, tb in zip(probes, images):
+            t_top = t.apply(tuple(max(x, y) for x, y in zip(a, b)))
+            if t_top != tuple(max(vals) for vals in zip(ta, tb, t_top)):
+                return False
     if t.n <= 12:
-        # indicators of subsets ordered by inclusion, sup = all-ones
         chain = [
             tuple(Fraction(1 if a >> j & 1 else 0) for j in range(t.n))
             for a in range(1 << t.n)
         ]
-        families.append(tuple(chain))
-    for family in families:
-        sup_dom = tuple(max(vals) for vals in zip(*family))
-        images = [t.apply(f) for f in family]
-        sup_img = tuple(max(vals) for vals in zip(*images))
+        sup_dom = tuple(max(vals) for vals in zip(*chain))
+        sup_img = tuple(max(vals) for vals in zip(*(t.apply(f) for f in chain)))
         if t.apply(sup_dom) != sup_img:
             return False
     return True
 
 
 def _kernel_is_band(t):
-    dom = full_space(t.n)
-    return classify_sublattice(dom, kernel(t)).band
+    return band_complement(full_space(t.n), kernel(t)) is not None
 
 
 def _band_preimages(t):
@@ -235,8 +236,7 @@ def _band_preimages(t):
         for i in bits(a):
             if t.phi[i] is not None:
                 pulled |= bit(t.phi[i])
-        pre = zero_ideal(dom, pulled)
-        if not classify_sublattice(dom, pre).band:
+        if band_complement(dom, zero_ideal(dom, pulled)) is None:
             return False
     return True
 

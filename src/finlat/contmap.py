@@ -8,7 +8,7 @@ form a registry keyed by stable string IDs so equivalence suites can
 compare them pairwise and report which routine produced a verdict.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .bitset import bit, bits, subsets_by_size
@@ -567,15 +567,12 @@ class MapClassification:
     procedure_ids: dict = field(compare=False, default_factory=dict)
 
     def flags(self):
-        return {
-            name: getattr(self, name)
-            for name in (
-                "weakly_open", "almost_open", "skeletal", "strongly_skeletal",
-                "irreducible", "weakly_injective", "almost_injective",
-                "open_map", "closed_map", "embedding", "quotient_map",
-                "injective", "surjective",
-            )
-        }
+        return {name: getattr(self, name) for name in _FLAG_NAMES}
+
+
+_FLAG_NAMES = tuple(
+    f.name for f in fields(MapClassification) if f.name != "procedure_ids"
+)
 
 
 _CLASSIFY_ROUTINES = {

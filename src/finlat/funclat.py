@@ -287,6 +287,16 @@ def contains(outer, inner):
     return all(member(outer, v) for v in solution_basis(inner))
 
 
+def band_complement(ambient, e):
+    """The disjoint complement of e in ambient when e is a band there, else
+    None.  A band is a sublattice that equals its double disjoint complement."""
+    first = disjoint_complement(ambient, solution_basis(e))
+    dd = disjoint_complement(ambient, solution_basis(first))
+    if contains(e, dd) and contains(dd, e):
+        return first
+    return None
+
+
 @dataclass(frozen=True)
 class SublatticeFlags:
     ideal: bool
@@ -333,9 +343,8 @@ def classify_sublattice(ambient, e):
     amb = full_space(k)
 
     ideal = all(g.bit_count() == 1 for g in inner.groups)
-    first = disjoint_complement(amb, solution_basis(inner))
-    dd = disjoint_complement(amb, solution_basis(first))
-    band = contains(inner, dd) and contains(dd, inner)
+    first = band_complement(amb, inner)
+    band = first is not None
     projection_band = band and dim(inner) + dim(first) == k
     order_dense = contains(inner, amb)
 

@@ -45,6 +45,16 @@ def topologies_on(n):
     return out
 
 
+def generated_topology(family):
+    """Close a family of frozensets under pairwise union and intersection."""
+    out = set(family)
+    while True:
+        more = {a | b for a in out for b in out} | {a & b for a in out for b in out}
+        if more <= out:
+            return out
+        out |= more
+
+
 def interior(family, a):
     out = frozenset()
     for u in family:
@@ -186,6 +196,27 @@ def hom_by_signs(rows):
 def matvec(rows, f):
     """Dense matrix-vector product over plain row lists."""
     return tuple(sum(r[j] * f[j] for j in range(len(f))) for r in rows)
+
+
+def directed_sups_by_families(apply, n):
+    """The directed-sups condition as one family per check: each pair of
+    positive probes a, b with its join, then the subset-indicator chain
+    (n <= 12); T must carry every family's sup to the sup of its images."""
+    probes = [tuple(Fraction(1) for _ in range(n))]
+    for j in range(n):
+        probes.append(tuple(Fraction(int(i == j)) for i in range(n)))
+        probes.append(tuple(Fraction(0 if i == j else i + 1) for i in range(n)))
+    families = [(a, b, tuple(max(x, y) for x, y in zip(a, b)))
+                for a in probes for b in probes]
+    if n <= 12:
+        families.append(tuple(tuple(Fraction(a >> j & 1) for j in range(n))
+                              for a in range(1 << n)))
+    for family in families:
+        sup_dom = tuple(max(vals) for vals in zip(*family))
+        sup_img = tuple(max(vals) for vals in zip(*(apply(f) for f in family)))
+        if apply(sup_dom) != sup_img:
+            return False
+    return True
 
 
 def first_failing_probe(rows):

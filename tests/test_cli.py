@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from finlat import canonical_form, classify_subset, finspace, full_space
+from finlat import canonical_form, classify_subset, finspace, full_space, records
 from finlat.cli import main
 from finlat.records import load_record
 
@@ -406,7 +406,22 @@ DEEP = 3000
         "tie-zero-denominator", "point-n", "point-negative", "point-far",
         "block-point-far", "deep-lists", "deep-fields", "sublattice-n-17",
         "sublattice-n-huge", "hom-17-columns"])
-def test_malformed_value_is_usage_error(capsys, tmp_path, argv, text):
+def test_malformed_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, text):
+    # a builder reached past the dimension cap fails the test at once,
+    # before n = 100000000 fills memory or 17 columns run 2^17 ideals
+    def capped(name, size):
+        build = getattr(records, name)
+
+        def guard(*args, **kwargs):
+            if size(*args) > finspace.DEFAULT_MAX_POINTS:
+                pytest.fail("records.%s reached past the cap" % name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(records, name, guard)
+
+    capped("canonical_form", lambda n, *rest: n)
+    capped("from_constraints", lambda n, *rest: n)
+    capped("HomMatrix", lambda rows: max([len(rows)] + [len(r) for r in rows]))
     path = record_file(tmp_path, "bad.rec", text)
     code, out, err = run_cli(capsys, *argv, path)
     assert code == 2

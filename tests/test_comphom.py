@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from finlat import comphom
 from finlat import (
     CertificateMismatch,
     ContMap,
@@ -134,6 +135,58 @@ def test_conditions_hold_on_certified_operators():
             "band-preimages", "image-dd",
         }
         assert all(conds.values())
+
+
+def test_conditions_never_classify_a_sublattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hoc_conditions called classify_sublattice")
+
+    monkeypatch.setattr(comphom, "classify_sublattice", refuse)
+    for rows in ([[2, 0], [0, 3]], [[0, 0], [1, 0]], [[0, 0]], [[0, 1, 0]]):
+        assert all(hoc_conditions(HomMatrix(rows)).values())
+
+
+class DenseOperator:
+    """A stand-in for HomMatrix applying any dense matrix, negative entries
+    included, and counting its applications."""
+
+    def __init__(self, rows):
+        self.rows = oracles.frac_rows(rows)
+        self.m, self.n = len(rows), len(rows[0])
+        self.applied = 0
+
+    def apply(self, f):
+        self.applied += 1
+        return oracles.matvec(self.rows, f)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_directed_sups_match_the_family_reference(m, n):
+    verdicts = set()
+    for rows in small_matrices(m, n, entries=(-1, 0, 1, 2)):
+        t = DenseOperator(rows)
+        got = comphom._directed_sup_preservation(t)
+        assert got == oracles.directed_sups_by_families(t.apply, n)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(signed_rational, min_size=n, max_size=n), min_size=1, max_size=3)))
+def test_directed_sups_match_the_family_reference_on_drawn_matrices(rows):
+    t = DenseOperator(rows)
+    assert comphom._directed_sup_preservation(t) == \
+        oracles.directed_sups_by_families(t.apply, t.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_directed_sups_apply_each_probe_and_join_once(n):
+    t = DenseOperator([[int(i == j) for j in range(n)] for i in range(n)])
+    assert comphom._directed_sup_preservation(t)
+    probes = 2 * n + 1
+    chain = (1 << n) + 1
+    assert t.applied == probes * probes + probes + chain
 
 
 # --- certificates vs direct verdicts -------------------------------------------

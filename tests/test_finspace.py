@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from finlat import (
     subspace,
 )
 from finlat.bitset import bits, full_mask
+from finlat.records import load_record
 
 
 # --- enumeration against the independent filter oracle ---------------------
@@ -103,6 +106,38 @@ def test_make_space_requires_closure_axioms():
         make_space(3, [0, 0b001, 0b010, 0b111])  # union {0,1} missing
     with pytest.raises(InvalidTopology):
         make_space(2, [0, 0b100, 0b11])  # stray point
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_make_space_accepts_exactly_the_topologies(n):
+    # every family of subsets of n points: 256 of them at n = 3
+    pts = frozenset(range(n))
+    for choice in range(1 << (1 << n)):
+        masks = [m for m in range(1 << n) if choice >> m & 1]
+        family = {set_from(m) for m in masks}
+        if oracles.is_topology(n, family):
+            assert family_of(make_space(n, masks)) == family
+            continue
+        with pytest.raises(InvalidTopology) as err:
+            make_space(n, masks)
+        if frozenset() in family and pts in family:
+            # the witness is the least member of the generated topology
+            # that the family lacks
+            missing = oracles.generated_topology(family) - family
+            assert err.value.witness == min(mask_from(u) for u in missing)
+
+
+def test_discrete_sixteen_point_record_loads_quickly():
+    n = 16
+    opens = ", ".join(
+        "[%s]" % ",".join(str(x) for x in bits(m)) for m in range(1 << n)
+    )
+    text = "space { n = %d; opens = [ %s ] }" % (n, opens)
+    start = time.perf_counter()
+    space = load_record(text, "space")
+    assert time.perf_counter() - start < 5
+    assert space == discrete_space(n)
+    assert len(space.opens) == 1 << n
 
 
 def test_from_stars_validates_axioms():

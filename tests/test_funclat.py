@@ -17,7 +17,7 @@ from finlat import (
     solution_basis,
     zero_ideal,
 )
-from finlat.funclat import dim, from_constraints
+from finlat.funclat import band_complement, dim, from_constraints
 
 F = Fraction
 
@@ -164,6 +164,34 @@ def test_classify_requires_containment():
     axis = canonical_form(2, [(1, 0)])
     with pytest.raises(ValueError):
         classify_sublattice(axis, full_space(2))
+
+
+# --- band-ness from its definition ------------------------------------------------
+
+def test_band_complement_matches_the_band_flag_on_coordinate_ideals():
+    for n in range(1, 5):
+        full = full_space(n)
+        for a in range(1 << n):
+            e = zero_ideal(full, a)
+            # a coordinate ideal is a band; its complement is the other one
+            assert band_complement(full, e) == zero_ideal(full, ~a)
+            assert classify_sublattice(full, e).band
+
+
+def test_band_complement_rejects_a_tied_line():
+    diag = canonical_form(2, [(1, 1)])
+    assert band_complement(full_space(2), diag) is None
+    assert not classify_sublattice(full_space(2), diag).band
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3)))
+def test_band_complement_matches_the_band_flag(gens):
+    n = len(gens[0])
+    e = canonical_form(n, gens)
+    full = full_space(n)
+    assert (band_complement(full, e) is not None) == classify_sublattice(full, e).band
 
 
 # --- closure invariance of the canonical system ----------------------------------

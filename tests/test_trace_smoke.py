@@ -1,0 +1,41 @@
+"""The benchmark tracer still binds the names it traces.
+
+perfbench/trace.py replaces finlat functions by name; a rename there only
+shows up under ``--trace 1``.  This installs the tracer around a tiny
+operator suite run and checks that its spans arrive and that restoring
+puts every original back.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from finlat import comphom, funclat
+from finlat.verify import run_suite
+
+TRACE_PY = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+
+
+def _load_trace():
+    # loaded from its path: the module name "trace" is the stdlib's
+    spec = importlib.util.spec_from_file_location("perfbench_trace", TRACE_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_spans_and_restores():
+    conditions = dict(comphom.HOC_CONDITIONS)
+    classify = funclat.classify_sublattice
+    tracer = _load_trace().Tracer()
+    tracer.install()
+    try:
+        report = run_suite(properties=("P-hoc", "P-com"), max_points=2,
+                           sample_budget=0)
+        metrics = tracer.metrics({})
+    finally:
+        tracer.restore()
+    assert report.ok
+    assert metrics["comphom.hoc.band-preimages.self_s"] > 0
+    assert comphom.HOC_CONDITIONS == conditions
+    assert all(comphom.HOC_CONDITIONS[k] is f for k, f in conditions.items())
+    assert funclat.classify_sublattice is classify
