@@ -1,7 +1,5 @@
 """Small helpers for subsets-of-points encoded as int bitmasks."""
 
-from functools import lru_cache
-
 
 def bit(i):
     return 1 << i
@@ -28,14 +26,3 @@ def mask_of(points):
 
 def mask_to_list(mask):
     return list(bits(mask))
-
-
-@lru_cache(maxsize=32)
-def subsets_by_size(n):
-    """All masks over n points, ordered by (popcount, value).
-
-    The ordering makes quantifier counterexamples minimal and stable.
-    """
-    if n > 20:
-        raise ValueError("subset enumeration capped at 20 points")
-    return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))

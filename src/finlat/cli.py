@@ -8,6 +8,7 @@ emitted), 2 usage or parse error.
 
 import argparse
 from dataclasses import asdict
+from functools import cache
 import json
 import sys
 
@@ -375,9 +376,12 @@ def build_parser():
     return parser
 
 
+# built once per process: parsing leaves the parser unchanged
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -6,13 +6,16 @@ set is a union of stars), plus literal procedures that spell out each
 characterisation with full subset quantifiers.  The literal procedures
 form a registry keyed by stable string IDs so equivalence suites can
 compare them pairwise and report which routine produced a verdict.
+
+Classes defined through a subspace (the image, a dense subset of the
+domain) are decided on the parent spaces, a mask standing for its subspace.
 """
 
 from dataclasses import dataclass, field, fields
 from itertools import product
 
-from .bitset import bit, bits, subsets_by_size
-from .finspace import FinSpace, SpaceTooLarge, subspace
+from .bitset import bit, bits
+from .finspace import SpaceTooLarge
 
 LITERAL_POINT_LIMIT = 12
 
@@ -116,12 +119,10 @@ def largest_open_saturated(m, u):
         w = nxt
 
 
-def corestriction(m):
-    """The same map onto its image with the subspace topology."""
-    img = image(m, m.domain.full)
-    sub, mapping = subspace(m.codomain, img)
-    index = {p: i for i, p in enumerate(mapping)}
-    return ContMap(m.domain, sub, tuple(index[y] for y in m.table))
+def _interior_in(space, s, a):
+    """Interior of a (a subset of s) in the subspace on s: the points of a
+    whose star meets s only inside a.  Closure there is closure(b) & s."""
+    return space.interior(a | space.full & ~s) & a
 
 
 def final_star(m, y):
@@ -143,27 +144,38 @@ def final_star(m, y):
 # fast star-based class decisions (used by classify_map on spaces of any size)
 
 
-def weakly_open_stars(m):
+def _weakly_open_onto(m, s):
+    """Weakly open as a map onto the subspace on s (s holds the image)."""
     cod = m.codomain
     return all(
-        cod.interior(image(m, m.domain.stars[x])) != 0 for x in range(m.domain.n)
+        _interior_in(cod, s, image(m, star)) != 0 for star in m.domain.stars
     )
+
+
+def _almost_open_onto(m, d, s):
+    """Almost open as the restriction to the subspace on d, onto the
+    subspace on s (s holds the image of d)."""
+    cod = m.codomain
+    return all(
+        _interior_in(cod, s, cod.closure(image(m, m.domain.stars[x] & d)) & s) != 0
+        for x in bits(d)
+    )
+
+
+def weakly_open_stars(m):
+    return _weakly_open_onto(m, m.codomain.full)
 
 
 def almost_open_stars(m):
-    cod = m.codomain
-    return all(
-        cod.interior(cod.closure(image(m, m.domain.stars[x]))) != 0
-        for x in range(m.domain.n)
-    )
+    return _almost_open_onto(m, m.domain.full, m.codomain.full)
 
 
 def skeletal_stars(m):
-    return almost_open_stars(corestriction(m))
+    return _almost_open_onto(m, m.domain.full, image(m, m.domain.full))
 
 
 def strongly_skeletal_stars(m):
-    return weakly_open_stars(corestriction(m))
+    return _weakly_open_onto(m, image(m, m.domain.full))
 
 
 def irreducible_stars(m):
@@ -201,8 +213,7 @@ def open_map_stars(m):
 def closed_map_stars(m):
     dom, cod = m.domain, m.codomain
     for x in range(dom.n):
-        down = sum(bit(z) for z in range(dom.n) if dom.stars[z] & bit(x))
-        if not cod.is_closed(image(m, down)):
+        if not cod.is_closed(image(m, dom.closure(bit(x)))):
             return False
     return True
 
@@ -216,7 +227,12 @@ def is_surjective(m):
 
 
 def embedding_stars(m):
-    return is_injective(m) and open_map_stars(corestriction(m))
+    """Injective, and each star's image is open in the image subspace."""
+    cod, img = m.codomain, image(m, m.domain.full)
+    return is_injective(m) and all(
+        _interior_in(cod, img, a) == a
+        for a in (image(m, star) for star in m.domain.stars)
+    )
 
 
 def quotient_map_stars(m):
@@ -241,18 +257,14 @@ def _family_guard(m):
         )
 
 
-def _nonempty_opens(space):
-    return [u for u in space.opens if u]
-
-
 def ao_i(m):
     cod = m.codomain
-    return all(cod.interior(image(m, u)) != 0 for u in _nonempty_opens(m.domain))
+    return all(cod.interior(image(m, u)) != 0 for u in m.domain.opens[1:])
 
 
 def ao_ii_nonempty(m):
     dom, cod = m.domain, m.codomain
-    for u in _nonempty_opens(dom):
+    for u in dom.opens[1:]:
         if not any(
             w and w & ~u == 0 and cod.is_open(image(m, w)) for w in dom.opens
         ):
@@ -262,7 +274,7 @@ def ao_ii_nonempty(m):
 
 def ao_ii_dense(m):
     dom, cod = m.domain, m.codomain
-    for u in _nonempty_opens(dom):
+    for u in dom.opens[1:]:
         if not any(
             w & ~u == 0 and u & ~dom.closure(w) == 0 and cod.is_open(image(m, w))
             for w in dom.opens
@@ -273,7 +285,7 @@ def ao_ii_dense(m):
 
 def ao_iii(m):
     dom, cod = m.domain, m.codomain
-    for a in subsets_by_size(cod.n):
+    for a in range(cod.full + 1):
         if cod.is_dense(a) and not dom.is_dense(preimage(m, a)):
             return False
     return True
@@ -282,7 +294,7 @@ def ao_iii(m):
 def wo_i(m):
     cod = m.codomain
     return all(
-        cod.interior(cod.closure(image(m, u))) != 0 for u in _nonempty_opens(m.domain)
+        cod.interior(cod.closure(image(m, u))) != 0 for u in m.domain.opens[1:]
     )
 
 
@@ -305,7 +317,7 @@ def wo_iii(m):
 
 def wo_iv(m):
     dom, cod = m.domain, m.codomain
-    for a in subsets_by_size(cod.n):
+    for a in range(cod.full + 1):
         if cod.is_nowhere_dense(a) and not dom.is_nowhere_dense(preimage(m, a)):
             return False
     return True
@@ -324,7 +336,7 @@ def wo_v(m):
 
 def wo_v_canon(m):
     dom, cod = m.domain, m.codomain
-    for c in subsets_by_size(dom.n):
+    for c in range(dom.full + 1):
         if _canonically_closed(dom, c) and not _canonically_closed(
             cod, cod.closure(image(m, c))
         ):
@@ -332,49 +344,46 @@ def wo_v_canon(m):
     return True
 
 
-def _dense_restrictions(m):
-    dom = m.domain
-    for d in subsets_by_size(dom.n):
-        if not dom.is_dense(d):
-            continue
-        sub, mapping = subspace(dom, d)
-        yield ContMap(sub, m.codomain, tuple(m.table[p] for p in mapping))
+def _almost_open_on_dense(m, quantifier):
+    dom, full = m.domain, m.codomain.full
+    return quantifier(
+        _almost_open_onto(m, d, full)
+        for d in range(dom.full + 1) if dom.is_dense(d)
+    )
 
 
 def wo_vi_every(m):
-    return all(almost_open_stars(r) for r in _dense_restrictions(m))
+    return _almost_open_on_dense(m, all)
 
 
 def wo_vi_some(m):
-    return any(almost_open_stars(r) for r in _dense_restrictions(m))
+    return _almost_open_on_dense(m, any)
+
+
+def _open_preimage_inside(m, cap):
+    """Some open set has a nonempty preimage inside cap."""
+    pres = (preimage(m, v) for v in m.codomain.opens)
+    return any(p and p & ~cap == 0 for p in pres)
 
 
 def sk_sat(m):
-    dom, cod = m.domain, m.codomain
-    for u in _nonempty_opens(dom):
-        cap = preimage(m, cod.closure(image(m, u)))
-        if not any(
-            preimage(m, v) and preimage(m, v) & ~cap == 0 for v in cod.opens
-        ):
-            return False
-    return True
+    cod = m.codomain
+    return all(
+        _open_preimage_inside(m, preimage(m, cod.closure(image(m, u))))
+        for u in m.domain.opens[1:]
+    )
 
 
 def ssk_sat(m):
-    dom, cod = m.domain, m.codomain
-    for u in _nonempty_opens(dom):
-        cap = saturation(m, u)
-        if not any(
-            preimage(m, v) and preimage(m, v) & ~cap == 0 for v in cod.opens
-        ):
-            return False
-    return True
+    return all(
+        _open_preimage_inside(m, saturation(m, u)) for u in m.domain.opens[1:]
+    )
 
 
 def irr_i(m):
     dom, cod = m.domain, m.codomain
     img = image(m, dom.full)
-    for a in subsets_by_size(dom.n):
+    for a in range(dom.full + 1):
         if a != dom.full and dom.is_closed(a):
             if img & ~cod.closure(image(m, a)) == 0:
                 return False
@@ -382,18 +391,12 @@ def irr_i(m):
 
 
 def irr_ii(m):
-    dom, cod = m.domain, m.codomain
-    for u in _nonempty_opens(dom):
-        if not any(
-            preimage(m, v) and preimage(m, v) & ~u == 0 for v in cod.opens
-        ):
-            return False
-    return True
+    return all(_open_preimage_inside(m, u) for u in m.domain.opens[1:])
 
 
 def irr_ii_dense(m):
     dom, cod = m.domain, m.codomain
-    for u in _nonempty_opens(dom):
+    for u in dom.opens[1:]:
         ok = False
         for v in cod.opens:
             p = preimage(m, v)
@@ -407,7 +410,7 @@ def irr_ii_dense(m):
 
 def wi_def(m):
     dom = m.domain
-    for u in _nonempty_opens(dom):
+    for u in dom.opens[1:]:
         if not any(
             w and w & ~u == 0 and is_saturated(m, w) for w in dom.opens
         ):
@@ -423,7 +426,7 @@ def irr_iv(m):
     if not strongly_skeletal_stars(m):
         return False
     dom = m.domain
-    for a in subsets_by_size(dom.n):
+    for a in range(dom.full + 1):
         if a != dom.full and dom.is_closed(a) and dom.is_dense(saturation(m, a)):
             return False
     return True
@@ -431,7 +434,7 @@ def irr_iv(m):
 
 def wi_i(m):
     dom = m.domain
-    for u in _nonempty_opens(dom):
+    for u in dom.opens[1:]:
         w = largest_open_saturated(m, u)
         if u & ~dom.closure(w):
             return False
@@ -440,25 +443,24 @@ def wi_i(m):
 
 def wi_ii(m):
     dom = m.domain
-    for a in subsets_by_size(dom.n):
+    for a in range(dom.full + 1):
         if not dom.is_nowhere_dense(saturation(m, a) & ~dom.closure(a)):
             return False
     return True
 
 
 def wi_iii(m):
-    dom = m.domain
-    core = corestriction(m)
-    sub = core.codomain
-    for a in subsets_by_size(dom.n):
-        if dom.is_nowhere_dense(a) and sub.interior(image(core, a)) != 0:
+    dom, cod = m.domain, m.codomain
+    img = image(m, dom.full)
+    for a in range(dom.full + 1):
+        if dom.is_nowhere_dense(a) and _interior_in(cod, img, image(m, a)) != 0:
             return False
     return True
 
 
 def mirr_i(m):
     dom = m.domain
-    for a in subsets_by_size(dom.n):
+    for a in range(dom.full + 1):
         if a != dom.full and dom.is_closed(a) and saturation(m, a) == dom.full:
             return False
     return True

@@ -8,7 +8,7 @@ against the closedness of the quotient projection.
 
 from dataclasses import dataclass
 
-from .bitset import bit, bits, subsets_by_size
+from .bitset import bit, bits
 from .contmap import ContMap
 from .finspace import FinSpace, from_stars
 
@@ -255,7 +255,7 @@ def eqq_condition_i(rel):
 def eqq_condition_ii(rel):
     """No proper closed set saturates to the whole space."""
     space = rel.space
-    for a in subsets_by_size(space.n):
+    for a in range(space.full + 1):
         if a != space.full and space.is_closed(a) and saturate(rel, a) == space.full:
             return False
     return True

@@ -2,9 +2,7 @@
 
 A space is determined by the minimal open neighbourhood of each point
 (its "star"); the family of all opens is exactly the family of unions
-of stars and is materialised lazily.  Small spaces built from an
-explicit opens family keep that family around for exhaustive
-quantifier scans.
+of stars and is materialised lazily, on first use of `opens`.
 """
 
 from dataclasses import dataclass
@@ -33,10 +31,10 @@ class FinSpace:
 
     __slots__ = ("n", "stars", "_opens")
 
-    def __init__(self, n, stars, opens=None):
+    def __init__(self, n, stars):
         self.n = n
         self.stars = stars
-        self._opens = opens
+        self._opens = None
 
     @property
     def opens(self):

@@ -46,44 +46,59 @@ class RecordError(ValueError):
     pass
 
 
+# whitespace and comments; the lookahead keeps a comment from giving back
+# its tail as tokens
+_GAP = r"(?:\s+|\#[^\n]*(?![^\n]))*"
+_SKIP = re.compile(_GAP)
+# one token, after the gap before it
 _TOKEN = re.compile(
-    r"""\s+ | \#[^\n]* |
-        (?P<int>-?\d+) | (?P<str>"[^"\n]*") |
-        (?P<ident>[A-Za-z_][A-Za-z0-9_-]*) | (?P<punct>[{}\[\]=;,@])""",
+    _GAP + r"""(?: (?P<int>-?\d+) | (?P<str>"[^"\n]*") |
+        (?P<ident>[A-Za-z_][A-Za-z0-9_-]*) | (?P<punct>[{}\[\]=;,@]) )""",
     re.VERBOSE,
 )
 
 
+def _line(text, offset):
+    return text.count("\n", 0, offset) + 1
+
+
 def _tokenize(text):
+    """(type, value, offset) triples, ending with an "end" token."""
     out = []
     pos = 0
-    line = 1
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise RecordError("line %d: bad character %r" % (line, text[pos]))
-        line += text.count("\n", pos, m.end())
+    while m := _TOKEN.match(text, pos):
         pos = m.end()
-        if m.lastgroup == "int":
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "int":
             try:
-                out.append(("int", int(m.group()), line))
+                value = int(value)
             except ValueError:  # past the interpreter's digit limit
-                raise RecordError("line %d: integer too long" % line) from None
-        elif m.lastgroup == "str":
-            out.append(("str", m.group()[1:-1], line))
-        elif m.lastgroup == "ident":
-            out.append(("ident", m.group(), line))
-        elif m.lastgroup == "punct":
-            out.append(("punct", m.group(), line))
-    out.append(("end", None, line))
+                raise RecordError(
+                    "line %d: integer too long" % _line(text, m.start(kind))
+                ) from None
+        elif kind == "str":
+            value = value[1:-1]
+        out.append((kind, value, m.start(kind)))
+    pos = _SKIP.match(text, pos).end()
+    if pos < len(text):
+        raise RecordError(
+            "line %d: bad character %r" % (_line(text, pos), text[pos])
+        )
+    out.append(("end", None, pos))
     return out
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.env = {}
+
+    def error(self, tok, message):
+        """A RecordError that names the line of tok."""
+        return RecordError("line %d: %s" % (_line(self.text, tok[2]), message))
 
     def peek(self):
         return self.tokens[self.i]
@@ -91,13 +106,9 @@ class _Parser:
     def take(self, ttype=None, value=None):
         tok = self.tokens[self.i]
         if ttype is not None and tok[0] != ttype:
-            raise RecordError(
-                "line %d: expected %s, found %r" % (tok[2], ttype, tok[1])
-            )
+            raise self.error(tok, "expected %s, found %r" % (ttype, tok[1]))
         if value is not None and tok[1] != value:
-            raise RecordError(
-                "line %d: expected %r, found %r" % (tok[2], value, tok[1])
-            )
+            raise self.error(tok, "expected %r, found %r" % (value, tok[1]))
         self.i += 1
         return tok
 
@@ -108,17 +119,13 @@ class _Parser:
             tok = self.take("ident")
             if self.peek()[:2] == ("punct", "="):
                 if tok[1] in KINDS:
-                    raise RecordError(
-                        "line %d: %r cannot name a record" % (tok[2], tok[1])
-                    )
+                    raise self.error(tok, "%r cannot name a record" % tok[1])
                 name = tok[1]
                 self.take("punct", "=")
                 tok = self.take("ident")
             if tok[1] not in KINDS:
-                raise RecordError(
-                    "line %d: unknown record kind %r" % (tok[2], tok[1])
-                )
-            obj = self._build(tok[1], self._fields(1), tok[2])
+                raise self.error(tok, "unknown record kind %r" % tok[1])
+            obj = self._build(tok[1], self._fields(1), tok)
             if name is not None:
                 self.env[name] = obj
             records.append((name, obj))
@@ -128,8 +135,8 @@ class _Parser:
 
     def _nest(self, depth):
         if depth > MAX_NESTING:
-            raise RecordError("line %d: brackets nested deeper than %d"
-                              % (self.peek()[2], MAX_NESTING))
+            raise self.error(self.peek(),
+                             "brackets nested deeper than %d" % MAX_NESTING)
 
     def _fields(self, depth):
         """The fields of a "{" body that is depth brackets deep."""
@@ -147,13 +154,12 @@ class _Parser:
             if self.peek()[:2] == ("punct", ";"):
                 self.take()
             elif self.peek()[:2] != ("punct", "}"):
-                raise RecordError(
-                    "line %d: expected ';' or '}'" % self.peek()[2]
-                )
+                raise self.error(self.peek(), "expected ';' or '}'")
 
     def _value(self, depth):
         """A value inside depth brackets."""
-        ttype, val, ln = self.peek()
+        tok = self.peek()
+        ttype, val = tok[0], tok[1]
         if ttype in ("int", "str"):
             self.take()
             return val
@@ -161,7 +167,7 @@ class _Parser:
             self.take()
             ref = self.take("ident")
             if ref[1] not in self.env:
-                raise RecordError("line %d: undefined name %r" % (ref[2], ref[1]))
+                raise self.error(ref, "undefined name %r" % ref[1])
             return self.env[ref[1]]
         if (ttype, val) == ("punct", "["):
             self._nest(depth + 1)
@@ -172,25 +178,24 @@ class _Parser:
                 if self.peek()[:2] == ("punct", ","):
                     self.take()
                 elif self.peek()[:2] != ("punct", "]"):
-                    raise RecordError("line %d: expected ',' or ']'" % self.peek()[2])
+                    raise self.error(self.peek(), "expected ',' or ']'")
             self.take()
             return items
         if (ttype, val) == ("punct", "{"):
             return self._fields(depth + 1)
         if ttype == "ident" and val in KINDS:
             self.take()
-            return self._build(val, self._fields(depth + 1), ln)
-        raise RecordError("line %d: expected a value, found %r" % (ln, val))
+            return self._build(val, self._fields(depth + 1), tok)
+        raise self.error(tok, "expected a value, found %r" % (val,))
 
-    def _build(self, kind, fields, line):
+    def _build(self, kind, fields, tok):
+        """The kind's object from its fields; tok is the kind's token."""
         try:
             return _BUILDERS[kind](fields)
         except RecordError:
             raise
         except (TypeError, ValueError, KeyError) as exc:
-            raise RecordError(
-                "line %d: bad %s record: %s" % (line, kind, exc)
-            ) from exc
+            raise self.error(tok, "bad %s record: %s" % (kind, exc)) from exc
 
 
 def _need(fields, key, kind):

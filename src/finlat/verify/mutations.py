@@ -15,65 +15,40 @@ from .. import contmap
 from .. import funclat
 
 
-def _install_inverted_wo_iii():
-    original = contmap.PROCEDURES["wo-iii"]
-
-    def flipped(m):
-        return not original.evaluate(m)
-
-    contmap.PROCEDURES["wo-iii"] = replace(original, evaluate=flipped)
-
-    def undo():
-        contmap.PROCEDURES["wo-iii"] = original
-
-    return undo
+def _inverted(procedure):
+    return replace(procedure, evaluate=lambda m: not procedure.evaluate(m))
 
 
-def _install_saturation_drop():
-    original = contmap.saturation
-
+def _dropping_top(saturation):
     def buggy(m, a):
-        s = original(m, a)
+        s = saturation(m, a)
         # lose the top point whenever the saturation actually grew
         if s != a and s.bit_count() >= 2:
             return s & ~(1 << (s.bit_length() - 1))
         return s
 
-    contmap.saturation = buggy
-
-    def undo():
-        contmap.saturation = original
-
-    return undo
+    return buggy
 
 
-def _install_ratio_flip():
-    original = funclat._tie_ratio
-
-    def flipped(num, den):
-        # reciprocal of the correct tie ratio
-        return original(den, num)
-
-    funclat._tie_ratio = flipped
-
-    def undo():
-        funclat._tie_ratio = original
-
-    return undo
+def _flipped(tie_ratio):
+    # reciprocal of the correct tie ratio
+    return lambda num, den: tie_ratio(den, num)
 
 
+# name -> (description, owner, key, wrap): the mutation replaces the binding
+# owner[key] (a dict entry) or owner.key (a module attribute) by wrap(original)
 MUTATIONS = {
     "invert-wo-iii": (
         "negate the registered wo-iii decision routine",
-        _install_inverted_wo_iii,
+        contmap.PROCEDURES, "wo-iii", _inverted,
     ),
     "saturation-drop": (
         "drop the highest point from any saturation that grew",
-        _install_saturation_drop,
+        contmap, "saturation", _dropping_top,
     ),
     "ratio-flip": (
         "build every tie ratio upside down",
-        _install_ratio_flip,
+        funclat, "_tie_ratio", _flipped,
     ),
 }
 
@@ -84,13 +59,15 @@ def apply_mutation(name):
         yield None
         return
     try:
-        _, install = MUTATIONS[name]
+        _, owner, key, wrap = MUTATIONS[name]
     except KeyError:
         raise ValueError(
             "unknown mutation %r; known: %s" % (name, ", ".join(sorted(MUTATIONS)))
         ) from None
-    undo = install()
+    binding = owner if isinstance(owner, dict) else vars(owner)
+    original = binding[key]
+    binding[key] = wrap(original)
     try:
         yield name
     finally:
-        undo()
+        binding[key] = original

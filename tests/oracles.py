@@ -3,7 +3,11 @@
 Everything here is deliberately naive and stdlib-only: topologies are sets of
 frozensets of points, maps are plain tables, operators are row lists of
 Fractions.  Nothing imports from the package under test, so agreement between
-these and the fast bitmask routines is a genuine cross-check.
+these and the fast bitmask routines is a genuine cross-check.  The one
+exception is the subspace section below: it rebuilds each restricted map as
+its own space and map with the package's ``subspace`` and ``ContMap``, the
+way the map classes were first decided, and checks the mask-based subspace
+routines against those rebuilt maps.
 """
 
 from fractions import Fraction
@@ -415,3 +419,49 @@ def member(system, f):
     if any(vec[x] != 0 for x in range(n) if zero_mask >> x & 1):
         return False
     return all(vec[x] == ratio[x] * vec[rep[x]] for x in range(n))
+
+
+# ---------------------------------------------------------------------------
+# subspace classes through rebuilt subspaces and maps
+
+
+def corestriction(m):
+    """The same map onto its image with the subspace topology."""
+    from finlat import ContMap, image, subspace
+
+    sub, mapping = subspace(m.codomain, image(m, m.domain.full))
+    index = {p: i for i, p in enumerate(mapping)}
+    return ContMap(m.domain, sub, tuple(index[y] for y in m.table))
+
+
+def dense_restrictions(m):
+    """The restriction of m to every dense subspace of its domain."""
+    from finlat import ContMap, subspace
+
+    dom = m.domain
+    for d in range(1, dom.full + 1):
+        if dom.is_dense(d):
+            sub, mapping = subspace(dom, d)
+            yield ContMap(sub, m.codomain, tuple(m.table[p] for p in mapping))
+
+
+def subspace_classes(m):
+    """The six subspace-defined procedures, each on rebuilt maps."""
+    from finlat.contmap import (
+        almost_open_stars, image, is_injective, open_map_stars,
+        weakly_open_stars,
+    )
+
+    core = corestriction(m)
+    dom = m.domain
+    return {
+        "skeletal_stars": almost_open_stars(core),
+        "strongly_skeletal_stars": weakly_open_stars(core),
+        "embedding_stars": is_injective(m) and open_map_stars(core),
+        "wi_iii": not any(
+            dom.is_nowhere_dense(a) and core.codomain.interior(image(core, a))
+            for a in range(dom.full + 1)
+        ),
+        "wo_vi_every": all(almost_open_stars(r) for r in dense_restrictions(m)),
+        "wo_vi_some": any(almost_open_stars(r) for r in dense_restrictions(m)),
+    }

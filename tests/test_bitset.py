@@ -4,7 +4,6 @@ from finlat.bitset import (
     full_mask,
     mask_of,
     mask_to_list,
-    subsets_by_size,
 )
 
 
@@ -25,12 +24,3 @@ def test_mask_round_trip():
 def test_bits_iterates_ascending():
     assert list(bits(0)) == []
     assert list(bits(0b101101)) == [0, 2, 3, 5]
-
-
-def test_subsets_by_size_order_and_count():
-    subs = list(subsets_by_size(3))
-    assert len(subs) == 8
-    assert subs[0] == 0
-    assert subs[-1] == 0b111
-    keys = [(s.bit_count(), s) for s in subs]
-    assert keys == sorted(keys)

@@ -15,6 +15,7 @@ from finlat import (
     make_space,
     saturation,
 )
+from finlat import contmap, finspace
 from finlat.contmap import (
     image,
     is_saturated,
@@ -22,6 +23,7 @@ from finlat.contmap import (
     preimage,
 )
 from finlat.finspace import SpaceTooLarge
+from finlat.verify.properties import SuiteConfig, _sample_map
 
 
 def all_pairs(k):
@@ -181,3 +183,39 @@ def test_iff_procedures_agree_on_two_point_pairs():
                     assert got or not want, (pid, m.table)
                 else:
                     assert want or not got, (pid, m.table)
+
+
+# --- subspace classes, decided on the parent space -----------------------------
+
+def _subspace_maps(points, samples):
+    for dom, cod in all_pairs(points):
+        yield from enumerate_continuous_maps(dom, cod)
+    cfg = SuiteConfig(sample_points=4)
+    for index in range(samples):
+        yield _sample_map(cfg, index)
+
+
+def test_subspace_procedures_match_rebuilt_maps():
+    seen = set()
+    for m in _subspace_maps(3, 600):
+        want = oracles.subspace_classes(m)
+        for name, value in want.items():
+            assert getattr(contmap, name)(m) == value, (name, m)
+            seen.add((name, value))
+    # every procedure meets both verdicts
+    assert len(seen) == 2 * len(want)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a map class built a derived space or map")
+
+
+def test_procedures_build_no_map_or_subspace(monkeypatch):
+    maps = list(_subspace_maps(2, 300))
+    monkeypatch.setattr(ContMap, "__init__", _refuse)
+    monkeypatch.setattr(finspace.FinSpace, "__init__", _refuse)
+    monkeypatch.setattr(finspace, "subspace", _refuse)
+    for m in maps:
+        classify_map(m)
+        for pid, proc in PROCEDURES.items():
+            decide_by(m, proc.target, pid)

@@ -73,6 +73,29 @@ def test_parse_errors_carry_line_numbers():
         parse_records("")
 
 
+def test_comments_are_skipped_whole():
+    text = "# space { n = 9 }\nspace { n = 1; opens = [ [], [0] ] } # map {\n"
+    assert [(name, obj.n) for name, obj in parse_records(text)] == [(None, 1)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# a\n\n  $", "line 3: bad character '$'"),
+    ("space { n = 1;\n# x = 1\n opens = [[],[0]] ; ; }",
+     "line 3: expected ident, found ';'"),
+    ("space {\n n = 1 # }\n", "line 3: expected ';' or '}'"),
+    ("# c\nspace { n = 2;\n opens = [ [0,1] ] }",
+     "line 2: bad space record: the empty set is missing from the family"),
+    ("\n\nx = space { n = 1; opens = [[],[0]] }\nmap { domain = @y }",
+     "line 4: undefined name 'y'"),
+    ("\n" + "1" * 5000, "line 2: integer too long"),
+], ids=["bad-character", "after-comment", "comment-ends-line", "kind-line",
+        "undefined-name", "integer-too-long"])
+def test_error_lines_count_comments_and_blank_lines(text, message):
+    with pytest.raises(RecordError) as err:
+        parse_records(text)
+    assert str(err.value) == message
+
+
 def test_sublattice_rejects_mixed_forms():
     with pytest.raises(RecordError):
         parse_records(

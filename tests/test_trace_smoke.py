@@ -2,14 +2,14 @@
 
 perfbench/trace.py replaces finlat functions by name; a rename there only
 shows up under ``--trace 1``.  This installs the tracer around a tiny
-operator suite run and checks that its spans arrive and that restoring
-puts every original back.
+operator suite run and around a map suite run, and checks that their spans
+arrive and that restoring puts every original back.
 """
 
 import importlib.util
 from pathlib import Path
 
-from finlat import comphom, funclat
+from finlat import comphom, contmap, finspace, funclat
 from finlat.verify import run_suite
 
 TRACE_PY = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
@@ -39,3 +39,22 @@ def test_tracer_installs_spans_and_restores():
     assert comphom.HOC_CONDITIONS == conditions
     assert all(comphom.HOC_CONDITIONS[k] is f for k, f in conditions.items())
     assert funclat.classify_sublattice is classify
+
+
+def test_tracer_covers_the_map_layer_and_restores():
+    decide_by = contmap.decide_by
+    saturation = contmap.saturation
+    closure = finspace.FinSpace.__dict__["closure"]
+    tracer = _load_trace().Tracer()
+    tracer.install()
+    try:
+        report = run_suite(properties=("P-wo",), max_points=2, sample_budget=0)
+        metrics = tracer.metrics({})
+    finally:
+        tracer.restore()
+    assert report.ok
+    assert metrics["contmap.decide_by.wo-vi.us_per_call"] > 0
+    assert metrics["finspace.closure.calls"] > 0
+    assert contmap.decide_by is decide_by
+    assert contmap.saturation is saturation
+    assert finspace.FinSpace.__dict__["closure"] is closure

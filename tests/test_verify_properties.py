@@ -329,9 +329,11 @@ def test_mutation_restores_bindings_even_on_error():
 
 
 def test_registry_descriptions_present():
-    for name, (description, install) in MUTATIONS.items():
+    for name, (description, owner, key, wrap) in MUTATIONS.items():
         assert description
-        assert callable(install)
+        assert callable(wrap)
+        binding = owner if isinstance(owner, dict) else vars(owner)
+        assert key in binding
 
 
 # ---------------------------------------------------------------------------
