@@ -47,8 +47,9 @@ class RecordError(ValueError):
 
 
 # whitespace and comments; the lookahead keeps a comment from giving back
-# its tail as tokens
-_GAP = r"(?:\s+|\#[^\n]*(?![^\n]))*"
+# its tail as tokens.  Each character of a gap has one way to match, so a
+# failing match backtracks in linear time.
+_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
 _SKIP = re.compile(_GAP)
 # one token, after the gap before it
 _TOKEN = re.compile(

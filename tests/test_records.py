@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,43 @@ def test_error_lines_count_comments_and_blank_lines(text, message):
     with pytest.raises(RecordError) as err:
         parse_records(text)
     assert str(err.value) == message
+
+
+class _Overtime(Exception):
+    pass
+
+
+def _raise_overtime(signum, frame):
+    raise _Overtime
+
+
+_SPACE_1 = "space { n = 1; opens = [ [], [0] ] }"
+
+
+@pytest.mark.parametrize("text, message", [
+    (" " * 40 + "$", "line 1: bad character '$'"),
+    ("\n" * 40 + "$", "line 41: bad character '$'"),
+    ("# c\n \t" * 40 + "$", "line 41: bad character '$'"),
+    (_SPACE_1 + " " * 40, None),
+    (_SPACE_1 + "\n" * 40, None),
+    (_SPACE_1 + "\n # c" * 40, None),
+], ids=["spaces-bad", "newlines-bad", "comments-bad", "spaces-end",
+        "newlines-end", "comments-end"])
+def test_long_gaps_tokenize_in_linear_time(text, message):
+    # a gap pattern that can split a whitespace run several ways backtracks
+    # through about 2**40 splits here; the timer turns that into a failure
+    previous = signal.signal(signal.SIGALRM, _raise_overtime)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        if message is None:
+            assert [obj.n for _, obj in parse_records(text)] == [1]
+        else:
+            with pytest.raises(RecordError) as err:
+                parse_records(text)
+            assert str(err.value) == message
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sublattice_rejects_mixed_forms():
