@@ -51,9 +51,9 @@ def _cmd_space_props(args):
         "open_count": len(space.opens),
     }
     if args.subset is not None:
-        mask = mask_of(args.subset)
-        if mask & ~space.full:
+        if not all(0 <= p < space.n for p in args.subset):
             raise ValueError("subset points must lie in 0..%d" % (space.n - 1))
+        mask = mask_of(args.subset)
         flags = {"open": space.is_open(mask),
                  **asdict(finspace.classify_subset(space, mask))}
         lines.append("subset [%s]:" % ",".join(str(x) for x in sorted(set(args.subset))))

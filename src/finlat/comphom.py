@@ -17,6 +17,7 @@ directly and compared.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .bitset import bit, bits
 from .contmap import classify_map
@@ -24,9 +25,9 @@ from .funclat import (
     band_complement,
     canonical_form,
     classify_sublattice,
-    contains,
-    disjoint_complement,
+    double_complement,
     full_space,
+    member,
     solution_basis,
     zero_ideal,
 )
@@ -159,13 +160,18 @@ def hom_from_map(m):
     return t
 
 
+def _columns_read(t, rows):
+    """The mask of the domain coordinates that the given rows of t read."""
+    used = 0
+    for i in rows:
+        if t.phi[i] is not None:
+            used |= bit(t.phi[i])
+    return used
+
+
 def kernel(t):
     """Ker T as a constraint system over the domain coordinates."""
-    used = 0
-    for col in t.phi:
-        if col is not None:
-            used |= bit(col)
-    return zero_ideal(full_space(t.n), used)
+    return zero_ideal(full_space(t.n), _columns_read(t, range(t.m)))
 
 
 def _probe_positives(t):
@@ -198,16 +204,17 @@ def _directed_sup_preservation(t):
     """T must carry sups of upward-directed families to sups of images.
 
     Each probe pair a, b gives the directed family {a, b, a v b}, whose sup
-    is a v b; the subset indicators ordered by inclusion form a chain whose
-    sup is the all-ones vector.
+    is a v b.  The family is symmetric in a and b and trivially preserved
+    when a = b, so each unordered pair of distinct probes is visited once.
+    The subset indicators form an upward-directed family whose sup is the
+    all-ones vector.
     """
     probes = _probe_positives(t)
     images = [t.apply(a) for a in probes]
-    for a, ta in zip(probes, images):
-        for b, tb in zip(probes, images):
-            t_top = t.apply(tuple(max(x, y) for x, y in zip(a, b)))
-            if t_top != tuple(max(vals) for vals in zip(ta, tb, t_top)):
-                return False
+    for (a, ta), (b, tb) in combinations(zip(probes, images), 2):
+        t_top = t.apply(tuple(max(x, y) for x, y in zip(a, b)))
+        if t_top != tuple(max(vals) for vals in zip(ta, tb, t_top)):
+            return False
     if t.n <= 12:
         chain = [
             tuple(Fraction(1 if a >> j & 1 else 0) for j in range(t.n))
@@ -228,32 +235,31 @@ def _band_preimages(t):
     """T^{-1} of every band of the codomain must be a band in the domain.
 
     The bands of an m-dimensional function lattice are exactly the 2^m
-    coordinate subspaces.
+    coordinate subspaces.  The band vanishing on the rows a pulls back to
+    the members vanishing on the columns those rows read, and the band test
+    runs once per distinct column set.
     """
     dom = full_space(t.n)
-    for a in range(1 << t.m):
-        pulled = 0
-        for i in bits(a):
-            if t.phi[i] is not None:
-                pulled |= bit(t.phi[i])
-        if band_complement(dom, zero_ideal(dom, pulled)) is None:
-            return False
-    return True
+    pulled = dict.fromkeys(_columns_read(t, bits(a)) for a in range(1 << t.m))
+    return all(
+        band_complement(dom, zero_ideal(dom, cols)) is not None for cols in pulled
+    )
 
 
 def _image_double_complements(t):
-    """T(G^dd) must land inside (TG)^dd for every coordinate ideal G."""
+    """T(G^dd) must land inside (TG)^dd for every coordinate ideal G.
+
+    (TG)^dd is a sublattice, so it contains the sublattice generated by
+    T(G^dd) exactly when it contains T of each basis vector of G^dd.
+    """
     dom = full_space(t.n)
     cod = full_space(t.m)
     for a in range(1 << t.n):
         g = zero_ideal(dom, a)
-        gd = disjoint_complement(dom, solution_basis(g))
-        gdd = disjoint_complement(dom, solution_basis(gd))
+        _, gdd = double_complement(dom, g)
         tg = canonical_form(t.m, [t.apply(v) for v in solution_basis(g)])
-        tgd = disjoint_complement(cod, solution_basis(tg))
-        tgdd = disjoint_complement(cod, solution_basis(tgd))
-        t_of_gdd = canonical_form(t.m, [t.apply(v) for v in solution_basis(gdd)])
-        if not contains(tgdd, t_of_gdd):
+        _, tgdd = double_complement(cod, tg)
+        if not all(member(tgdd, t.apply(v)) for v in solution_basis(gdd)):
             return False
     return True
 
@@ -296,14 +302,6 @@ class CertificateReport:
                     )
 
 
-def _pullback_lattice(phi, e):
-    compose = [
-        tuple(v[phi.table[x]] for x in range(phi.domain.n))
-        for v in solution_basis(e)
-    ]
-    return canonical_form(phi.domain.n, compose)
-
-
 def certify_composition(phi, e):
     y = phi.codomain
     x = phi.domain
@@ -335,9 +333,10 @@ def certify_composition(phi, e):
     discrete = x.is_discrete() and y.is_discrete()
     direct = {}
     if discrete:
-        pulled = _pullback_lattice(phi, e)
+        t = hom_from_map(phi)
+        pulled = canonical_form(x.n, [t.apply(v) for v in solution_basis(e)])
         dflags = classify_sublattice(full_space(x.n), pulled)
-        operator_oc = all(hoc_conditions(hom_from_map(phi)).values())
+        operator_oc = all(hoc_conditions(t).values())
         direct = {
             "image_order_dense": dflags.order_dense,
             "image_weakly_urysohn": dflags.weakly_urysohn,

@@ -3,14 +3,17 @@
 Every sublattice of the coordinatewise-ordered rational n-space is the
 solution set of two kinds of constraints: a set of coordinates forced
 to zero, and pairwise ties f(x) = c * f(rep) with c > 0 inside groups
-of proportional coordinates.  canonical_form derives that description
-from generators; the other operations manipulate it directly.
+of proportional coordinates.  canonical_form is the one place that
+derives that description from vectors; from_constraints hands it one
+generator per tree of solved ties, and the other operations manipulate
+a system directly.
 
 All scalar arithmetic is exact.  canonical_form groups the coordinates by
 the gcd-normalised integer direction of their generator columns and builds
 one Fraction ratio per tied coordinate; member tests ties by integer
 cross-multiplication.  Explicit tie constraints compose their ratios along
-the paths of a union-find forest.  Floating point is never used.
+the paths of a union-find forest before they reach canonical_form.
+Floating point is never used.
 """
 
 from dataclasses import dataclass
@@ -88,29 +91,14 @@ def _tie_ratio(num, den):
 
 
 def _from_forest(n, forest):
-    members = {}
-    zero = 0
+    """The system of a forest: canonical_form of one basis vector per live
+    tree, f(x) = w on each member x with f(x) = w * f(root)."""
+    basis = {}
     for x in range(n):
-        root, _ = forest.find(x)
-        if forest.dead[root]:
-            zero |= bit(x)
-        else:
-            members.setdefault(root, []).append(x)
-    rep = list(range(n))
-    ratio = [_ONE] * n
-    groups = []
-    for xs in members.values():
-        lead = min(xs)
-        _, w_lead = forest.find(lead)
-        g = 0
-        for x in xs:
-            g |= bit(x)
-            _, w_x = forest.find(x)
-            rep[x] = lead
-            ratio[x] = _tie_ratio(w_x, w_lead)
-        groups.append(g)
-    groups.sort(key=lambda m: m & -m)
-    return ConstraintSystem(n, zero, tuple(rep), tuple(ratio), tuple(groups))
+        root, w = forest.find(x)
+        if not forest.dead[root]:
+            basis.setdefault(root, [_ZERO] * n)[x] = w
+    return canonical_form(n, basis.values())
 
 
 def from_constraints(n, zeros=(), ties=()):
@@ -287,11 +275,16 @@ def contains(outer, inner):
     return all(member(outer, v) for v in solution_basis(inner))
 
 
+def double_complement(ambient, e):
+    """(e^d, e^dd): the disjoint complement of e in ambient and its own."""
+    first = disjoint_complement(ambient, solution_basis(e))
+    return first, disjoint_complement(ambient, solution_basis(first))
+
+
 def band_complement(ambient, e):
     """The disjoint complement of e in ambient when e is a band there, else
     None.  A band is a sublattice that equals its double disjoint complement."""
-    first = disjoint_complement(ambient, solution_basis(e))
-    dd = disjoint_complement(ambient, solution_basis(first))
+    first, dd = double_complement(ambient, e)
     if contains(e, dd) and contains(dd, e):
         return first
     return None

@@ -37,7 +37,6 @@ from .equivrel import EquivRel, from_blocks
 from .finspace import DEFAULT_MAX_POINTS, FinSpace, _check_n, make_space
 from .funclat import ConstraintSystem, canonical_form, from_constraints
 
-KINDS = ("space", "map", "rel", "sublattice", "hom")
 # the deepest "[" and "{" nesting parsed; a legal record uses at most four
 MAX_NESTING = 32
 
@@ -192,7 +191,7 @@ class _Parser:
     def _build(self, kind, fields, tok):
         """The kind's object from its fields; tok is the kind's token."""
         try:
-            return _BUILDERS[kind](fields)
+            return _KIND_TABLE[kind][1](fields)
         except RecordError:
             raise
         except (TypeError, ValueError, KeyError) as exc:
@@ -306,13 +305,15 @@ def _build_hom(fields):
     return HomMatrix(rows)
 
 
-_BUILDERS = {
-    "space": _build_space,
-    "map": _build_map,
-    "rel": _build_rel,
-    "sublattice": _build_sublattice,
-    "hom": _build_hom,
+# kind -> (class of its objects, builder from its fields)
+_KIND_TABLE = {
+    "space": (FinSpace, _build_space),
+    "map": (ContMap, _build_map),
+    "rel": (EquivRel, _build_rel),
+    "sublattice": (ConstraintSystem, _build_sublattice),
+    "hom": (HomMatrix, _build_hom),
 }
+KINDS = tuple(_KIND_TABLE)
 
 
 def parse_records(text):
@@ -320,21 +321,15 @@ def parse_records(text):
     return _Parser(text).parse_file()
 
 
-_KIND_OF = (
-    (FinSpace, "space"),
-    (ContMap, "map"),
-    (EquivRel, "rel"),
-    (ConstraintSystem, "sublattice"),
-    (HomMatrix, "hom"),
-)
-
-
 def load_record(text, kind=None):
     """The last record in the file, optionally of a required kind."""
+    if kind is not None and kind not in _KIND_TABLE:
+        raise ValueError("unknown record kind %r; known kinds: %s"
+                         % (kind, ", ".join(KINDS)))
     records = parse_records(text)
     if kind is None:
         return records[-1][1]
-    want = next(cls for cls, k in _KIND_OF if k == kind)
+    want = _KIND_TABLE[kind][0]
     for _, obj in reversed(records):
         if isinstance(obj, want):
             return obj

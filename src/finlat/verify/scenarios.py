@@ -31,6 +31,9 @@ from ..finspace import from_stars
 
 INTERO_SCHEMA = "finlat-intero-report/1"
 GRID_SCHEMA = "finlat-grid-report/1"
+# the largest sizes built; each +2 in depth or +8 in k costs about 5x the time
+MAX_INTERO_DEPTH = 16
+MAX_GRID_K = 16
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +197,8 @@ class InteroReport:
 def intero_scenario(depth=12):
     if depth < 2:
         raise ValueError("depth must be at least 2")
+    if depth > MAX_INTERO_DEPTH:
+        raise ValueError("depth must be at most %d" % MAX_INTERO_DEPTH)
     points = _universe(depth)
     index = {p: i for i, p in enumerate(points)}
     edges = intero_edges(depth)
@@ -411,6 +416,8 @@ class GridReport:
 def grid_scenario(k=4):
     if k < 1:
         raise ValueError("k must be positive")
+    if k > MAX_GRID_K:
+        raise ValueError("k must be at most %d" % MAX_GRID_K)
     space, names = grid_space(k)
     vertical = equivrel.EquivRel(
         space, _blocks_from_names(names, _line_groups(k, names, 0)))

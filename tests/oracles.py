@@ -7,7 +7,9 @@ these and the fast bitmask routines is a genuine cross-check.  The one
 exception is the subspace section below: it rebuilds each restricted map as
 its own space and map with the package's ``subspace`` and ``ContMap``, the
 way the map classes were first decided, and checks the mask-based subspace
-routines against those rebuilt maps.
+routines against those rebuilt maps.  The lattice-construction section at
+the end likewise keeps the first, longer formulations of a few constructions
+on top of the package's own constraint systems.
 """
 
 from fractions import Fraction
@@ -464,4 +466,115 @@ def subspace_classes(m):
         ),
         "wo_vi_every": all(almost_open_stars(r) for r in dense_restrictions(m)),
         "wo_vi_some": any(almost_open_stars(r) for r in dense_restrictions(m)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# lattice constructions in their first, longer formulations
+
+
+def from_constraints_by_hand(n, zeros=(), ties=()):
+    """from_constraints with the forest's system assembled field by field.
+
+    The tie ratios go through funclat._tie_ratio, looked up at call time,
+    so a mutation of it reaches this formulation as well.
+    """
+    from finlat import ConstraintSystem, funclat
+
+    forest = funclat._RatioForest(n)
+    for x, z, alpha in ties:
+        forest.union(x, z, Fraction(alpha))
+    for x in zeros:
+        forest.kill(x)
+    members = {}
+    zero = 0
+    for x in range(n):
+        root, _ = forest.find(x)
+        if forest.dead[root]:
+            zero |= 1 << x
+        else:
+            members.setdefault(root, []).append(x)
+    rep = list(range(n))
+    ratio = [Fraction(1)] * n
+    groups = []
+    for xs in members.values():
+        lead = min(xs)
+        _, w_lead = forest.find(lead)
+        mask = 0
+        for x in xs:
+            mask |= 1 << x
+            rep[x] = lead
+            ratio[x] = funclat._tie_ratio(forest.find(x)[1], w_lead)
+        groups.append(mask)
+    groups.sort(key=lambda m: m & -m)
+    return ConstraintSystem(n, zero, tuple(rep), tuple(ratio), tuple(groups))
+
+
+def pullback_lattice(phi, e):
+    """The sublattice {v o phi : v in e}, composed coordinate by coordinate."""
+    from finlat import canonical_form, solution_basis
+
+    compose = [
+        tuple(v[phi.table[x]] for x in range(phi.domain.n))
+        for v in solution_basis(e)
+    ]
+    return canonical_form(phi.domain.n, compose)
+
+
+def image_double_complements(t):
+    """image-dd with T(G^dd) built as its own sublattice and compared by
+    containment; any object with m, n and apply will do for t."""
+    from finlat import (
+        canonical_form, contains, disjoint_complement, full_space,
+        solution_basis, zero_ideal,
+    )
+
+    dom = full_space(t.n)
+    cod = full_space(t.m)
+    for a in range(1 << t.n):
+        g = zero_ideal(dom, a)
+        gd = disjoint_complement(dom, solution_basis(g))
+        gdd = disjoint_complement(dom, solution_basis(gd))
+        tg = canonical_form(t.m, [t.apply(v) for v in solution_basis(g)])
+        tgd = disjoint_complement(cod, solution_basis(tg))
+        tgdd = disjoint_complement(cod, solution_basis(tgd))
+        t_of_gdd = canonical_form(t.m, [t.apply(v) for v in solution_basis(gdd)])
+        if not contains(tgdd, t_of_gdd):
+            return False
+    return True
+
+
+def band_preimages_every_subset(t):
+    """band-preimages with the band test run on each of the 2^m row
+    subsets, repeated preimages included."""
+    from finlat import full_space, zero_ideal
+    from finlat.funclat import band_complement
+
+    dom = full_space(t.n)
+    for a in range(1 << t.m):
+        pulled = 0
+        for i in range(t.m):
+            if a >> i & 1 and t.phi[i] is not None:
+                pulled |= 1 << t.phi[i]
+        if band_complement(dom, zero_ideal(dom, pulled)) is None:
+            return False
+    return True
+
+
+def certified_direct(phi, e):
+    """The direct lattice verdicts of certify_composition on discrete
+    spaces, through the formulations above."""
+    from finlat import classify_sublattice, comphom, full_space, hom_from_map
+
+    t = hom_from_map(phi)
+    flags = classify_sublattice(full_space(phi.domain.n), pullback_lattice(phi, e))
+    same = ("chain-continuity", "directed-sups", "kernel-band")
+    conditions = [comphom.HOC_CONDITIONS[name](t) for name in same]
+    conditions += [band_preimages_every_subset(t), image_double_complements(t)]
+    return {
+        "image_order_dense": flags.order_dense,
+        "image_weakly_urysohn": flags.weakly_urysohn,
+        "image_urysohn": flags.urysohn,
+        "order_continuous": all(conditions),
+        "image_regular": flags.regular,
     }

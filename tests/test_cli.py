@@ -5,7 +5,9 @@ import json
 import pytest
 
 from finlat import canonical_form, classify_subset, finspace, full_space, records
+from finlat import cli
 from finlat.cli import main
+from finlat.verify import scenarios
 from finlat.records import load_record
 
 SIER = "space { n = 2; opens = [ [], [1], [0,1] ] }"
@@ -107,11 +109,23 @@ def test_space_props_subset_flags(capsys, tmp_path):
     assert blob["subset_props"]["closed"] is False
 
 
-def test_space_props_subset_out_of_range(capsys, tmp_path):
+def test_space_props_subset_out_of_range(capsys, tmp_path, monkeypatch):
     path = record_file(tmp_path, "s.rec", SIER)
     code, _, err = run_cli(capsys, "space-props", path, "--subset", "5")
     assert code == 2
     assert "error:" in err
+
+    # every point is checked before a mask is built from it
+    def refuse(points):
+        if not all(0 <= p < 2 for p in points):
+            raise AssertionError("mask_of got an out-of-range point")
+        return 0
+
+    monkeypatch.setattr(cli, "mask_of", refuse)
+    for point in ("-1", "100000000000"):
+        code, _, err = run_cli(capsys, "space-props", path, "--subset", "0", point)
+        assert code == 2
+        assert "error: subset points must lie in 0..1" in err
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +348,25 @@ def test_example_grid(capsys):
     assert json.loads(out)["schema"] == "finlat-grid-report/1"
 
 
-def test_example_bad_size_is_usage_error(capsys):
+def test_example_bad_size_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "example", "grid", "--k", "0")
     assert code == 2
     assert "error:" in err
+
+    # sizes above the caps are refused before anything is built
+    def refuse(size):
+        raise AssertionError("scenario built at size %d" % size)
+
+    monkeypatch.setattr(scenarios, "grid_space", refuse)
+    monkeypatch.setattr(scenarios, "_universe", refuse)
+    for argv, message in (
+        (("grid", "--k", str(scenarios.MAX_GRID_K + 1)), "k must be at most 16"),
+        (("intero", "--depth", str(scenarios.MAX_INTERO_DEPTH + 1)),
+         "depth must be at most 16"),
+    ):
+        code, _, err = run_cli(capsys, "example", *argv)
+        assert code == 2
+        assert "error: " + message in err
 
 
 # ---------------------------------------------------------------------------

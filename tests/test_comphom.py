@@ -24,6 +24,8 @@ from finlat import (
     zero_ideal,
 )
 from finlat.comphom import kernel
+from finlat.verify import SuiteConfig
+from finlat.verify.properties import _KINDS
 
 F = Fraction
 
@@ -182,11 +184,70 @@ def test_directed_sups_match_the_family_reference_on_drawn_matrices(rows):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_directed_sups_apply_each_probe_and_join_once(n):
+    # one join per unordered pair of distinct probes, then the indicator
+    # family and its sup
     t = DenseOperator([[int(i == j) for j in range(n)] for i in range(n)])
     assert comphom._directed_sup_preservation(t)
     probes = 2 * n + 1
     chain = (1 << n) + 1
-    assert t.applied == probes * probes + probes + chain
+    assert t.applied == probes * (probes - 1) // 2 + probes + chain
+
+
+# --- the conditions against their first formulations --------------------------
+
+def test_conditions_match_their_first_formulations_on_criterion_5():
+    matrices = list(_KINDS["monohom"].exhaustive(SuiteConfig(max_points=3)))
+    assert len(matrices) == 1593
+    for rows in matrices:
+        t = HomMatrix(rows)
+        assert comphom._band_preimages(t) == oracles.band_preimages_every_subset(t)
+        assert comphom._image_double_complements(t) == \
+            oracles.image_double_complements(t)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_image_dd_matches_its_first_formulation_on_dense_matrices(m, n):
+    for rows in small_matrices(m, n, entries=(-1, 0, 1, 2)):
+        t = DenseOperator(rows)
+        assert comphom._image_double_complements(t) == \
+            oracles.image_double_complements(t)
+
+
+def test_image_dd_builds_one_canonical_form_per_coordinate_ideal(monkeypatch):
+    built = []
+    real = comphom.canonical_form
+    monkeypatch.setattr(comphom, "canonical_form",
+                        lambda n, gens: built.append(n) or real(n, gens))
+    for n in (1, 2, 3):
+        built.clear()
+        assert comphom._image_double_complements(
+            HomMatrix([[int(i == j) for j in range(n)] for i in range(n)]))
+        assert len(built) == 1 << n
+
+
+def test_band_preimages_test_each_distinct_preimage_once(monkeypatch):
+    tested = []
+    real = comphom.band_complement
+    monkeypatch.setattr(comphom, "band_complement",
+                        lambda amb, e: tested.append(e.zero_mask) or real(amb, e))
+    # four rows reading columns 0, 0, 2 and none
+    t = HomMatrix([[1, 0, 0], [2, 0, 0], [0, 0, 3], [0, 0, 0]])
+    assert comphom._band_preimages(t)
+    assert sorted(tested) == [0, 0b001, 0b100, 0b101]
+
+
+def test_certify_matches_its_first_formulation_on_criterion_6(monkeypatch):
+    pulled = []
+    real = comphom.classify_sublattice
+    monkeypatch.setattr(comphom, "classify_sublattice",
+                        lambda amb, e: pulled.append(e) or real(amb, e))
+    maps = list(_KINDS["dismap"].exhaustive(SuiteConfig(max_points=4)))
+    assert len(maps) == 494
+    for m in maps:
+        e = full_space(m.codomain.n)
+        report = certify_composition(m, e)
+        assert pulled[-1] == oracles.pullback_lattice(m, e)
+        assert report.direct == oracles.certified_direct(m, e)
 
 
 # --- certificates vs direct verdicts -------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from finlat import (
     solution_basis,
     zero_ideal,
 )
-from finlat.funclat import band_complement, dim, from_constraints
+from finlat.funclat import band_complement, dim, double_complement, from_constraints
+from finlat.verify.mutations import apply_mutation
 
 F = Fraction
 
@@ -192,6 +194,40 @@ def test_band_complement_matches_the_band_flag(gens):
     e = canonical_form(n, gens)
     full = full_space(n)
     assert (band_complement(full, e) is not None) == classify_sublattice(full, e).band
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=4),
+       st.integers(0, 4))
+def test_double_complement_contains_e_and_is_a_band(gens, k):
+    ambient = canonical_form(3, gens)
+    e = canonical_form(3, gens[:k])
+    first, dd = double_complement(ambient, e)
+    assert contains(dd, e) and contains(ambient, dd)
+    assert double_complement(ambient, dd) == (first, dd)
+    assert band_complement(ambient, dd) == first
+
+
+# --- explicit constraints against the field-by-field assembly -------------------
+
+def test_from_constraints_matches_hand_assembly():
+    rng = random.Random(5)
+    ratios = (1, 2, F(1, 2), 3, F(2, 3))
+    cases = []
+    for _ in range(1500):
+        n = rng.randint(0, 6)
+        ties = [(rng.randrange(n), rng.randrange(n), rng.choice(ratios))
+                for _ in range(rng.randint(0, 6) if n else 0)]
+        zeros = [rng.randrange(n) for _ in range(rng.randint(0, 2) if n else 0)]
+        cases.append((n, zeros, ties))
+    plain = [from_constraints(*case) for case in cases]
+    assert plain == [oracles.from_constraints_by_hand(*case) for case in cases]
+    # contradictory ties occur and zero their groups
+    assert sum(1 for n, _, ties in cases if from_constraints(n, ties=ties).zero_mask) > 100
+    with apply_mutation("ratio-flip"):
+        flipped = [from_constraints(*case) for case in cases]
+        assert flipped == [oracles.from_constraints_by_hand(*case) for case in cases]
+    assert flipped != plain
 
 
 # --- closure invariance of the canonical system ----------------------------------

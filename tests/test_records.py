@@ -62,6 +62,18 @@ def test_load_record_picks_last_of_kind():
         load_record(text, "hom")
 
 
+def test_load_record_rejects_an_unknown_kind_before_parsing():
+    assert KINDS == ("space", "map", "rel", "sublattice", "hom")
+    message = ("unknown record kind 'bogus'; "
+               "known kinds: space, map, rel, sublattice, hom")
+    # the text does not parse either: the kind is checked first
+    for text in ("space { n = 1; opens = [ [], [0] ] }", "$"):
+        with pytest.raises(ValueError) as err:
+            load_record(text, "bogus")
+        assert not isinstance(err.value, RecordError)
+        assert str(err.value) == message
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(RecordError) as err:
         parse_records("space { n = 2;\n opens = [ [0,1] ] }")
