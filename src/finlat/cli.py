@@ -96,12 +96,11 @@ def _cmd_classify_map(args):
 def _cmd_quotient(args):
     rel = records.load_record(_read(args.file), "rel")
     qspace, projection = equivrel.quotient(rel)
-    closed = equivrel.is_closed_relation(rel)
-    flags = contmap.classify_map(projection)
+    flags = contmap.classify_map(projection)  # P-eqr: closed iff closed_map
     lines = [
         records.emit_rel(rel),
         "blocks: %d" % len(rel.blocks),
-        "closed relation: %s" % _flag(closed),
+        "closed relation: %s" % _flag(flags.closed_map),
         "quotient: %s" % records.emit_space(qspace),
         "projection: %s" % records.emit_map(projection),
         "projection quotient_map: %s" % _flag(flags.quotient_map),
@@ -110,7 +109,7 @@ def _cmd_quotient(args):
     structured = {
         "record": records.emit_rel(rel),
         "block_count": len(rel.blocks),
-        "closed_relation": closed,
+        "closed_relation": flags.closed_map,
         "quotient_record": records.emit_space(qspace),
         "projection_record": records.emit_map(projection),
         "projection": flags.flags(),

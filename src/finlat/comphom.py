@@ -8,6 +8,10 @@ coordinate map, so a HomMatrix is a certified homomorphism.  The
 definitional |Tf| = T|f| sign sweep lives in verify (P-hom, P-hoc), which
 checks the structural test against it.
 
+Every certified HomMatrix passes all five hoc_conditions, as lattice
+homomorphisms of finite-dimensional lattices are order continuous; the
+lattice-side conditions still run their funclat computations.
+
 certify_composition connects map classification to sublattice structure:
 the topological class of a continuous map decides order density,
 Urysohn richness, order continuity, and regularity of the pulled-back

@@ -18,6 +18,7 @@ from .bitset import bit, bits
 from .finspace import SpaceTooLarge
 
 LITERAL_POINT_LIMIT = 12
+TABLE_BUDGET = 1 << 20
 
 
 class NotContinuous(ValueError):
@@ -125,19 +126,22 @@ def _interior_in(space, s, a):
     return space.interior(a | space.full & ~s) & a
 
 
-def final_star(m, y):
-    """Minimal open neighbourhood of y in the final (quotient) topology."""
+def final_star(domain, fibers, table, y):
+    """Minimal open neighbourhood of y in the final (quotient) topology of
+    the map table from domain, whose fiber over each point is fibers[point]."""
     v = bit(y)
-    while True:
-        pre = preimage(m, v)
-        grown = False
-        for x in bits(pre):
-            leak = m.domain.stars[x] & ~pre
-            if leak:
-                v |= image(m, leak)
-                grown = True
-        if not grown:
-            return v
+    pre = new = fibers[y]
+    while new:
+        add = 0
+        for x in bits(new):  # the stars of earlier points lie inside pre
+            for x2 in bits(domain.stars[x] & ~pre):
+                add |= bit(table[x2])
+        v |= add
+        new = 0
+        for z in bits(add):
+            new |= fibers[z]
+        pre |= new
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +242,10 @@ def embedding_stars(m):
 def quotient_map_stars(m):
     if not is_surjective(m):
         return False
-    return all(final_star(m, y) == m.codomain.stars[y] for y in range(m.codomain.n))
+    return all(
+        final_star(m.domain, m.fibers, m.table, y) == m.codomain.stars[y]
+        for y in range(m.codomain.n)
+    )
 
 
 def domain_is_discrete(m):
@@ -604,12 +611,12 @@ def classify_map(m):
     return MapClassification(procedure_ids=ids, **values)
 
 
-def enumerate_continuous_maps(domain, codomain, *, budget=1 << 20):
+def enumerate_continuous_maps(domain, codomain):
     """All continuous tables domain -> codomain, lexicographic order."""
     total = codomain.n ** domain.n
-    if total > budget:
+    if total > TABLE_BUDGET:
         raise SpaceTooLarge(
-            "%d candidate tables exceed the budget %d" % (total, budget)
+            "%d candidate tables exceed the budget %d" % (total, TABLE_BUDGET)
         )
     for table in product(range(codomain.n), repeat=domain.n):
         if _discontinuity(domain, codomain, table) is None:

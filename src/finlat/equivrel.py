@@ -4,13 +4,21 @@ A relation is kept as a partition in canonical form (blocks sorted by
 least element).  "Closed" means the saturation of every closed set is
 closed; P-eqr checks this verdict against a scan of all closed sets and
 against the closedness of the quotient projection.
+
+The quotient takes its stars from `contmap.final_star`; the two block
+conditions are star tests on it:
+(i) holds iff the projection is weakly open: an open set contains a
+nonempty set with open saturation iff its image has nonempty interior in
+the quotient, and every nonempty open set contains a star.
+(ii) holds iff every star contains a whole block: the complement of a star
+is the largest closed set missing that star, and saturation is monotone.
 """
 
 from dataclasses import dataclass
 
 from .bitset import bit, bits
-from .contmap import ContMap
-from .finspace import FinSpace, from_stars
+from .contmap import ContMap, final_star, weakly_open_stars
+from .finspace import from_stars
 
 JOIN_BLOCK_LIMIT = 10
 
@@ -119,25 +127,12 @@ def is_closed_relation(rel):
 def quotient(rel):
     """Quotient space plus the projection, finest topology keeping it continuous."""
     space = rel.space
-    k = len(rel.blocks)
-    qstars = []
-    for b0 in range(k):
-        v = bit(b0)
-        while True:
-            pre = 0
-            for i in bits(v):
-                pre |= rel.blocks[i]
-            add = 0
-            for x in bits(pre):
-                for x2 in bits(space.stars[x] & ~pre):
-                    add |= bit(rel.block_index[x2])
-            if add & ~v == 0:
-                break
-            v |= add
-        qstars.append(v)
-    qspace = from_stars(k, qstars, max_points=max(k, 1))
-    projection = ContMap(space, qspace, rel.block_index)
-    return qspace, projection
+    qstars = [
+        final_star(space, rel.blocks, rel.block_index, i)
+        for i in range(len(rel.blocks))
+    ]
+    qspace = from_stars(len(qstars), qstars)
+    return qspace, ContMap(space, qspace, rel.block_index)
 
 
 def meet(r1, r2):
@@ -234,28 +229,11 @@ def _refines(fine, coarse):
 
 def eqq_condition_i(rel):
     """Every open nonempty set contains a set with open saturation."""
-    space = rel.space
-    for u in space.opens:
-        if u == 0:
-            continue
-        touched = [b for b in rel.blocks if b & u]
-        found = False
-        for pick in range(1, 1 << len(touched)):
-            s = 0
-            for i in bits(pick):
-                s |= touched[i]
-            if space.is_open(s):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return weakly_open_stars(quotient(rel)[1])
 
 
 def eqq_condition_ii(rel):
     """No proper closed set saturates to the whole space."""
-    space = rel.space
-    for a in range(space.full + 1):
-        if a != space.full and space.is_closed(a) and saturate(rel, a) == space.full:
-            return False
-    return True
+    return all(
+        any(b & ~star == 0 for b in rel.blocks) for star in rel.space.stars
+    )

@@ -102,15 +102,12 @@ class SubsetProps:
     clopen: bool
 
 
-def _check_n(n, max_points):
-    limit = DEFAULT_MAX_POINTS if max_points is None else max_points
+def _check_n(n):
     if n < 1:
         raise InvalidTopology("a space needs at least one point")
-    if n > limit:
-        raise SpaceTooLarge("n=%d exceeds the configured limit %d" % (n, limit))
 
 
-def make_space(n, opens, *, max_points=None):
+def make_space(n, opens):
     """Build a space from an explicit opens family (iterable of masks).
 
     The family must contain the empty set and the full set.  Each member
@@ -118,7 +115,7 @@ def make_space(n, opens, *, max_points=None):
     when it also holds every other union of stars; the least missing one
     is reported as the witness.
     """
-    _check_n(n, max_points)
+    _check_n(n)
     full = full_mask(n)
     family = sorted(set(opens))
     for m in family:
@@ -145,12 +142,12 @@ def make_space(n, opens, *, max_points=None):
     return space
 
 
-def from_stars(n, stars, *, max_points=None):
+def from_stars(n, stars):
     """Build a space from minimal-open-neighbourhood masks.
 
     Axioms: x in star(x), and y in star(x) implies star(y) subset star(x).
     """
-    _check_n(n, max_points)
+    _check_n(n)
     stars = tuple(stars)
     if len(stars) != n:
         raise InvalidTopology("need one star per point")
@@ -168,8 +165,8 @@ def from_stars(n, stars, *, max_points=None):
     return FinSpace(n, stars)
 
 
-def discrete_space(n, *, max_points=None):
-    return from_stars(n, tuple(bit(x) for x in range(n)), max_points=max_points)
+def discrete_space(n):
+    return from_stars(n, tuple(bit(x) for x in range(n)))
 
 
 def classify_subset(space, a):
@@ -260,7 +257,7 @@ def _preorder_star_tables(n):
     return out
 
 
-def enumerate_topologies(n, *, strategy="preorder", max_points=None):
+def enumerate_topologies(n, *, strategy="preorder"):
     """Yield every topology on n labelled points exactly once.
 
     Deterministic order: ascending by the sorted opens-family tuple.
@@ -268,16 +265,15 @@ def enumerate_topologies(n, *, strategy="preorder", max_points=None):
     subset family directly (n <= 4), "preorder" enumerates reflexive
     transitive reachability tables.
     """
-    limit = ENUMERATION_MAX_POINTS if max_points is None else max_points
-    if n < 1:
-        raise InvalidTopology("a space needs at least one point")
-    if n > limit:
-        raise SpaceTooLarge("n=%d exceeds the enumeration limit %d" % (n, limit))
+    _check_n(n)
+    if n > ENUMERATION_MAX_POINTS:
+        raise SpaceTooLarge("n=%d exceeds the enumeration limit %d"
+                            % (n, ENUMERATION_MAX_POINTS))
     if strategy == "filter":
         families = _filter_families(n)
         families.sort()
         for fam in families:
-            yield make_space(n, fam, max_points=limit)
+            yield make_space(n, fam)
     elif strategy == "preorder":
         spaces = [FinSpace(n, stars) for stars in _preorder_star_tables(n)]
         spaces.sort(key=lambda s: s.opens)

@@ -34,7 +34,9 @@ from .bitset import mask_of, mask_to_list
 from .comphom import HomMatrix
 from .contmap import ContMap
 from .equivrel import EquivRel, from_blocks
-from .finspace import DEFAULT_MAX_POINTS, FinSpace, _check_n, make_space
+from .finspace import (
+    DEFAULT_MAX_POINTS, FinSpace, SpaceTooLarge, _check_n, make_space,
+)
 from .funclat import ConstraintSystem, canonical_form, from_constraints
 
 # the deepest "[" and "{" nesting parsed; a legal record uses at most four
@@ -223,7 +225,10 @@ def _points_below(value, n, what):
 def _build_space(fields):
     n = _need(fields, "n", "space")
     opens = _need(fields, "opens", "space")
-    _check_n(n, None)
+    _check_n(n)
+    if n > DEFAULT_MAX_POINTS:
+        raise SpaceTooLarge("n=%d exceeds the configured limit %d"
+                            % (n, DEFAULT_MAX_POINTS))
     masks = [mask_of(_points_below(u, n, "each open set")) for u in opens]
     return make_space(n, masks)
 

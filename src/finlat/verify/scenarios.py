@@ -318,7 +318,7 @@ def grid_space(k):
             if ti <= tj:
                 s |= bit(j)
         stars.append(s)
-    space = from_stars(len(names), stars, max_points=len(names))
+    space = from_stars(len(names), stars)
     return space, names
 
 

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+import oracles
+from conftest import spaces_upto
 from finlat import canonical_form, classify_subset, finspace, full_space, records
+from finlat import equivrel
+from finlat.equivrel import from_blocks, is_closed_relation
 from finlat import cli
 from finlat.cli import main
 from finlat.verify import scenarios
@@ -176,6 +180,37 @@ def test_quotient_emits_reparseable_records(capsys, tmp_path):
     projection = load_record(blob["projection_record"], "map")
     assert projection.table == (0, 0, 1)
     assert blob["projection"]["quotient_map"] is True
+
+
+def _quotient_blobs(capsys, tmp_path):
+    """(relation, structured quotient output) for every relation on at most
+    three points."""
+    for space in spaces_upto(3):
+        for blocks in oracles.set_partitions(range(space.n)):
+            rel = from_blocks(space, blocks)
+            path = record_file(tmp_path, "r.rec", records.emit_rel(rel))
+            code, out, _ = run_cli(capsys, "quotient", path, "--format",
+                                   "structured")
+            assert code == 0
+            yield rel, json.loads(out)
+
+
+def test_quotient_closed_relation_is_the_projection_closed_map(capsys, tmp_path):
+    verdicts = set()
+    for rel, blob in _quotient_blobs(capsys, tmp_path):
+        closed = blob["closed_relation"]
+        assert closed == is_closed_relation(rel) == blob["projection"]["closed_map"]
+        verdicts.add(closed)
+    assert verdicts == {True, False}
+
+
+def test_quotient_never_runs_the_closed_relation_scan(capsys, tmp_path,
+                                                      monkeypatch):
+    def refuse(rel):
+        raise AssertionError("finlat quotient called is_closed_relation")
+
+    monkeypatch.setattr(equivrel, "is_closed_relation", refuse)
+    assert sum(1 for _ in _quotient_blobs(capsys, tmp_path)) == 154
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +463,15 @@ DEEP = 3000
     (("space-props",), "space { n = 1; opens = %s%s }" % ("[" * DEEP, "]" * DEEP)),
     (("space-props",), "space { n = 1; opens = %s1%s }" % ("{ a = " * DEEP,
                                                            " }" * DEEP)),
+    (("space-props",), "space { n = 17; opens = [ [], [%s] ] }"
+     % ",".join(str(x) for x in range(17))),
     (("lattice", "canonical"), "sublattice { n = 17; generators = [] }"),
     (("lattice", "canonical"), "sublattice { n = 100000000; generators = [] }"),
     (("hom", "check"), 'hom { rows = [ [%s] ] }' % ",".join(['"1"'] + ['"0"'] * 16)),
 ], ids=["hom-zero-denominator", "generator-zero-denominator",
         "tie-zero-denominator", "point-n", "point-negative", "point-far",
-        "block-point-far", "deep-lists", "deep-fields", "sublattice-n-17",
-        "sublattice-n-huge", "hom-17-columns"])
+        "block-point-far", "deep-lists", "deep-fields", "space-n-17",
+        "sublattice-n-17", "sublattice-n-huge", "hom-17-columns"])
 def test_malformed_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, text):
     # a builder reached past the dimension cap fails the test at once,
     # before n = 100000000 fills memory or 17 columns run 2^17 ideals
@@ -448,6 +485,7 @@ def test_malformed_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, tex
 
         monkeypatch.setattr(records, name, guard)
 
+    capped("make_space", lambda n, *rest: n)
     capped("canonical_form", lambda n, *rest: n)
     capped("from_constraints", lambda n, *rest: n)
     capped("HomMatrix", lambda rows: max([len(rows)] + [len(r) for r in rows]))

@@ -148,6 +148,21 @@ def test_conditions_never_classify_a_sublattice(monkeypatch):
         assert all(hoc_conditions(HomMatrix(rows)).values())
 
 
+@pytest.mark.parametrize("name,routine,fake", [
+    ("kernel-band", "band_complement", lambda *args: None),
+    ("band-preimages", "band_complement", lambda *args: None),
+    ("image-dd", "member", lambda *args: False),
+])
+def test_lattice_side_condition_fails_with_its_funclat_routine(
+        monkeypatch, name, routine, fake):
+    # every certified operator passes all five conditions, so only a broken
+    # lattice computation can show that a lattice-side condition still runs one
+    t = HomMatrix([[2, 0], [0, 3]])
+    assert hoc_conditions(t)[name]
+    monkeypatch.setattr(comphom, routine, fake)
+    assert not hoc_conditions(t)[name]
+
+
 class DenseOperator:
     """A stand-in for HomMatrix applying any dense matrix, negative entries
     included, and counting its applications."""

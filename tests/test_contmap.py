@@ -56,9 +56,9 @@ def test_contmap_rejects_discontinuous_table():
 
 
 def test_enumeration_budget_guard():
-    d = discrete_space(4)
+    # 4^11 candidate tables exceed the budget of 2^20
     with pytest.raises(SpaceTooLarge):
-        list(enumerate_continuous_maps(d, d, budget=10))
+        list(enumerate_continuous_maps(discrete_space(11), discrete_space(4)))
 
 
 # --- image, preimage, saturation ---------------------------------------------

@@ -80,7 +80,7 @@ def test_saturate_is_union_of_touched_blocks():
 # --- quotient topology ---------------------------------------------------------
 
 def test_quotient_carries_the_final_topology():
-    for space in spaces_upto(3):
+    for space in spaces_upto(4):
         family = family_of(space)
         for rel in relations_on(space):
             blocks = [set_from(b) for b in rel.blocks]
@@ -179,7 +179,11 @@ def oracle_condition_ii(space, rel):
 
 
 def test_block_conditions_match_oracles():
-    for space in spaces_upto(3):
+    seen = set()
+    for space in spaces_upto(4):
         for rel in relations_on(space):
-            assert eqq_condition_i(rel) == oracle_condition_i(space, rel)
-            assert eqq_condition_ii(rel) == oracle_condition_ii(space, rel)
+            got = (eqq_condition_i(rel), eqq_condition_ii(rel))
+            assert got == (oracle_condition_i(space, rel),
+                           oracle_condition_ii(space, rel))
+            seen.add(got)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -19,6 +19,7 @@ from finlat import (
     zero_ideal,
 )
 from finlat.funclat import band_complement, dim, double_complement, from_constraints
+from finlat.latclosure import closure_subspace
 from finlat.verify.mutations import apply_mutation
 
 F = Fraction
@@ -190,10 +191,15 @@ def test_band_complement_rejects_a_tied_line():
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3)))
 def test_band_complement_matches_the_band_flag(gens):
+    # oracle outside funclat: the bands of R^n are its coordinate subspaces,
+    # so the closure is a band exactly when it fills the generators' support
     n = len(gens[0])
+    support = {i for g in gens for i, c in enumerate(g) if c}
+    want = len(closure_subspace(n, gens)) == len(support)
     e = canonical_form(n, gens)
     full = full_space(n)
-    assert (band_complement(full, e) is not None) == classify_sublattice(full, e).band
+    assert (band_complement(full, e) is not None) == want
+    assert classify_sublattice(full, e).band == want
 
 
 @settings(max_examples=150, deadline=None)
