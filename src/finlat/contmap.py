@@ -30,9 +30,14 @@ class NotContinuous(ValueError):
 
 
 class ContMap:
-    """A validated continuous map; table[x] is the image point of x."""
+    """A validated continuous map; table[x] is the image point of x.
 
-    __slots__ = ("domain", "codomain", "table", "fibers", "_image_bit")
+    `image` and `preimage` memoize their answers per map object, keyed by
+    mask; the memos take no part in equality or hashing.
+    """
+
+    __slots__ = ("domain", "codomain", "table", "fibers", "_image_bit",
+                 "_image", "_preimage")
 
     def __init__(self, domain, codomain, table):
         self.domain = domain
@@ -48,6 +53,8 @@ class ContMap:
             fibers[y] |= bit(x)
         self.fibers = tuple(fibers)
         self._image_bit = tuple(bit(y) for y in self.table)
+        self._image = {}
+        self._preimage = {}
         y = _discontinuity(domain, codomain, self.table)
         if y is not None:
             raise NotContinuous(
@@ -86,16 +93,22 @@ def _discontinuity(domain, codomain, table):
 
 
 def image(m, a):
-    out = 0
-    for x in bits(a):
-        out |= m._image_bit[x]
+    out = m._image.get(a)
+    if out is None:
+        out = 0
+        for x in bits(a):
+            out |= m._image_bit[x]
+        m._image[a] = out
     return out
 
 
 def preimage(m, b):
-    out = 0
-    for y in bits(b):
-        out |= m.fibers[y]
+    out = m._preimage.get(b)
+    if out is None:
+        out = 0
+        for y in bits(b):
+            out |= m.fibers[y]
+        m._preimage[b] = out
     return out
 
 

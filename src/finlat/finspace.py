@@ -3,6 +3,11 @@
 A space is determined by the minimal open neighbourhood of each point
 (its "star"); the family of all opens is exactly the family of unions
 of stars and is materialised lazily, on first use of `opens`.
+
+Closure and interior are computed from the stars and memoized per space
+object, one dict per operator keyed by the mask asked about.  The memos
+fill only with the masks callers ask about, at any number of points; no
+table over all 2^n subsets is built, and the opens family stays lazy.
 """
 
 from dataclasses import dataclass
@@ -29,12 +34,15 @@ class SpaceTooLarge(ValueError):
 class FinSpace:
     """Immutable finite space; equality and hashing go through the stars."""
 
-    __slots__ = ("n", "stars", "_opens")
+    __slots__ = ("n", "stars", "full", "_opens", "_closure", "_interior")
 
     def __init__(self, n, stars):
         self.n = n
         self.stars = stars
+        self.full = full_mask(n)
         self._opens = None
+        self._closure = {}
+        self._interior = {}
 
     @property
     def opens(self):
@@ -51,23 +59,29 @@ class FinSpace:
             self._opens = tuple(sorted(family))
         return self._opens
 
-    @property
-    def full(self):
-        return full_mask(self.n)
-
     def is_open(self, a):
-        return all(self.stars[x] & ~a == 0 for x in bits(a))
+        return self.interior(a) == a
 
     def is_closed(self, a):
-        return self.is_open(self.full & ~a)
+        return self.closure(a) == a
 
     def closure(self, a):
         """Smallest closed superset: points whose every neighbourhood meets a."""
-        return sum(bit(x) for x in range(self.n) if self.stars[x] & a)
+        cl = self._closure.get(a)
+        if cl is None:
+            cl = self._closure[a] = sum(
+                bit(x) for x in range(self.n) if self.stars[x] & a
+            )
+        return cl
 
     def interior(self, a):
         """Largest open subset: points whose star stays inside a."""
-        return sum(bit(x) for x in bits(a) if self.stars[x] & ~a == 0)
+        inside = self._interior.get(a)
+        if inside is None:
+            inside = self._interior[a] = sum(
+                bit(x) for x in bits(a) if self.stars[x] & ~a == 0
+            )
+        return inside
 
     def is_dense(self, a):
         return self.closure(a) == self.full

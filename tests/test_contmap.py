@@ -73,12 +73,14 @@ def test_saturation_operator_laws():
                 assert sat & a == a
                 assert saturation(m, sat) == sat
                 assert is_saturated(m, a) == (sat == a)
-                assert set_from(image(m, a)) == oracles.image_of(
-                    m.table, set_from(a)
-                )
-                assert set_from(preimage(m, a & cod.full)) == oracles.preimage_of(
-                    m.table, dom.n, set_from(a & cod.full)
-                )
+                # the second answer for each mask comes from the map's memo
+                for _ in range(2):
+                    assert set_from(image(m, a)) == oracles.image_of(
+                        m.table, set_from(a)
+                    )
+                    assert set_from(preimage(m, a & cod.full)) == oracles.preimage_of(
+                        m.table, dom.n, set_from(a & cod.full)
+                    )
                 inner = largest_open_saturated(m, a)
                 assert inner & ~a == 0
                 assert dom.is_open(inner) and is_saturated(m, inner)

@@ -18,6 +18,7 @@ from finlat import comphom, contmap, discrete_space, enumerate_topologies
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify.properties import (
     _KINDS,
+    _MapRefs,
     PROPERTIES,
     PROPERTY_ORDER,
     SuiteConfig,
@@ -371,6 +372,28 @@ def test_disagreeing_projection_route_trips_p_eqr(monkeypatch):
     assert replay_witness(witness) == [witness["detail"]]
     monkeypatch.undo()
     assert replay_witness(witness) == []
+
+
+def test_map_references_read_no_memoized_operator(monkeypatch):
+    # the references must not share the memoized closure, interior, image
+    # and preimage they audit
+    targets = sorted({p.target for p in contmap.PROCEDURES.values()})
+    assert len(targets) == 7
+    spaces = [s for n in (1, 2) for s in enumerate_topologies(n)]
+    maps = [(m, contmap.classify_map(m).flags())
+            for d in spaces for c in spaces
+            for m in contmap.enumerate_continuous_maps(d, c)]
+
+    def refuse(*args):
+        raise AssertionError("a reference read a memoized operator")
+
+    monkeypatch.setattr(finlat.FinSpace, "closure", refuse)
+    monkeypatch.setattr(finlat.FinSpace, "interior", refuse)
+    monkeypatch.setattr(contmap, "image", refuse)
+    monkeypatch.setattr(contmap, "preimage", refuse)
+    for m, flags in maps:
+        refs = _MapRefs(m)
+        assert {t: refs.get(t) for t in targets} == {t: flags[t] for t in targets}
 
 
 OPTIMIZED_SCRIPT = """
