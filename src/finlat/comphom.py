@@ -10,7 +10,12 @@ checks the structural test against it.
 
 Every certified HomMatrix passes all five hoc_conditions, as lattice
 homomorphisms of finite-dimensional lattices are order continuous; the
-lattice-side conditions still run their funclat computations.
+lattice-side conditions still run their funclat computations.  Their domain
+side depends only on the dimension n: _coordinate_ideals(n) holds, per
+coordinate mask, the zero mask of G^dd and the band verdict of the
+coordinate ideal G, built by funclat on first use and kept for the process.
+The probe vectors of chain-continuity and directed-sups are shared per n
+the same way.  The codomain side of image-dd is computed per operator.
 
 certify_composition connects map classification to sublattice structure:
 the topological class of a continuous map decides order density,
@@ -21,11 +26,14 @@ directly and compared.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .bitset import bit, bits
+from .bitset import bit
 from .contmap import classify_map
 from .funclat import (
+    _ONE,
+    _ZERO,
     band_complement,
     canonical_form,
     classify_sublattice,
@@ -63,8 +71,8 @@ def _normal_form(rows):
     """Split a row-monomial nonnegative matrix into (weights, phi).
 
     Row i reads T(f)[i] = weights[i] * f(phi[i]); zero rows get weight 0
-    and an undefined (None) coordinate.  Any other matrix raises
-    NotHomomorphism.
+    and an undefined (None) coordinate, and unit weights are the shared
+    _ONE.  Any other matrix raises NotHomomorphism.
     """
     weights = []
     phi = []
@@ -75,7 +83,8 @@ def _normal_form(rows):
                 "matrix does not preserve absolute values",
                 witness=_first_failing_probe(rows),
             )
-        weights.append(row[live[0]] if live else Fraction(0))
+        w = row[live[0]] if live else _ZERO
+        weights.append(_ONE if w == 1 else w)
         phi.append(live[0] if live else None)
     return tuple(weights), tuple(phi)
 
@@ -135,12 +144,19 @@ class HomMatrix:
         )
 
     def apply(self, f):
+        """T(f) as a tuple of Fractions; a unit weight skips its multiply."""
         if len(f) != self.n:
             raise ValueError("vector dimension mismatch")
-        return tuple(
-            Fraction(0) if col is None else w * Fraction(f[col])
-            for w, col in zip(self.weights, self.phi)
-        )
+        out = []
+        for w, col in zip(self.weights, self.phi):
+            if col is None:
+                out.append(_ZERO)
+                continue
+            v = f[col]
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            out.append(v if w is _ONE else w * v)
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, HomMatrix) and (
@@ -159,36 +175,63 @@ def hom_from_map(m):
     t = object.__new__(HomMatrix)
     t.m = m.domain.n
     t.n = m.codomain.n
-    t.weights = (Fraction(1),) * t.m
+    t.weights = (_ONE,) * t.m
     t.phi = tuple(m.table)
     return t
 
 
-def _columns_read(t, rows):
-    """The mask of the domain coordinates that the given rows of t read."""
+def _columns_read(t):
+    """The mask of the domain coordinates that the rows of t read."""
     used = 0
-    for i in rows:
-        if t.phi[i] is not None:
-            used |= bit(t.phi[i])
+    for col in t.phi:
+        if col is not None:
+            used |= bit(col)
     return used
 
 
 def kernel(t):
     """Ker T as a constraint system over the domain coordinates."""
-    return zero_ideal(full_space(t.n), _columns_read(t, range(t.m)))
+    return zero_ideal(full_space(t.n), _columns_read(t))
 
 
-def _probe_positives(t):
-    """A few nonnegative domain vectors exercising every coordinate."""
-    vecs = [tuple(Fraction(1) for _ in range(t.n))]
-    for j in range(t.n):
-        unit = [Fraction(0)] * t.n
-        unit[j] = Fraction(1)
-        vecs.append(tuple(unit))
-        ramp = [Fraction(i + 1) for i in range(t.n)]
-        ramp[j] = Fraction(0)
-        vecs.append(tuple(ramp))
-    return vecs
+@cache
+def _coordinate_ideals(n):
+    """The domain side of the lattice-side conditions, per dimension n.
+
+    Entry a describes the coordinate ideal G_a = zero_ideal(full, a) of
+    the full n-dimensional lattice: (zero mask of G_a^dd, whether G_a is
+    a band).  The band test computes G_a^dd and accepts exactly when it
+    equals G_a, so G_a^dd is computed again only for a non-band.  Built
+    on first use and kept for the process; the entries are ints and bools.
+    """
+    full = full_space(n)
+    table = []
+    for a in range(1 << n):
+        g = zero_ideal(full, a)
+        if band_complement(full, g) is not None:
+            table.append((g.zero_mask, True))
+        else:
+            table.append((double_complement(full, g)[1].zero_mask, False))
+    return tuple(table)
+
+
+@cache
+def _probe_positives(n):
+    """A few nonnegative n-vectors exercising every coordinate."""
+    vecs = [(_ONE,) * n]
+    for j in range(n):
+        vecs.append(tuple(_ONE if i == j else _ZERO for i in range(n)))
+        vecs.append(tuple(_ZERO if i == j else Fraction(i + 1) for i in range(n)))
+    return tuple(vecs)
+
+
+@cache
+def _subset_indicators(n):
+    """The indicator vectors of all 2^n coordinate sets and their sup."""
+    chain = tuple(
+        tuple(_ONE if a >> j & 1 else _ZERO for j in range(n)) for a in range(1 << n)
+    )
+    return chain, tuple(max(vals) for vals in zip(*chain))
 
 
 def _chain_continuity(t):
@@ -198,7 +241,7 @@ def _chain_continuity(t):
     Tv is nonnegative, so the test reduces to positivity on a probe
     family that spans the positive cone.
     """
-    for v in _probe_positives(t):
+    for v in _probe_positives(t.n):
         if any(c < 0 for c in t.apply(v)):
             return False
     return True
@@ -213,18 +256,14 @@ def _directed_sup_preservation(t):
     The subset indicators form an upward-directed family whose sup is the
     all-ones vector.
     """
-    probes = _probe_positives(t)
+    probes = _probe_positives(t.n)
     images = [t.apply(a) for a in probes]
     for (a, ta), (b, tb) in combinations(zip(probes, images), 2):
         t_top = t.apply(tuple(max(x, y) for x, y in zip(a, b)))
         if t_top != tuple(max(vals) for vals in zip(ta, tb, t_top)):
             return False
     if t.n <= 12:
-        chain = [
-            tuple(Fraction(1 if a >> j & 1 else 0) for j in range(t.n))
-            for a in range(1 << t.n)
-        ]
-        sup_dom = tuple(max(vals) for vals in zip(*chain))
+        chain, sup_dom = _subset_indicators(t.n)
         sup_img = tuple(max(vals) for vals in zip(*(t.apply(f) for f in chain)))
         if t.apply(sup_dom) != sup_img:
             return False
@@ -232,7 +271,7 @@ def _directed_sup_preservation(t):
 
 
 def _kernel_is_band(t):
-    return band_complement(full_space(t.n), kernel(t)) is not None
+    return _coordinate_ideals(t.n)[_columns_read(t)][1]
 
 
 def _band_preimages(t):
@@ -240,30 +279,35 @@ def _band_preimages(t):
 
     The bands of an m-dimensional function lattice are exactly the 2^m
     coordinate subspaces.  The band vanishing on the rows a pulls back to
-    the members vanishing on the columns those rows read, and the band test
-    runs once per distinct column set.
+    the members vanishing on the columns those rows read.  Those column
+    sets are exactly the submasks of the columns T reads (for a submask,
+    take one row reading each of its columns), and each is looked up once.
     """
-    dom = full_space(t.n)
-    pulled = dict.fromkeys(_columns_read(t, bits(a)) for a in range(1 << t.m))
-    return all(
-        band_complement(dom, zero_ideal(dom, cols)) is not None for cols in pulled
-    )
+    table = _coordinate_ideals(t.n)
+    used = _columns_read(t)
+    cols = used
+    while table[cols][1]:
+        if not cols:
+            return True
+        cols = (cols - 1) & used
+    return False
 
 
 def _image_double_complements(t):
     """T(G^dd) must land inside (TG)^dd for every coordinate ideal G.
 
     (TG)^dd is a sublattice, so it contains the sublattice generated by
-    T(G^dd) exactly when it contains T of each basis vector of G^dd.
+    T(G^dd) exactly when it contains T of each basis vector of G^dd.  G^dd
+    comes from the per-dimension table; the codomain side is per operator.
     """
     dom = full_space(t.n)
     cod = full_space(t.m)
-    for a in range(1 << t.n):
-        g = zero_ideal(dom, a)
-        _, gdd = double_complement(dom, g)
-        tg = canonical_form(t.m, [t.apply(v) for v in solution_basis(g)])
+    for a, (dd, _) in enumerate(_coordinate_ideals(t.n)):
+        g_basis = solution_basis(zero_ideal(dom, a))
+        tg = canonical_form(t.m, [t.apply(v) for v in g_basis])
         _, tgdd = double_complement(cod, tg)
-        if not all(member(tgdd, t.apply(v)) for v in solution_basis(gdd)):
+        gdd_basis = g_basis if dd == a else solution_basis(zero_ideal(dom, dd))
+        if not all(member(tgdd, t.apply(v)) for v in gdd_basis):
             return False
     return True
 

@@ -22,6 +22,8 @@ import math
 
 from .bitset import bit, bits
 
+# shared constants: solution_basis and comphom build vectors from them, and
+# an `is _ZERO` test skips Fraction's slower comparison with 0
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -201,8 +203,10 @@ def member(cs, f):
     if len(vec) != cs.n:
         raise ValueError("vector dimension mismatch")
     for x in bits(cs.zero_mask):
-        if vec[x] != 0:
+        if vec[x] is not _ZERO and vec[x] != 0:
             return False
+    if cs.n - cs.zero_mask.bit_count() == len(cs.groups):
+        return True  # every live coordinate leads its own group: no ties
     for x, (r, q) in enumerate(zip(cs.rep, cs.ratio)):
         if r != x and vec[x] * q.denominator != q.numerator * vec[r]:
             return False
@@ -234,17 +238,18 @@ def solution_basis(cs):
     """One positive vector per tie group; they span the solution set."""
     basis = []
     for g in cs.groups:
-        basis.append(
-            tuple(cs.ratio[x] if g & bit(x) else _ZERO for x in range(cs.n))
-        )
+        vec = [_ZERO] * cs.n
+        for x in bits(g):
+            vec[x] = cs.ratio[x]
+        basis.append(tuple(vec))
     return basis
 
 
 def support_mask(vec):
     out = 0
     for x, v in enumerate(vec):
-        if v != 0:
-            out |= bit(x)
+        if v is not _ZERO and v != 0:
+            out |= 1 << x
     return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output, round-trips, and the 0/1/2 exit contract."""
 
 import json
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from conftest import spaces_upto
 from finlat import canonical_form, classify_subset, finspace, full_space, records
 from finlat import equivrel
 from finlat.equivrel import from_blocks, is_closed_relation
-from finlat import cli
+from finlat import cli, comphom
 from finlat.cli import main
 from finlat.verify import scenarios
 from finlat.records import load_record
@@ -279,6 +280,27 @@ def test_hom_check_rejects_with_witness(capsys, tmp_path):
     blob = json.loads(out)
     assert blob["accepted"] is False
     assert blob["witness"]
+
+
+def test_hom_check_at_thirteen_dimensions_stays_fast(capsys, tmp_path):
+    # the lattice-side conditions walk all 2^n coordinate ideals, so a
+    # super-linear regression there shows up at the record cap first; this
+    # takes about 1.2 s with a cold coordinate-ideal table on a 2-vCPU
+    # x86-64 VM (CPython 3.11), and took 4.9 s before the table was shared
+    n = 13
+    rows = ", ".join(
+        "[%s]" % ",".join('"1"' if i == j else '"0"' for j in range(n))
+        for i in range(n))
+    path = record_file(tmp_path, "h.rec", "hom { rows = [ %s ] }" % rows)
+    comphom._coordinate_ideals.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "hom", "check", path, "--format", "structured")
+    assert time.perf_counter() - start < 4.0
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["shape"] == [n, n]
+    assert blob["order_continuous"] is True
+    assert all(blob["conditions"].values())
 
 
 def test_hom_check_malformed_is_usage_error(capsys, tmp_path):

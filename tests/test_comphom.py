@@ -24,6 +24,8 @@ from finlat import (
     zero_ideal,
 )
 from finlat.comphom import kernel
+from finlat.funclat import band_complement, double_complement
+from finlat.verify.mutations import apply_mutation
 from finlat.verify import SuiteConfig
 from finlat.verify.properties import _KINDS
 
@@ -90,6 +92,21 @@ rational = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
 signed_rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
+@st.composite
+def sparse_homs(draw):
+    # zero rows (None) and repeated columns are both likely
+    n = draw(st.integers(1, 5))
+    phi = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)),
+                        min_size=1, max_size=6))
+    rows = []
+    for col in phi:
+        row = [0] * n
+        if col is not None:
+            row[col] = draw(rational.filter(bool))
+        rows.append(row)
+    return HomMatrix(rows)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_normal_form_matches_dense_rows(m, n, data):
@@ -109,6 +126,29 @@ def test_normal_form_matches_dense_rows(m, n, data):
     again = HomMatrix(t.entries)
     assert again == t
     assert hash(again) == hash(t)
+
+
+apply_entries = st.one_of(
+    st.integers(-9, 9),
+    signed_rational,
+    st.floats(-8, 8, allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_homs(), st.data())
+def test_apply_matches_the_dense_product(t, data):
+    f = data.draw(st.lists(apply_entries, min_size=t.n, max_size=t.n))
+    image = t.apply(f)
+    want = oracles.matvec(t.entries, [Fraction(v) for v in f])
+    assert len(image) == t.m
+    for got, value in zip(image, want):
+        assert type(got) is Fraction
+        assert got == value
+    wrong = data.draw(st.integers(0, t.n + 2).filter(lambda k: k != t.n))
+    with pytest.raises(ValueError):
+        t.apply(f[:wrong] + [0] * (wrong - t.n))
 
 
 def test_composition_operator_of_a_map():
@@ -157,10 +197,17 @@ def test_lattice_side_condition_fails_with_its_funclat_routine(
         monkeypatch, name, routine, fake):
     # every certified operator passes all five conditions, so only a broken
     # lattice computation can show that a lattice-side condition still runs one
+    # the per-dimension table is cleared so the patched routine fills it, and
+    # cleared again so no later test reads what the patch left there
     t = HomMatrix([[2, 0], [0, 3]])
     assert hoc_conditions(t)[name]
+    comphom._coordinate_ideals.cache_clear()
     monkeypatch.setattr(comphom, routine, fake)
-    assert not hoc_conditions(t)[name]
+    try:
+        assert not hoc_conditions(t)[name]
+    finally:
+        monkeypatch.undo()
+        comphom._coordinate_ideals.cache_clear()
 
 
 class DenseOperator:
@@ -241,14 +288,108 @@ def test_image_dd_builds_one_canonical_form_per_coordinate_ideal(monkeypatch):
 
 
 def test_band_preimages_test_each_distinct_preimage_once(monkeypatch):
+    # the first call at a dimension fills the table, one band test per
+    # coordinate mask; a second call at that dimension runs none
     tested = []
     real = comphom.band_complement
+    comphom._coordinate_ideals.cache_clear()
     monkeypatch.setattr(comphom, "band_complement",
                         lambda amb, e: tested.append(e.zero_mask) or real(amb, e))
-    # four rows reading columns 0, 0, 2 and none
-    t = HomMatrix([[1, 0, 0], [2, 0, 0], [0, 0, 3], [0, 0, 0]])
-    assert comphom._band_preimages(t)
-    assert sorted(tested) == [0, 0b001, 0b100, 0b101]
+    try:
+        # four rows reading columns 0, 0, 2 and none
+        t = HomMatrix([[1, 0, 0], [2, 0, 0], [0, 0, 3], [0, 0, 0]])
+        assert comphom._band_preimages(t)
+        assert sorted(tested) == list(range(8))
+        tested.clear()
+        assert comphom._band_preimages(HomMatrix([[0, 1, 0]]))
+        assert tested == []
+    finally:
+        monkeypatch.undo()
+        comphom._coordinate_ideals.cache_clear()
+
+
+class RecordingTable:
+    """A stand-in coordinate-ideal table: every mask in bad is a non-band,
+    and each lookup is recorded."""
+
+    def __init__(self, n, bad):
+        self.entries = [(a, a not in bad) for a in range(1 << n)]
+        self.looked_up = []
+
+    def __getitem__(self, a):
+        self.looked_up.append(a)
+        return self.entries[a]
+
+
+def row_preimages(t):
+    """The column masks that the 2^m row subsets of t read."""
+    return {
+        sum({1 << t.phi[i] for i in range(t.m) if a >> i & 1 and t.phi[i] is not None})
+        for a in range(1 << t.m)
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_band_preimages_match_every_subset_on_identities(n):
+    t = HomMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    assert comphom._band_preimages(t) == oracles.band_preimages_every_subset(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_homs(), st.data())
+def test_band_preimages_look_up_exactly_the_row_preimages(t, data):
+    assert comphom._band_preimages(t) == oracles.band_preimages_every_subset(t)
+    preimages = row_preimages(t)
+    bad = data.draw(st.sets(st.integers(0, (1 << t.n) - 1), max_size=3))
+    table = RecordingTable(t.n, bad)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comphom, "_coordinate_ideals", lambda n: table)
+        verdict = comphom._band_preimages(t)
+    assert verdict == preimages.isdisjoint(bad)
+    if verdict:
+        # every preimage is looked up once, and nothing else
+        assert sorted(table.looked_up) == sorted(preimages)
+    else:
+        assert set(table.looked_up) <= preimages
+        assert table.looked_up[-1] in bad
+
+
+# --- the per-dimension coordinate-ideal table ------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coordinate_ideal_table_matches_direct_funclat_calls(n):
+    full = full_space(n)
+    table = comphom._coordinate_ideals(n)
+    assert len(table) == 1 << n
+    for a, (dd, band) in enumerate(table):
+        g = zero_ideal(full, a)
+        assert band == (band_complement(full, g) is not None)
+        assert dd == double_complement(full, g)[1].zero_mask
+        assert type(dd) is int and type(band) is bool
+
+
+def test_conditions_read_the_same_with_the_table_cold_and_warm():
+    matrices = [HomMatrix(rows) for rows in
+                _KINDS["monohom"].exhaustive(SuiteConfig(max_points=3))]
+    assert len(matrices) == 1593
+    cold = []
+    for t in matrices:
+        comphom._coordinate_ideals.cache_clear()
+        cold.append(hoc_conditions(t))
+    warm = [hoc_conditions(t) for t in matrices]
+    assert cold == warm
+
+
+def test_coordinate_ideal_table_is_untouched_by_ratio_flip():
+    # the full space has no ties, so no tie ratio enters the table
+    comphom._coordinate_ideals.cache_clear()
+    try:
+        with apply_mutation("ratio-flip"):
+            flipped = [comphom._coordinate_ideals(n) for n in range(1, 7)]
+        comphom._coordinate_ideals.cache_clear()
+        assert flipped == [comphom._coordinate_ideals(n) for n in range(1, 7)]
+    finally:
+        comphom._coordinate_ideals.cache_clear()
 
 
 def test_certify_matches_its_first_formulation_on_criterion_6(monkeypatch):
