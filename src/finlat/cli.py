@@ -228,17 +228,16 @@ def _cmd_certify(args):
 
 def _cmd_enumerate(args):
     n = args.points
-    preorder = list(finspace.enumerate_topologies(n, strategy="preorder"))
-    if args.strategy in ("filter", "both"):
-        filtered = list(finspace.enumerate_topologies(n, strategy="filter"))
-        if args.strategy == "both" and (
-            [s.opens for s in filtered] != [s.opens for s in preorder]
-        ):
+    # the filter list first: past its own limit it fails before the
+    # preorder list is built
+    first = "preorder" if args.strategy == "preorder" else "filter"
+    spaces = list(finspace.enumerate_topologies(n, strategy=first))
+    if args.strategy == "both":
+        preorder = list(finspace.enumerate_topologies(n, strategy="preorder"))
+        if [s.opens for s in spaces] != [s.opens for s in preorder]:
             print("the filter and preorder enumerations disagree",
                   file=sys.stderr)
             return 1
-        spaces = filtered if args.strategy == "filter" else preorder
-    else:
         spaces = preorder
     structured = {"n": n, "count": len(spaces), "strategy": args.strategy}
     if args.count_only:

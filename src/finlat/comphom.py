@@ -189,11 +189,6 @@ def _columns_read(t):
     return used
 
 
-def kernel(t):
-    """Ker T as a constraint system over the domain coordinates."""
-    return zero_ideal(full_space(t.n), _columns_read(t))
-
-
 @cache
 def _coordinate_ideals(n):
     """The domain side of the lattice-side conditions, per dimension n.

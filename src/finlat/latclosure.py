@@ -1,7 +1,9 @@
 """Smallest lattice-closed linear subspace containing given vectors.
 
 Independent route to the generated-sublattice question, used to
-cross-check the tie/ratio derivation in funclat.canonical_form.  All
+cross-check the tie/ratio derivation in funclat.canonical_form: the
+caller passes the system it already holds to lattice_closure_matches,
+which grows the generators' span in one elimination pass.  All
 arithmetic is exact: spans are gcd-normalized integer rows, feasibility
 of a sign pattern is decided by Fourier-Motzkin elimination on strict
 homogeneous inequalities.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .funclat import canonical_form, dim, member
+from .funclat import dim
 
 
 def _reduce(vec):
@@ -61,15 +63,6 @@ def _insert(basis, vec):
         vec = tuple(-c for c in vec)
     basis[j] = vec
     return True
-
-
-def span_dim(n, vectors):
-    basis = {}
-    for v in vectors:
-        if len(v) != n:
-            raise ValueError("vector length mismatch")
-        _insert(basis, v)
-    return len(basis)
 
 
 def _kernel_basis(matrix, width):
@@ -197,19 +190,12 @@ def closure_subspace(n, gens, *, stop_dim=None):
     return sorted(basis.values())
 
 
-def lattice_closure_matches(n, gens):
-    """Does canonical_form(n, gens) agree with the closure oracle?
+def lattice_closure_matches(system, gens):
+    """Is system the lattice closure of gens, by the closure oracle?
 
-    The tie/ratio system S is a sublattice by construction, so once
-    every generator is a member the closure sits inside S and equality
-    reduces to a dimension comparison.
+    Precondition: every generator is a member of system.  A tie/ratio
+    system is a sublattice by construction, so the closure then sits
+    inside it and equality reduces to a dimension comparison.
     """
-    gens = [tuple(g) for g in gens]
-    s = canonical_form(n, gens)
-    if not all(member(s, g) for g in gens):
-        return False
-    target = dim(s)
-    if span_dim(n, gens) == target:
-        return True
-    reached = closure_subspace(n, gens, stop_dim=target)
-    return len(reached) == target
+    target = dim(system)
+    return len(closure_subspace(system.n, gens, stop_dim=target)) == target

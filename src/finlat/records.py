@@ -21,7 +21,9 @@ Record kinds and their fields:
 
 A <space> is an inline space record or an @ref to a named record
 defined earlier in the same file.  Opens are sorted point lists.
-Rational entries (hom rows, tie ratios) are quoted "p/q" strings.
+Rational entries (hom rows, tie ratios) are quoted "p/q" strings: a sign,
+digits and an optional "/" and digits, nothing else.  Generator entries
+are integers or such strings.
 
 Brackets nest at most MAX_NESTING deep.  A sublattice's n and a hom's row
 and column counts are at most the spaces' point limit, DEFAULT_MAX_POINTS.
@@ -286,7 +288,15 @@ def _build_sublattice(fields):
     return from_constraints(n, zeros=zeros, ties=ties)
 
 
+# a quoted rational is "p/q" or an integer; Fraction() alone also takes
+# decimal and exponent forms, and "1e10000000" builds a 33-million-bit int
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+
+
 def _rational(value):
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        # the builder's caller adds the line number
+        raise ValueError("Invalid literal for Fraction: %r" % (value,))
     try:
         return Fraction(value)
     except ZeroDivisionError:

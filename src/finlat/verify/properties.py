@@ -405,10 +405,11 @@ _SUBLATTICE_IMPLICATIONS = (
 
 
 # The checks of one kind share work per instance: the map suites one
-# _MapRefs, and P-sw, P-dis and P-menag canonical_form(n, gens), on which
-# P-dis and P-menag alone depend.  _check_stage sets this to a fresh
-# _StageCache after it installs the mutation and back to None when the stage
-# ends, so a check called outside a stage computes everything afresh.
+# _MapRefs, and P-sw, P-dis and P-menag canonical_form(n, gens), which P-sw
+# hands to the closure oracle and on which P-dis and P-menag alone depend.
+# _check_stage sets this to a fresh _StageCache after it installs the
+# mutation and back to None when the stage ends, so a check called outside
+# a stage computes everything afresh.
 _stage_cache = None
 
 
@@ -516,12 +517,12 @@ def _ideal_intersection_of(sub):
 
 
 def _check_span_closure(instance):
-    n, gens = instance
+    _, gens = instance
     cs = _derived(_system_of, instance)
     for g in gens:
         if not funclat.member(cs, g):
             return [{"check": "generator-membership", "generator": list(g)}], 0
-    if not latclosure.lattice_closure_matches(n, gens):
+    if not latclosure.lattice_closure_matches(cs, gens):
         return [{"check": "closure-dimension"}], 0
     return [], 0
 

@@ -20,8 +20,6 @@ to it, and a failure or crash is counted with a replayable witness.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
-import numpy as np
-
 from .properties import _lattice_alphabet, _normalize, check_instances
 
 PERMUTE_FROM = 4
@@ -40,6 +38,9 @@ def _permutation_quotient(n, alphabet):
     triples, so the orbit minimum is a running ``np.minimum`` of the keys
     over the coordinate permutations.
     """
+    # imported here, so importing the package does not load numpy
+    import numpy as np
+
     lookup = {vec: i for i, vec in enumerate(alphabet)}
     size = len(alphabet)
     base = size + 1

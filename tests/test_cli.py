@@ -1,12 +1,17 @@
 """End-to-end CLI behavior: output, round-trips, and the 0/1/2 exit contract."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 import time
 
 import pytest
 
 import oracles
 from conftest import spaces_upto
+import finlat
 from finlat import canonical_form, classify_subset, finspace, full_space, records
 from finlat import equivrel
 from finlat.equivrel import from_blocks, is_closed_relation
@@ -71,6 +76,20 @@ def test_enumerate_both_fails_when_strategies_disagree(capsys, monkeypatch):
     assert "disagree" in err
     code, out, _ = run_cli(capsys, "enumerate", "--points", "3",
                            "--strategy", "preorder", "--count-only")
+    assert (code, out.strip()) == (0, "29")
+
+
+def test_enumerate_builds_only_the_lists_its_strategy_needs(capsys, monkeypatch):
+    def no_preorder(n):
+        raise AssertionError("the preorder list was built")
+
+    monkeypatch.setattr(finspace, "_preorder_star_tables", no_preorder)
+    for strategy in ((), ("--strategy", "filter")):
+        code, out, err = run_cli(capsys, "enumerate", "--points", "5", *strategy)
+        assert (code, out) == (2, "")
+        assert "the family-filter strategy is exhaustive only up to n=4" in err
+    code, out, _ = run_cli(capsys, "enumerate", "--strategy", "filter",
+                           "--points", "3", "--count-only")
     assert (code, out.strip()) == (0, "29")
 
 
@@ -519,8 +538,43 @@ def test_malformed_value_is_usage_error(capsys, monkeypatch, tmp_path, argv, tex
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,text", [
+    (("hom", "check"), 'hom { rows = [ ["1e10000000"] ] }'),
+    (("lattice", "canonical"),
+     'sublattice { n = 2; ties = [ {x=1; z=0; ratio="1e10000000"} ] }'),
+    (("hom", "check"), 'hom { rows = [ ["0.5"] ] }'),
+], ids=["hom-exponent", "tie-exponent", "hom-decimal"])
+def test_rational_outside_the_p_q_grammar_is_usage_error(capsys, tmp_path,
+                                                         argv, text):
+    # Fraction("1e10000000") alone takes seconds and builds a 33-million-bit
+    # numerator that the output then fails to print
+    path = record_file(tmp_path, "bad.rec", text)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: bad ")
+    assert "Invalid literal for Fraction" in err
+
+
 def test_malformed_record_is_usage_error(capsys, tmp_path):
     path = record_file(tmp_path, "bad.rec", "space { n = 2; opens = [ [] ")
     code, _, err = run_cli(capsys, "classify-map", path)
     assert code == 2
     assert "error:" in err
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # only the family sweep's permutation quotient uses numpy
+    src = str(Path(finlat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, finlat.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -23,8 +23,7 @@ from finlat import (
     canonical_form,
     zero_ideal,
 )
-from finlat.comphom import kernel
-from finlat.funclat import band_complement, double_complement
+from finlat.funclat import band_complement, double_complement, member
 from finlat.verify.mutations import apply_mutation
 from finlat.verify import SuiteConfig
 from finlat.verify.properties import _KINDS
@@ -163,10 +162,15 @@ def test_composition_operator_of_a_map():
 
 
 def test_kernel_of_row_monomial_operators():
+    # Ker T is the coordinate ideal that vanishes on the columns T reads
     t = HomMatrix([["2", 0, 0], [0, "1/3", 0]])
-    assert kernel(t) == zero_ideal(full_space(3), 0b011)
+    assert comphom._columns_read(t) == 0b011
     dup = HomMatrix([[1, 0], [1, 0]])
-    assert kernel(dup) == zero_ideal(full_space(2), 0b01)
+    assert comphom._columns_read(dup) == 0b01
+    for op in (t, dup):
+        ker = zero_ideal(full_space(op.n), comphom._columns_read(op))
+        for f in product((-1, 0, 1), repeat=op.n):
+            assert member(ker, f) == (not any(op.apply(f)))
 
 
 def test_conditions_hold_on_certified_operators():

@@ -1,19 +1,31 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finlat import canonical_form, member
-from finlat.latclosure import closure_subspace, lattice_closure_matches, span_dim
+from finlat import canonical_form, full_space, member
+from finlat.latclosure import _insert, closure_subspace, lattice_closure_matches
 
 
-def in_span(n, rows, vec):
-    return span_dim(n, list(rows) + [vec]) == span_dim(n, rows)
+def in_span(rows, vec):
+    basis = {}
+    for r in rows:
+        _insert(basis, r)
+    return not _insert(basis, vec)
+
+
+def test_in_span_is_a_rank_test():
+    rows = [(1, 2, 0), (0, 1, 1)]
+    assert in_span(rows, (1, 3, 1))
+    assert in_span(rows, (2, 4, 0))
+    assert in_span(rows, (0, 0, 0))
+    assert not in_span(rows, (0, 0, 1))
+    assert not in_span([], (1, 0, 0))
 
 
 def test_sign_mixing_vector_spans_the_plane():
     basis = closure_subspace(2, [(1, -1)])
     assert len(basis) == 2
-    assert in_span(2, basis, (1, 0))
-    assert in_span(2, basis, (0, 1))
+    assert in_span(basis, (1, 0))
+    assert in_span(basis, (0, 1))
 
 
 def test_positive_ratio_line_is_already_closed():
@@ -25,7 +37,7 @@ def test_closure_stays_inside_the_vanishing_plane():
     basis = closure_subspace(3, [(1, -1, 0)])
     assert len(basis) == 2
     assert all(row[2] == 0 for row in basis)
-    assert in_span(3, basis, (1, 0, 0))
+    assert in_span(basis, (1, 0, 0))
 
 
 def test_tied_generators_stay_tied():
@@ -42,17 +54,29 @@ def test_stop_dim_gives_partial_basis():
     assert 1 <= len(partial) <= 2
 
 
+def test_system_larger_than_the_closure_does_not_match():
+    # (1, 1, 0) is a member of the whole space, but its closure is a line
+    assert not lattice_closure_matches(full_space(3), [(1, 1, 0)])
+    assert lattice_closure_matches(canonical_form(3, [(1, 1, 0)]), [(1, 1, 0)])
+
+
 small_vec = st.tuples(*([st.integers(-2, 2)] * 3))
+
+
+def _routes_agree(n, gens):
+    system = canonical_form(n, gens)
+    assert all(member(system, g) for g in gens)
+    assert lattice_closure_matches(system, gens)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(small_vec, min_size=0, max_size=3))
 def test_routes_agree_on_random_generators(gens):
-    assert lattice_closure_matches(3, gens)
+    _routes_agree(3, gens)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                 min_size=0, max_size=3))
 def test_routes_agree_in_the_plane(gens):
-    assert lattice_closure_matches(2, gens)
+    _routes_agree(2, gens)

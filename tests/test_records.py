@@ -22,6 +22,7 @@ from finlat import (
 from finlat.equivrel import _partitions_of
 from finlat.records import (
     KINDS,
+    _rational,
     emit_hom,
     emit_map,
     emit_rel,
@@ -157,6 +158,24 @@ def test_hom_record_parses_rationals():
     t = load_record('hom { rows = [ ["1/3", 0], [0, 2] ] }', "hom")
     assert isinstance(t, HomMatrix)
     assert t.entries[0][0] == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("value,want", [
+    ("7", Fraction(7)), ("-7", Fraction(-7)), ("+3/4", Fraction(3, 4)),
+    ("-6/4", Fraction(-3, 2)), ("0", Fraction(0)), (-7, Fraction(-7)),
+])
+def test_rational_entries_follow_the_p_q_grammar(value, want):
+    assert _rational(value) == want
+
+
+@pytest.mark.parametrize("text", [
+    "x", "", "0.5", "1e3", " 1/2", "1/2 ", "1_0", "3/-4", "1/2/3", "0x1",
+])
+def test_rational_strings_outside_the_grammar_are_rejected(text):
+    with pytest.raises(RecordError) as err:
+        load_record('hom { rows = [ ["%s"] ] }' % text, "hom")
+    assert str(err.value) == (
+        "line 1: bad hom record: Invalid literal for Fraction: %r" % text)
 
 
 # --- round-trips: parse(emit(x)) == x -------------------------------------------

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import finlat
-from finlat import comphom, contmap, discrete_space, enumerate_topologies
+from finlat import comphom, contmap, discrete_space, enumerate_topologies, funclat
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify.properties import (
     _KINDS,
@@ -356,6 +356,41 @@ def test_broken_structural_test_trips_p_hom(monkeypatch):
     witness = result.witness
     assert witness["detail"] == {"check": "structural-vs-definitional"}
     assert replay_witness(witness) == [{"check": "structural-vs-definitional"}]
+    monkeypatch.undo()
+    assert replay_witness(witness) == []
+
+
+def test_p_sw_computes_one_canonical_form_per_instance(monkeypatch):
+    original = funclat.canonical_form
+    calls = []
+
+    def counting(n, gens):
+        calls.append((n, gens))
+        return original(n, gens)
+
+    # every binding of the function, so a module that imported it by name
+    # is counted too
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "finlat"
+                and getattr(module, "canonical_form", None) is original):
+            monkeypatch.setattr(module, "canonical_form", counting)
+    result = run_suite(properties=("P-sw",), sample_budget=50).results[0]
+    assert result.failures == 0
+    assert result.sampled == 50
+    assert len(calls) == result.exhaustive + result.sampled
+
+
+def test_system_larger_than_the_closure_trips_p_sw(monkeypatch):
+    # every generator is a member of the whole space, so only the closure
+    # oracle can tell it from the generated sublattice
+    spaces = {n: funclat.full_space(n) for n in (1, 2)}
+    monkeypatch.setattr(funclat, "canonical_form", lambda n, gens: spaces[n])
+    result = run_suite(properties=("P-sw",), max_points=1,
+                       sample_budget=0).results[0]
+    assert result.failures > 0
+    witness = result.witness
+    assert witness["detail"] == {"check": "closure-dimension"}
+    assert replay_witness(witness) == [{"check": "closure-dimension"}]
     monkeypatch.undo()
     assert replay_witness(witness) == []
 
