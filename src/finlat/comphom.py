@@ -15,7 +15,9 @@ side depends only on the dimension n: _coordinate_ideals(n) holds, per
 coordinate mask, the zero mask of G^dd and the band verdict of the
 coordinate ideal G, built by funclat on first use and kept for the process.
 The probe vectors of chain-continuity and directed-sups are shared per n
-the same way.  The codomain side of image-dd is computed per operator.
+the same way; they are int vectors, so on a composition operator or an
+integer-weight operator those two conditions compare ints.  The codomain
+side of image-dd is computed per operator.
 
 certify_composition connects map classification to sublattice structure:
 the topological class of a continuous map decides order density,
@@ -33,7 +35,7 @@ from .bitset import bit
 from .contmap import classify_map
 from .funclat import (
     _ONE,
-    _ZERO,
+    _exact,
     band_complement,
     canonical_form,
     classify_sublattice,
@@ -58,7 +60,7 @@ class CertificateMismatch(ValueError):
 
 
 def _to_rows(matrix):
-    rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    rows = tuple(_exact(row) for row in matrix)
     if not rows:
         raise ValueError("matrix needs at least one row")
     n = len(rows[0])
@@ -71,8 +73,9 @@ def _normal_form(rows):
     """Split a row-monomial nonnegative matrix into (weights, phi).
 
     Row i reads T(f)[i] = weights[i] * f(phi[i]); zero rows get weight 0
-    and an undefined (None) coordinate, and unit weights are the shared
-    _ONE.  Any other matrix raises NotHomomorphism.
+    and an undefined (None) coordinate, unit weights are the shared _ONE,
+    and any other integral weight is an int.  Any other matrix raises
+    NotHomomorphism.
     """
     weights = []
     phi = []
@@ -83,8 +86,8 @@ def _normal_form(rows):
                 "matrix does not preserve absolute values",
                 witness=_first_failing_probe(rows),
             )
-        w = row[live[0]] if live else _ZERO
-        weights.append(_ONE if w == 1 else w)
+        w = row[live[0]] if live else 0
+        weights.append(_ONE if w == 1 else w.numerator if w.denominator == 1 else w)
         phi.append(live[0] if live else None)
     return tuple(weights), tuple(phi)
 
@@ -144,18 +147,24 @@ class HomMatrix:
         )
 
     def apply(self, f):
-        """T(f) as a tuple of Fractions; a unit weight skips its multiply."""
+        """T(f), exact; a unit weight skips its multiply.
+
+        f is read by funclat's one number rule (_exact).  A zero row gives
+        the int 0; any other entry is an int when the entry it reads is an
+        int and its weight is integral, and a Fraction otherwise.
+        """
+        f = _exact(f)
         if len(f) != self.n:
             raise ValueError("vector dimension mismatch")
         out = []
         for w, col in zip(self.weights, self.phi):
             if col is None:
-                out.append(_ZERO)
+                out.append(0)
                 continue
             v = f[col]
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            out.append(v if w is _ONE else w * v)
+            # entry times weight: Fraction * int takes Fraction.__mul__'s
+            # direct int case, int * Fraction the slower reflected one
+            out.append(v if w is _ONE else v * w)
         return tuple(out)
 
     def __eq__(self, other):
@@ -212,20 +221,18 @@ def _coordinate_ideals(n):
 
 @cache
 def _probe_positives(n):
-    """A few nonnegative n-vectors exercising every coordinate."""
-    vecs = [(_ONE,) * n]
+    """A few nonnegative int n-vectors exercising every coordinate."""
+    vecs = [(1,) * n]
     for j in range(n):
-        vecs.append(tuple(_ONE if i == j else _ZERO for i in range(n)))
-        vecs.append(tuple(_ZERO if i == j else Fraction(i + 1) for i in range(n)))
+        vecs.append(tuple(int(i == j) for i in range(n)))
+        vecs.append(tuple(0 if i == j else i + 1 for i in range(n)))
     return tuple(vecs)
 
 
 @cache
 def _subset_indicators(n):
-    """The indicator vectors of all 2^n coordinate sets and their sup."""
-    chain = tuple(
-        tuple(_ONE if a >> j & 1 else _ZERO for j in range(n)) for a in range(1 << n)
-    )
+    """The int indicator vectors of all 2^n coordinate sets and their sup."""
+    chain = tuple(tuple(a >> j & 1 for j in range(n)) for a in range(1 << n))
     return chain, tuple(max(vals) for vals in zip(*chain))
 
 

@@ -14,6 +14,13 @@ one Fraction ratio per tied coordinate; member tests ties by integer
 cross-multiplication.  Explicit tie constraints compose their ratios along
 the paths of a union-find forest before they reach canonical_form.
 Floating point is never used.
+
+The library takes numbers by one rule, _exact: an int or a Fraction passes
+through unchanged, and anything else (a bool, a float, a numeric string) is
+converted by Fraction(v), so 0.5 reads as 1/2 and True as 1.  funclat,
+comphom.HomMatrix and the latclosure oracle all read their entries this
+way; where integer arithmetic is wanted, _integral then scales a vector by
+the lcm of its denominators, a positive factor that keeps its direction.
 """
 
 from dataclasses import dataclass
@@ -147,13 +154,19 @@ def _exact(vec):
     return tuple(v if type(v) in _EXACT_TYPES else Fraction(v) for v in vec)
 
 
+def _integral(vec):
+    """An exact vector times the lcm of its denominators, as a tuple of ints."""
+    if Fraction not in map(type, vec):
+        return tuple(vec)
+    scale = math.lcm(*[v.denominator for v in vec])
+    return tuple([v.numerator * (scale // v.denominator) for v in vec])
+
+
 def _direction(col):
     """The gcd-normalised integer direction of a column, sign kept; None
     when the column is zero.  Two nonzero columns are positive multiples of
     each other exactly when their directions are equal."""
-    if Fraction in map(type, col):
-        scale = math.lcm(*(v.denominator for v in col))
-        col = [v.numerator * (scale // v.denominator) for v in col]
+    col = _integral(col)
     g = math.gcd(*col)
     if g == 0:
         return None

@@ -4,9 +4,10 @@ Independent route to the generated-sublattice question, used to
 cross-check the tie/ratio derivation in funclat.canonical_form: the
 caller passes the system it already holds to lattice_closure_matches,
 which grows the generators' span in one elimination pass.  All
-arithmetic is exact: spans are gcd-normalized integer rows, feasibility
-of a sign pattern is decided by Fourier-Motzkin elimination on strict
-homogeneous inequalities.
+arithmetic is exact: a vector's entries are read by funclat's number rule
+and scaled by the lcm of their denominators, spans are gcd-normalized
+integer rows, feasibility of a sign pattern is decided by Fourier-Motzkin
+elimination on strict homogeneous inequalities.
 
 The growth step: for a sign pattern s in {+1,-1,0}^n realized strictly
 by some member v of the current span V (v positive where s=+1, negative
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .funclat import dim
+from .funclat import _exact, _integral, dim
 
 
 def _reduce(vec):
@@ -41,8 +42,10 @@ def _pivot(vec):
 
 
 def _eliminate(vec, basis):
-    """Reduce vec against pivot-keyed integer rows; result gcd-normalized."""
-    vec = tuple(int(c) for c in vec)
+    """Reduce vec against pivot-keyed integer rows; result gcd-normalized.
+
+    vec may hold any entries funclat reads; it is scaled to ints first."""
+    vec = _integral(_exact(vec))
     while True:
         j = _pivot(vec)
         if j is None or j not in basis:

@@ -12,8 +12,10 @@ stream order becomes the witness and can be replayed from its record text.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+import functools
 from itertools import combinations_with_replacement, product
 import math
+from operator import mul
 import random
 import time
 
@@ -527,13 +529,30 @@ def _check_span_closure(instance):
     return [], 0
 
 
+@functools.cache
+def _sign_pairs(n):
+    """(f, |f|) for each of the 3^n vectors f with entries in {-1, 0, 1}."""
+    return tuple((f, tuple(map(abs, f))) for f in product((-1, 0, 1), repeat=n))
+
+
+def _breaks_on(rows, pairs):
+    """Some row r and pair (f, |f|) with |r.f| != r.|f|.
+
+    Each distinct row is scaled by the lcm of its denominators first.  The
+    factor is positive, so the scaled row breaks the identity exactly when
+    the row does, and on int vectors f the sweep runs in int arithmetic.
+    """
+    scaled = {funclat._integral(funclat._exact(row)) for row in rows}
+    return any(
+        abs(sum(map(mul, r, f))) != sum(map(mul, r, af))
+        for r in scaled
+        for f, af in pairs
+    )
+
+
 def _breaks_absolute_value(rows, f):
     """|Tf| != T|f| for the dense rows and the vector f."""
-    return any(
-        abs(sum(c * v for c, v in zip(row, f)))
-        != sum(c * abs(v) for c, v in zip(row, f))
-        for row in rows
-    )
+    return _breaks_on(rows, ((f, tuple(map(abs, f))),))
 
 
 def _definitional_homomorphism(rows):
@@ -542,10 +561,7 @@ def _definitional_homomorphism(rows):
     A linear map preserves absolute values exactly when it does so on the
     3^n vectors with entries in {-1, 0, 1}.
     """
-    return not any(
-        _breaks_absolute_value(rows, f)
-        for f in product((-1, 0, 1), repeat=len(rows[0]))
-    )
+    return not _breaks_on(rows, _sign_pairs(len(rows[0])))
 
 
 def _check_operator_conditions(rows):

@@ -204,15 +204,15 @@ def test_quotient_emits_reparseable_records(capsys, tmp_path):
 
 def _quotient_blobs(capsys, tmp_path):
     """(relation, structured quotient output) for every relation on at most
-    three points."""
-    for space in spaces_upto(3):
-        for blocks in oracles.set_partitions(range(space.n)):
-            rel = from_blocks(space, blocks)
-            path = record_file(tmp_path, "r.rec", records.emit_rel(rel))
-            code, out, _ = run_cli(capsys, "quotient", path, "--format",
-                                   "structured")
-            assert code == 0
-            yield rel, json.loads(out)
+    three points.  Each record gets its own file: rewriting one file in
+    place is far slower than creating a new one on some filesystems."""
+    rels = (from_blocks(space, blocks) for space in spaces_upto(3)
+            for blocks in oracles.set_partitions(range(space.n)))
+    for k, rel in enumerate(rels):
+        path = record_file(tmp_path, "r%d.rec" % k, records.emit_rel(rel))
+        code, out, _ = run_cli(capsys, "quotient", path, "--format", "structured")
+        assert code == 0
+        yield rel, json.loads(out)
 
 
 def test_quotient_closed_relation_is_the_projection_closed_map(capsys, tmp_path):

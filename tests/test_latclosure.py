@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finlat import canonical_form, full_space, member
+from finlat.funclat import solution_basis
 from finlat.latclosure import _insert, closure_subspace, lattice_closure_matches
 
 
@@ -80,3 +83,27 @@ def test_routes_agree_on_random_generators(gens):
                 min_size=0, max_size=3))
 def test_routes_agree_in_the_plane(gens):
     _routes_agree(2, gens)
+
+
+def test_entries_follow_the_exact_number_rule():
+    # a Fraction, a float and a bool are read exactly, never truncated
+    assert closure_subspace(2, [(Fraction(1, 2), 1)]) == [(1, 2)]
+    assert closure_subspace(2, [(0.5, 1)]) == [(1, 2)]
+    assert closure_subspace(2, [(True, 2)]) == [(1, 2)]
+    assert closure_subspace(2, [(Fraction(2, 3), Fraction(-1, 2))]) == [(0, 1), (4, -3)]
+
+
+fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*([fraction] * n)), min_size=0, max_size=3))))
+def test_closure_spans_the_canonical_solution_space(instance):
+    n, gens = instance
+    closure = closure_subspace(n, gens)
+    basis = solution_basis(canonical_form(n, gens))
+    assert len(closure) == len(basis)
+    assert all(in_span(closure, v) for v in basis)
+    assert all(in_span(basis, v) for v in closure)

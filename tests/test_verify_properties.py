@@ -12,10 +12,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finlat
 from finlat import comphom, contmap, discrete_space, enumerate_topologies, funclat
 from finlat.verify.mutations import MUTATIONS, apply_mutation
+from finlat.verify import properties
 from finlat.verify.properties import (
     _KINDS,
     _MapRefs,
@@ -358,6 +361,51 @@ def test_broken_structural_test_trips_p_hom(monkeypatch):
     assert replay_witness(witness) == [{"check": "structural-vs-definitional"}]
     monkeypatch.undo()
     assert replay_witness(witness) == []
+
+
+signed_fraction = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def dense_rows(draw):
+    """m x n rows (m, n in 1..4) of mixed-sign Fractions with distinct
+    denominators, about half of them monomial, drawn from a pool so that
+    rows repeat."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def row():
+        if draw(st.booleans()):
+            out = [Fraction(0)] * n
+            out[draw(st.integers(0, n - 1))] = draw(signed_fraction)
+            return tuple(out)
+        return tuple(draw(st.lists(signed_fraction, min_size=n, max_size=n)))
+
+    pool = [row() for _ in range(draw(st.integers(1, m)))]
+    return tuple(pool[draw(st.integers(0, len(pool) - 1))] for _ in range(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_rows(), st.data())
+def test_scaled_sign_sweep_matches_the_fraction_sweep(rows, data):
+    assert properties._definitional_homomorphism(rows) == oracles.hom_by_signs(rows)
+    f = data.draw(st.lists(st.one_of(st.integers(-3, 3), signed_fraction),
+                           min_size=len(rows[0]), max_size=len(rows[0])))
+    breaks = any(
+        abs(sum(c * v for c, v in zip(row, f))) != sum(c * abs(v) for c, v in zip(row, f))
+        for row in rows
+    )
+    assert properties._breaks_absolute_value(rows, f) == breaks
+
+
+def test_sign_sweep_decides_without_the_structural_test(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sign sweep called the structural test")
+
+    for name in ("HomMatrix", "is_homomorphism", "_normal_form"):
+        monkeypatch.setattr(comphom, name, refuse)
+    verdicts = [properties._definitional_homomorphism(rows)
+                for rows in _KINDS["hom"].exhaustive(SuiteConfig())]
+    assert (verdicts.count(True), verdicts.count(False)) == (18, 84)
 
 
 def test_p_sw_computes_one_canonical_form_per_instance(monkeypatch):
