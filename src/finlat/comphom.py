@@ -4,9 +4,13 @@ A linear map between finite-dimensional function lattices preserves the
 lattice operations exactly when its matrix is nonnegative with at most
 one nonzero entry per row.  The constructor runs that structural test
 and stores the operator in its normal form, a weight vector plus a partial
-coordinate map, so a HomMatrix is a certified homomorphism.  The
-definitional |Tf| = T|f| sign sweep lives in verify (P-hom, P-hoc), which
-checks the structural test against it.
+coordinate map, so a HomMatrix is a certified homomorphism.  Numbers
+follow funclat's rule: an integral weight is stored as an int and any
+other weight as its Fraction, and apply multiplies each entry it reads by
+its weight, so an image entry is an int exactly when the entry it reads is
+an int and its weight is integral.  The definitional |Tf| = T|f| sign
+sweep lives in verify (P-hom, P-hoc), which checks the structural test
+against it.
 
 Every certified HomMatrix passes all five hoc_conditions, as lattice
 homomorphisms of finite-dimensional lattices are order continuous; the
@@ -15,9 +19,10 @@ side depends only on the dimension n: _coordinate_ideals(n) holds, per
 coordinate mask, the zero mask of G^dd and the band verdict of the
 coordinate ideal G, built by funclat on first use and kept for the process.
 The probe vectors of chain-continuity and directed-sups are shared per n
-the same way; they are int vectors, so on a composition operator or an
-integer-weight operator those two conditions compare ints.  The codomain
-side of image-dd is computed per operator.
+the same way.  They are int vectors, as are funclat's solution bases, so
+on a composition operator or an integer-weight operator every condition
+runs in int arithmetic.  The codomain side of image-dd is computed per
+operator.
 
 certify_composition connects map classification to sublattice structure:
 the topological class of a continuous map decides order density,
@@ -27,14 +32,12 @@ directly and compared.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from .bitset import bit
 from .contmap import classify_map
 from .funclat import (
-    _ONE,
     _exact,
     band_complement,
     canonical_form,
@@ -73,9 +76,8 @@ def _normal_form(rows):
     """Split a row-monomial nonnegative matrix into (weights, phi).
 
     Row i reads T(f)[i] = weights[i] * f(phi[i]); zero rows get weight 0
-    and an undefined (None) coordinate, unit weights are the shared _ONE,
-    and any other integral weight is an int.  Any other matrix raises
-    NotHomomorphism.
+    and an undefined (None) coordinate.  An integral weight is an int, any
+    other weight its Fraction.  Any other matrix raises NotHomomorphism.
     """
     weights = []
     phi = []
@@ -87,7 +89,7 @@ def _normal_form(rows):
                 witness=_first_failing_probe(rows),
             )
         w = row[live[0]] if live else 0
-        weights.append(_ONE if w == 1 else w.numerator if w.denominator == 1 else w)
+        weights.append(w.numerator if w.denominator == 1 else w)
         phi.append(live[0] if live else None)
     return tuple(weights), tuple(phi)
 
@@ -140,14 +142,13 @@ class HomMatrix:
     @property
     def entries(self):
         """The dense rows, for records and display."""
-        zero = Fraction(0)
         return tuple(
-            tuple(w if j == col else zero for j in range(self.n))
+            tuple(w if j == col else 0 for j in range(self.n))
             for w, col in zip(self.weights, self.phi)
         )
 
     def apply(self, f):
-        """T(f), exact; a unit weight skips its multiply.
+        """T(f), exact.
 
         f is read by funclat's one number rule (_exact).  A zero row gives
         the int 0; any other entry is an int when the entry it reads is an
@@ -161,10 +162,9 @@ class HomMatrix:
             if col is None:
                 out.append(0)
                 continue
-            v = f[col]
             # entry times weight: Fraction * int takes Fraction.__mul__'s
             # direct int case, int * Fraction the slower reflected one
-            out.append(v if w is _ONE else v * w)
+            out.append(f[col] * w)
         return tuple(out)
 
     def __eq__(self, other):
@@ -184,7 +184,7 @@ def hom_from_map(m):
     t = object.__new__(HomMatrix)
     t.m = m.domain.n
     t.n = m.codomain.n
-    t.weights = (_ONE,) * t.m
+    t.weights = (1,) * t.m
     t.phi = tuple(m.table)
     return t
 

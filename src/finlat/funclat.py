@@ -18,9 +18,13 @@ Floating point is never used.
 The library takes numbers by one rule, _exact: an int or a Fraction passes
 through unchanged, and anything else (a bool, a float, a numeric string) is
 converted by Fraction(v), so 0.5 reads as 1/2 and True as 1.  funclat,
-comphom.HomMatrix and the latclosure oracle all read their entries this
-way; where integer arithmetic is wanted, _integral then scales a vector by
-the lcm of its denominators, a positive factor that keeps its direction.
+comphom.HomMatrix, the latclosure oracle and the record parser all read
+their entries this way.  The vectors the library builds are int tuples: a
+Fraction appears only where a value is a ratio, a tie ratio or a
+non-integral operator weight.  Where integer arithmetic is wanted, a vector
+is scaled by the lcm of its denominators (_integral; solution_basis does
+the same per tie group), a positive factor that keeps its direction, and
+a primitive vector is divided by math.gcd of its entries.
 """
 
 from dataclasses import dataclass
@@ -29,9 +33,7 @@ import math
 
 from .bitset import bit, bits
 
-# shared constants: solution_basis and comphom build vectors from them, and
-# an `is _ZERO` test skips Fraction's slower comparison with 0
-_ZERO = Fraction(0)
+# the ratio of a group's lead and of a zeroed coordinate
 _ONE = Fraction(1)
 
 
@@ -106,7 +108,7 @@ def _from_forest(n, forest):
     for x in range(n):
         root, w = forest.find(x)
         if not forest.dead[root]:
-            basis.setdefault(root, [_ZERO] * n)[x] = w
+            basis.setdefault(root, [0] * n)[x] = w
     return canonical_form(n, basis.values())
 
 
@@ -120,7 +122,7 @@ def from_constraints(n, zeros=(), ties=()):
     """
     forest = _RatioForest(n)
     for x, z, alpha in ties:
-        alpha = Fraction(alpha)
+        alpha = _exact((alpha,))[0]
         if alpha <= 0:
             raise ValueError("tie ratio must be strictly positive")
         forest.union(_coordinate(n, x), _coordinate(n, z), alpha)
@@ -216,7 +218,7 @@ def member(cs, f):
     if len(vec) != cs.n:
         raise ValueError("vector dimension mismatch")
     for x in bits(cs.zero_mask):
-        if vec[x] is not _ZERO and vec[x] != 0:
+        if vec[x]:
             return False
     if cs.n - cs.zero_mask.bit_count() == len(cs.groups):
         return True  # every live coordinate leads its own group: no ties
@@ -248,12 +250,18 @@ def zero_ideal(cs, a):
 
 
 def solution_basis(cs):
-    """One positive vector per tie group; they span the solution set."""
+    """One primitive positive int vector per tie group, the group's ratios
+    times the lcm of their denominators; they span the solution set."""
     basis = []
     for g in cs.groups:
-        vec = [_ZERO] * cs.n
-        for x in bits(g):
-            vec[x] = cs.ratio[x]
+        vec = [0] * cs.n
+        if g & (g - 1):
+            group = [(x, cs.ratio[x]) for x in bits(g)]
+            scale = math.lcm(*[q.denominator for _, q in group])
+            for x, q in group:
+                vec[x] = q.numerator * (scale // q.denominator)
+        else:
+            vec[g.bit_length() - 1] = 1
         basis.append(tuple(vec))
     return basis
 
@@ -261,7 +269,7 @@ def solution_basis(cs):
 def support_mask(vec):
     out = 0
     for x, v in enumerate(vec):
-        if v is not _ZERO and v != 0:
+        if v:
             out |= 1 << x
     return out
 

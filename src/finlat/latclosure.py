@@ -29,9 +29,7 @@ from .funclat import _exact, _integral, dim
 
 
 def _reduce(vec):
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
+    g = gcd(*vec)
     if g > 1:
         return tuple(c // g for c in vec)
     return tuple(vec)
@@ -88,14 +86,11 @@ def _kernel_basis(matrix, width):
         rank += 1
     basis = []
     for free in (c for c in range(width) if c not in pivots):
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
+        vec = [0] * width
+        vec[free] = 1
         for pc, pr in pivots.items():
             vec[pc] = -rows[pr][free]
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        basis.append(_reduce(tuple(int(v * den) for v in vec)))
+        basis.append(_reduce(_integral(vec)))
     return basis
 
 

@@ -30,7 +30,6 @@ and column counts are at most the spaces' point limit, DEFAULT_MAX_POINTS.
 """
 
 import re
-from fractions import Fraction
 
 from .bitset import mask_of, mask_to_list
 from .comphom import HomMatrix
@@ -39,7 +38,7 @@ from .equivrel import EquivRel, from_blocks
 from .finspace import (
     DEFAULT_MAX_POINTS, FinSpace, SpaceTooLarge, _check_n, make_space,
 )
-from .funclat import ConstraintSystem, canonical_form, from_constraints
+from .funclat import ConstraintSystem, _exact, canonical_form, from_constraints
 
 # the deepest "[" and "{" nesting parsed; a legal record uses at most four
 MAX_NESTING = 32
@@ -294,11 +293,13 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
 
 def _rational(value):
+    """An entry by funclat's number rule: an int token stays an int, and a
+    string is read as a Fraction once it matches the grammar."""
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
         # the builder's caller adds the line number
         raise ValueError("Invalid literal for Fraction: %r" % (value,))
     try:
-        return Fraction(value)
+        return _exact((value,))[0]
     except ZeroDivisionError:
         raise RecordError("zero denominator in %r" % (value,)) from None
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -97,6 +98,25 @@ def test_solution_basis_spans_one_vector_per_group():
     sys3 = canonical_form(3, [(1, 1, 0), (0, 0, 2)])
     assert solution_basis(sys3) == [(1, 1, 0), (0, 0, 1)]
     assert solution_basis(canonical_form(2, [])) == []
+    # ratios 1, 1/2 and 1/3 scale by 6 to the primitive int vector
+    thirds = from_constraints(3, ties=[(1, 0, F(1, 2)), (2, 0, F(1, 3))])
+    assert repr(solution_basis(thirds)) == repr([(6, 3, 2)])
+
+
+@pytest.mark.parametrize("loose,exact", [(0.5, F(1, 2)), (True, 1)])
+@pytest.mark.parametrize("entry", ["canonical_form", "member", "from_constraints"])
+def test_float_and_bool_entries_follow_the_number_rule(entry, loose, exact):
+    # 0.5 reads as 1/2 and True as 1 at every funclat entry point
+    if entry == "canonical_form":
+        got = canonical_form(2, [(1, loose)])
+        assert repr(got) == repr(canonical_form(2, [(1, exact)]))
+    elif entry == "member":
+        assert member(canonical_form(2, [(2, 2 * exact)]), (1, loose))
+        assert not member(canonical_form(2, [(1, exact + 1)]), (1, loose))
+    else:
+        got = from_constraints(2, ties=[(1, 0, loose)])
+        assert repr(got) == repr(from_constraints(2, ties=[(1, 0, exact)]))
+        assert got == canonical_form(2, [(1, exact)])
 
 
 def test_disjoint_complement_is_support_annihilator():
@@ -302,6 +322,21 @@ def test_kernel_matches_pairwise_oracle(inputs):
     assert repr(fields) == repr(expected)
     for v in probes + solution_basis(got):
         assert member(got, v) == oracles.member(expected, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_solution_basis_is_primitive_int_and_canonical(inputs):
+    n, gens, _ = inputs
+    system = canonical_form(n, gens)
+    basis = solution_basis(system)
+    assert len(basis) == len(system.groups)
+    for vec, group in zip(basis, system.groups):
+        assert all(type(v) is int for v in vec)
+        assert math.gcd(*vec) == 1
+        # positive exactly on its group, zero elsewhere
+        assert all(v > 0 if group >> x & 1 else v == 0 for x, v in enumerate(vec))
+    assert canonical_form(n, basis) == system
 
 
 @pytest.mark.parametrize("n,gens", [(-1, []), (-1, [()]), (2, [(1,)])])

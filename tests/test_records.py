@@ -165,7 +165,10 @@ def test_hom_record_parses_rationals():
     ("-6/4", Fraction(-3, 2)), ("0", Fraction(0)), (-7, Fraction(-7)),
 ])
 def test_rational_entries_follow_the_p_q_grammar(value, want):
-    assert _rational(value) == want
+    got = _rational(value)
+    assert got == want
+    # funclat's number rule: an int token stays an int
+    assert type(got) is (int if type(value) is int else Fraction)
 
 
 @pytest.mark.parametrize("text", [

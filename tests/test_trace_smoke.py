@@ -1,15 +1,15 @@
 """The benchmark tracer still binds the names it traces.
 
 perfbench/trace.py replaces finlat functions by name; a rename there only
-shows up under ``--trace 1``.  This installs the tracer around a tiny
-operator suite run and around a map suite run, and checks that their spans
-arrive and that restoring puts every original back.
+shows up under ``--trace 1``.  This installs the tracer around tiny
+operator, map and lattice suite runs, and checks that their spans arrive
+and that restoring puts every original back.
 """
 
 import importlib.util
 from pathlib import Path
 
-from finlat import comphom, contmap, finspace, funclat
+from finlat import comphom, contmap, finspace, funclat, latclosure
 from finlat.verify import run_suite
 
 TRACE_PY = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
@@ -58,3 +58,22 @@ def test_tracer_covers_the_map_layer_and_restores():
     assert contmap.decide_by is decide_by
     assert contmap.saturation is saturation
     assert finspace.FinSpace.__dict__["closure"] is closure
+
+
+def test_tracer_covers_the_lattice_layer_and_restores():
+    solution_basis = funclat.solution_basis
+    matches = latclosure.lattice_closure_matches
+    tracer = _load_trace().Tracer()
+    tracer.install()
+    try:
+        report = run_suite(properties=("P-sw", "P-dis", "P-menag"),
+                           max_points=2, sample_budget=0)
+        metrics = tracer.metrics({})
+    finally:
+        tracer.restore()
+    assert report.ok
+    assert metrics["funclat.solution_basis.calls"] > 0
+    assert metrics["latclosure.lattice_closure_matches.calls"] > 0
+    assert funclat.solution_basis is solution_basis
+    assert comphom.solution_basis is solution_basis
+    assert latclosure.lattice_closure_matches is matches

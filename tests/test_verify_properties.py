@@ -457,6 +457,46 @@ def test_disagreeing_projection_route_trips_p_eqr(monkeypatch):
     assert replay_witness(witness) == []
 
 
+def test_quotient_stand_ins_trip_final_topology_and_p_hier(monkeypatch):
+    # P-quot keeps no check that runs the routine the quotient was built
+    # with: a broken final_star shows in the opens-family final-topology
+    # check, and a broken quotient_map_stars in P-hier's reference
+    def indiscrete(domain, fibers, table, y):
+        return (1 << len(fibers)) - 1
+
+    final_star = contmap.final_star
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "finlat"
+                and getattr(module, "final_star", None) is final_star):
+            monkeypatch.setattr(module, "final_star", indiscrete)
+    result = run_suite(properties=("P-quot",), max_points=2,
+                       sample_budget=0).results[0]
+    assert result.failures > 0
+    witness = result.witness
+    assert witness["detail"]["check"] == "final-topology"
+    assert replay_witness(witness) == [witness["detail"]]
+    monkeypatch.undo()
+    assert replay_witness(witness) == []
+
+    original = contmap.quotient_map_stars
+
+    def rejects_projections(m):
+        return original(m) and contmap.is_injective(m)
+
+    monkeypatch.setattr(contmap, "quotient_map_stars", rejects_projections)
+    monkeypatch.setitem(contmap._CLASSIFY_ROUTINES, "quotient_map",
+                        ("quotient-map", rejects_projections))
+    result = run_suite(properties=("P-hier",), max_points=2,
+                       sample_budget=0).results[0]
+    assert result.failures > 0
+    witness = result.witness
+    detail = {"check": "quotient_map", "flag": False, "reference_value": True}
+    assert witness["detail"] == detail
+    assert replay_witness(witness) == [detail]
+    monkeypatch.undo()
+    assert replay_witness(witness) == []
+
+
 def test_map_references_read_no_memoized_operator(monkeypatch):
     # the references must not share the memoized closure, interior, image
     # and preimage they audit
