@@ -4,7 +4,9 @@ A linear map between finite-dimensional function lattices preserves the
 lattice operations exactly when its matrix is nonnegative with at most
 one nonzero entry per row.  The constructor runs that structural test
 and stores the operator in its normal form, a weight vector plus a partial
-coordinate map, so a HomMatrix is a certified homomorphism.  Numbers
+coordinate map, so a HomMatrix is a certified homomorphism.  A rejected
+matrix raises NotHomomorphism with the first failing probe as its witness;
+is_homomorphism runs the same test and builds no witness.  Numbers
 follow funclat's rule: an integral weight is stored as an int and any
 other weight as its Fraction, and apply multiplies each entry it reads by
 its weight, so an image entry is an int exactly when the entry it reads is
@@ -18,11 +20,13 @@ lattice-side conditions still run their funclat computations.  Their domain
 side depends only on the dimension n: _coordinate_ideals(n) holds, per
 coordinate mask, the zero mask of G^dd and the band verdict of the
 coordinate ideal G, built by funclat on first use and kept for the process.
-The probe vectors of chain-continuity and directed-sups are shared per n
-the same way.  They are int vectors, as are funclat's solution bases, so
-on a composition operator or an integer-weight operator every condition
-runs in int arithmetic.  The codomain side of image-dd is computed per
-operator.
+funclat.full_space keeps the full lattice of each dimension the same way.
+The probe vectors of chain-continuity and directed-sups, and the joins of
+the directed-sups probe pairs, are shared per n too.  They are int vectors,
+as are funclat's solution bases, so on a composition operator or an
+integer-weight operator every condition runs in int arithmetic.  The
+codomain side of image-dd is computed per operator, and image-dd applies
+T to each domain basis vector once per operator.
 
 certify_composition connects map classification to sublattice structure:
 the topological class of a continuous map decides order density,
@@ -73,21 +77,18 @@ def _to_rows(matrix):
 
 
 def _normal_form(rows):
-    """Split a row-monomial nonnegative matrix into (weights, phi).
+    """Split a row-monomial nonnegative matrix into (weights, phi), or None.
 
     Row i reads T(f)[i] = weights[i] * f(phi[i]); zero rows get weight 0
     and an undefined (None) coordinate.  An integral weight is an int, any
-    other weight its Fraction.  Any other matrix raises NotHomomorphism.
+    other weight its Fraction.  Any other matrix gives None.
     """
     weights = []
     phi = []
     for row in rows:
         live = [j for j, v in enumerate(row) if v != 0]
         if len(live) > 1 or (live and row[live[0]] < 0):
-            raise NotHomomorphism(
-                "matrix does not preserve absolute values",
-                witness=_first_failing_probe(rows),
-            )
+            return None
         w = row[live[0]] if live else 0
         weights.append(w.numerator if w.denominator == 1 else w)
         phi.append(live[0] if live else None)
@@ -95,7 +96,7 @@ def _normal_form(rows):
 
 
 def _first_failing_probe(rows):
-    """The first probe f with |Tf| != T|f| for a matrix failing the test.
+    """The first probe f with |Tf| != T|f|, or None when no probe fails.
 
     Probes are the unit vectors e_j, then e_a - e_b for a < b.  A unit e_j
     fails exactly when column j holds a negative entry.  With no negative
@@ -107,21 +108,21 @@ def _first_failing_probe(rows):
     negative = [j for j in range(n) if any(row[j] < 0 for row in rows)]
     if negative:
         return tuple(int(j == negative[0]) for j in range(n))
-    a, b = min(
-        live[:2]
-        for live in ([j for j, v in enumerate(row) if v != 0] for row in rows)
-        if len(live) > 1
+    pair = min(
+        (live[:2]
+         for live in ([j for j, v in enumerate(row) if v != 0] for row in rows)
+         if len(live) > 1),
+        default=None,
     )
+    if pair is None:
+        return None
+    a, b = pair
     return tuple(1 if j == a else -1 if j == b else 0 for j in range(n))
 
 
 def is_homomorphism(matrix):
     """Structural test: nonnegative with at most one nonzero per row."""
-    try:
-        _normal_form(_to_rows(matrix))
-    except NotHomomorphism:
-        return False
-    return True
+    return _normal_form(_to_rows(matrix)) is not None
 
 
 class HomMatrix:
@@ -135,9 +136,15 @@ class HomMatrix:
 
     def __init__(self, matrix):
         rows = _to_rows(matrix)
+        form = _normal_form(rows)
+        if form is None:
+            raise NotHomomorphism(
+                "matrix does not preserve absolute values",
+                witness=_first_failing_probe(rows),
+            )
         self.m = len(rows)
         self.n = len(rows[0])
-        self.weights, self.phi = _normal_form(rows)
+        self.weights, self.phi = form
 
     @property
     def entries(self):
@@ -230,6 +237,17 @@ def _probe_positives(n):
 
 
 @cache
+def _probe_joins(n):
+    """(i, j, join) for each pair i < j of the probes of dimension n: their
+    indices in _probe_positives(n) and their coordinatewise max."""
+    probes = _probe_positives(n)
+    return tuple(
+        (i, j, tuple(max(x, y) for x, y in zip(probes[i], probes[j])))
+        for i, j in combinations(range(len(probes)), 2)
+    )
+
+
+@cache
 def _subset_indicators(n):
     """The int indicator vectors of all 2^n coordinate sets and their sup."""
     chain = tuple(tuple(a >> j & 1 for j in range(n)) for a in range(1 << n))
@@ -258,11 +276,10 @@ def _directed_sup_preservation(t):
     The subset indicators form an upward-directed family whose sup is the
     all-ones vector.
     """
-    probes = _probe_positives(t.n)
-    images = [t.apply(a) for a in probes]
-    for (a, ta), (b, tb) in combinations(zip(probes, images), 2):
-        t_top = t.apply(tuple(max(x, y) for x, y in zip(a, b)))
-        if t_top != tuple(max(vals) for vals in zip(ta, tb, t_top)):
+    images = [t.apply(a) for a in _probe_positives(t.n)]
+    for i, j, join in _probe_joins(t.n):
+        t_top = t.apply(join)
+        if t_top != tuple(max(vals) for vals in zip(images[i], images[j], t_top)):
             return False
     if t.n <= 12:
         chain, sup_dom = _subset_indicators(t.n)
@@ -301,15 +318,24 @@ def _image_double_complements(t):
     (TG)^dd is a sublattice, so it contains the sublattice generated by
     T(G^dd) exactly when it contains T of each basis vector of G^dd.  G^dd
     comes from the per-dimension table; the codomain side is per operator.
+    The bases are unit vectors of the domain, and each distinct one is
+    applied once per call.
     """
     dom = full_space(t.n)
     cod = full_space(t.m)
+    images = {}
+
+    def image(v):
+        if v not in images:
+            images[v] = t.apply(v)
+        return images[v]
+
     for a, (dd, _) in enumerate(_coordinate_ideals(t.n)):
         g_basis = solution_basis(zero_ideal(dom, a))
-        tg = canonical_form(t.m, [t.apply(v) for v in g_basis])
+        tg = canonical_form(t.m, [image(v) for v in g_basis])
         _, tgdd = double_complement(cod, tg)
         gdd_basis = g_basis if dd == a else solution_basis(zero_ideal(dom, dd))
-        if not all(member(tgdd, t.apply(v)) for v in gdd_basis):
+        if not all(member(tgdd, image(v)) for v in gdd_basis):
             return False
     return True
 

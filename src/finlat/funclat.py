@@ -29,7 +29,9 @@ a primitive vector is divided by math.gcd of its entries.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 import math
+import operator
 
 from .bitset import bit, bits
 
@@ -138,6 +140,16 @@ def _coordinate(n, x):
 
 
 def full_space(n):
+    """The whole n-dimensional lattice: no zeroed coordinate and no tie.
+
+    One immutable value per dimension, built on first use and kept for the
+    process; n is read by operator.index, so True reads as 1.
+    """
+    return _full_space(operator.index(n))
+
+
+@cache
+def _full_space(n):
     return from_constraints(n)
 
 

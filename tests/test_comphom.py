@@ -290,6 +290,33 @@ def test_image_dd_matches_its_first_formulation_on_dense_matrices(m, n):
             oracles.image_double_complements(t)
 
 
+def test_image_dd_matches_its_first_formulation_on_criterion_6():
+    maps = list(_KINDS["dismap"].exhaustive(SuiteConfig(max_points=4)))
+    assert len(maps) == 494
+    for m in maps:
+        t = hom_from_map(m)
+        assert comphom._image_double_complements(t) == \
+            oracles.image_double_complements(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_image_dd_applies_each_basis_vector_once(n):
+    # the bases of the coordinate ideals of the full space are its n unit
+    # vectors, each applied once however many ideals share it
+    t = DenseOperator([[int(i == j) for j in range(n)] for i in range(n)])
+    assert comphom._image_double_complements(t)
+    assert t.applied == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_probe_joins_are_the_pairwise_max_of_the_probes(n):
+    probes = comphom._probe_positives(n)
+    want = [(i, j, tuple(map(max, probes[i], probes[j])))
+            for i in range(len(probes)) for j in range(i + 1, len(probes))]
+    assert list(comphom._probe_joins(n)) == want
+    assert comphom._probe_joins(n) is comphom._probe_joins(n)
+
+
 def test_image_dd_builds_one_canonical_form_per_coordinate_ideal(monkeypatch):
     built = []
     real = comphom.canonical_form

@@ -56,6 +56,22 @@ def test_canonical_form_of_nothing_is_zero():
     assert canonical_form(2, [(0, 0)]) == zero
 
 
+def test_full_space_is_one_value_per_dimension():
+    for n in range(17):
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        assert full_space(n) is full_space(n)
+        assert full_space(n) == canonical_form(n, units)
+    # the dimension is read by operator.index: True is the dimension 1
+    assert type(full_space(True).n) is int
+    assert full_space(True).n == 1
+    assert full_space(True) is full_space(1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            full_space(-1)
+    with pytest.raises(TypeError):
+        full_space(1.0)
+
+
 def test_contradictory_ties_zero_the_group():
     got = from_constraints(2, ties=[(1, 0, 2), (1, 0, 3)])
     assert got == cs(2, 0b11, (0, 1), (1, 1), ())

@@ -408,6 +408,33 @@ def test_sign_sweep_decides_without_the_structural_test(monkeypatch):
     assert (verdicts.count(True), verdicts.count(False)) == (18, 84)
 
 
+def test_structural_test_builds_no_witness(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("the structural test built a witness")
+
+    monkeypatch.setattr(comphom, "_first_failing_probe", refuse)
+    matrices = list(_KINDS["hom"].exhaustive(SuiteConfig()))
+    verdicts = [comphom.is_homomorphism(rows) for rows in matrices]
+    assert (verdicts.count(True), verdicts.count(False)) == (18, 84)
+    assert verdicts == [properties._definitional_homomorphism(rows)
+                        for rows in matrices]
+
+
+def test_constructor_witnesses_every_rejected_matrix():
+    rejected = 0
+    for rows in _KINDS["hom"].exhaustive(SuiteConfig()):
+        exact = comphom._to_rows(rows)
+        if comphom.is_homomorphism(rows):
+            assert comphom._first_failing_probe(exact) is None
+            continue
+        rejected += 1
+        with pytest.raises(comphom.NotHomomorphism) as err:
+            comphom.HomMatrix(rows)
+        assert err.value.witness == comphom._first_failing_probe(exact)
+        assert properties._breaks_absolute_value(rows, err.value.witness)
+    assert rejected == 84
+
+
 def test_p_sw_computes_one_canonical_form_per_instance(monkeypatch):
     original = funclat.canonical_form
     calls = []
@@ -541,7 +568,7 @@ original = comphom._normal_form
 
 def rejects_zero_rows(rows):
     if any(not any(row) for row in rows):
-        raise comphom.NotHomomorphism("zero row")
+        return None
     return original(rows)
 
 comphom._normal_form = rejects_zero_rows
