@@ -28,11 +28,10 @@ integer-weight operator every condition runs in int arithmetic.  The
 codomain side of image-dd is computed per operator, and image-dd applies
 T to each domain basis vector once per operator.
 
-certify_composition connects map classification to sublattice structure:
-the topological class of a continuous map decides order density,
-Urysohn richness, order continuity, and regularity of the pulled-back
-sublattice, and on discrete spaces the lattice side is recomputed
-directly and compared.
+certify_composition reads the theorem table CONCLUSIONS: each conclusion
+about the lattice pulled back along a map is licensed by one map class and,
+on discrete spaces, decided directly by one flag of the pulled-back lattice
+(order continuity by the composition operator's hoc_conditions).
 """
 
 from dataclasses import dataclass
@@ -188,12 +187,8 @@ class HomMatrix:
 
 def hom_from_map(m):
     """The composition operator f -> f(map(.)): row x reads coordinate map(x)."""
-    t = object.__new__(HomMatrix)
-    t.m = m.domain.n
-    t.n = m.codomain.n
-    t.weights = (1,) * t.m
-    t.phi = tuple(m.table)
-    return t
+    k = m.codomain.n
+    return HomMatrix([tuple(int(j == y) for j in range(k)) for y in m.table])
 
 
 def _columns_read(t):
@@ -378,47 +373,45 @@ class CertificateReport:
                     )
 
 
+# lattice conclusion -> (the map class that licenses it, the flag of the
+# pulled-back lattice that decides it directly; None: hoc_conditions do)
+CONCLUSIONS = {
+    "image_order_dense": ("irreducible", "order_dense"),
+    "image_weakly_urysohn": ("irreducible", "weakly_urysohn"),
+    "image_urysohn": ("embedding", "urysohn"),
+    "order_continuous": ("almost_open", None),
+    "image_regular": ("skeletal", "regular"),
+}
+
+
 def certify_composition(phi, e):
+    """The CONCLUSIONS phi's map classes license for e pulled back along phi.
+
+    The hypothesis, e order dense and Urysohn, is one equality test: an
+    order-dense sublattice of finite-dimensional R^n holds every unit
+    vector, so it holds exactly when e is the full lattice.
+    """
     y = phi.codomain
     x = phi.domain
     if e.n != y.n:
         raise ValueError("lattice dimension must match the codomain points")
-    if y.is_discrete():
-        eflags = classify_sublattice(full_space(y.n), e)
-        if not (eflags.order_dense and eflags.urysohn):
-            raise ValueError("lattice must be order dense and Urysohn")
-    else:
-        if e != full_space(y.n):
-            raise ValueError(
-                "non-discrete codomain: only the full lattice is supported"
-            )
+    if e != full_space(y.n):
+        raise ValueError(
+            "lattice must be order dense and Urysohn" if y.is_discrete()
+            else "non-discrete codomain: only the full lattice is supported"
+        )
     cls = classify_map(phi)
-    certificates = {
-        "irreducible": cls.irreducible,
-        "embedding": cls.embedding,
-        "almost_open": cls.almost_open,
-        "skeletal": cls.skeletal,
-    }
-    conclusions = {
-        "image_order_dense": cls.irreducible,
-        "image_weakly_urysohn": cls.irreducible,
-        "image_urysohn": cls.embedding,
-        "order_continuous": cls.almost_open,
-        "image_regular": cls.skeletal,
-    }
+    certificates = {cert: getattr(cls, cert) for cert, _ in CONCLUSIONS.values()}
+    conclusions = {key: certificates[cert] for key, (cert, _) in CONCLUSIONS.items()}
     discrete = x.is_discrete() and y.is_discrete()
     direct = {}
     if discrete:
         t = hom_from_map(phi)
         pulled = canonical_form(x.n, [t.apply(v) for v in solution_basis(e)])
-        dflags = classify_sublattice(full_space(x.n), pulled)
-        operator_oc = all(hoc_conditions(t).values())
+        flags = classify_sublattice(full_space(x.n), pulled)
         direct = {
-            "image_order_dense": dflags.order_dense,
-            "image_weakly_urysohn": dflags.weakly_urysohn,
-            "image_urysohn": dflags.urysohn,
-            "order_continuous": operator_oc,
-            "image_regular": dflags.regular,
+            key: getattr(flags, flag) if flag else all(hoc_conditions(t).values())
+            for key, (_, flag) in CONCLUSIONS.items()
         }
     return CertificateReport(
         certificates=certificates,

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,8 @@ from finlat import (
     canonical_form,
     zero_ideal,
 )
-from finlat.funclat import band_complement, double_complement, member
+from finlat.contmap import MapClassification
+from finlat.funclat import SublatticeFlags, band_complement, double_complement, member
 from finlat.verify.mutations import apply_mutation
 from finlat.verify import SuiteConfig
 from finlat.verify.properties import _KINDS
@@ -170,6 +172,27 @@ def test_composition_operator_of_a_map():
     dense = HomMatrix([[1, 0], [1, 0]])
     assert hom_from_map(const) == dense
     assert hash(hom_from_map(const)) == hash(dense)
+
+
+def test_composition_operator_is_certified_by_the_constructor(monkeypatch):
+    # hom_from_map has no construction path of its own
+    const = ContMap(discrete_space(2), discrete_space(2), [0, 0])
+    monkeypatch.setattr(comphom, "_normal_form", lambda rows: None)
+    with pytest.raises(NotHomomorphism):
+        hom_from_map(const)
+
+
+def test_composition_operator_equals_its_dense_rows():
+    maps = list(_KINDS["dismap"].exhaustive(SuiteConfig(max_points=4)))
+    assert len(maps) == 494
+    sixteen = discrete_space(16)
+    maps.append(ContMap(sixteen, sixteen, list(range(16))))
+    for m in maps:
+        rows = [[int(j == y) for j in range(m.codomain.n)] for y in m.table]
+        t = hom_from_map(m)
+        assert t == HomMatrix(rows)
+        assert (t.m, t.n, t.phi) == (m.domain.n, m.codomain.n, tuple(m.table))
+        assert all(type(w) is int and w == 1 for w in t.weights)
 
 
 def test_kernel_of_row_monomial_operators():
@@ -434,6 +457,21 @@ def test_coordinate_ideal_table_is_untouched_by_ratio_flip():
         comphom._coordinate_ideals.cache_clear()
 
 
+def test_theorem_table_names_a_map_class_and_a_lattice_flag():
+    classes = {f.name for f in fields(MapClassification)}
+    flags = {f.name for f in fields(SublatticeFlags)}
+    assert list(comphom.CONCLUSIONS) == [
+        "image_order_dense", "image_weakly_urysohn", "image_urysohn",
+        "order_continuous", "image_regular",
+    ]
+    for licence, flag in comphom.CONCLUSIONS.values():
+        assert licence in classes
+        assert flag is None or flag in flags
+    # only order continuity is decided by the operator's conditions
+    assert [k for k, (_, f) in comphom.CONCLUSIONS.items() if f is None] == [
+        "order_continuous"]
+
+
 def test_certify_matches_its_first_formulation_on_criterion_6(monkeypatch):
     pulled = []
     real = comphom.classify_sublattice
@@ -477,6 +515,19 @@ def test_certify_discrete_needs_dense_urysohn_lattice():
         certify_composition(const, canonical_form(2, [(1, 0)]))
     with pytest.raises(ValueError):
         certify_composition(const, full_space(3))  # dimension mismatch
+
+
+def test_certify_hypothesis_errors_keep_their_messages():
+    axis = canonical_form(2, [(1, 0)])
+    const = ContMap(discrete_space(2), discrete_space(2), [0, 0])
+    with pytest.raises(ValueError) as err:
+        certify_composition(const, axis)
+    assert str(err.value) == "lattice must be order dense and Urysohn"
+    sierp = make_space(2, [0, 0b10, 0b11])
+    with pytest.raises(ValueError) as err:
+        certify_composition(ContMap(discrete_space(2), sierp, [0, 1]), axis)
+    assert str(err.value) == (
+        "non-discrete codomain: only the full lattice is supported")
 
 
 def test_report_guard_rejects_disagreement():

@@ -21,6 +21,7 @@ from finlat import (
 )
 from finlat.funclat import band_complement, dim, double_complement, from_constraints
 from finlat.latclosure import closure_subspace
+from finlat.verify import family_representatives
 from finlat.verify.mutations import apply_mutation
 
 F = Fraction
@@ -203,6 +204,41 @@ def test_classify_requires_containment():
     axis = canonical_form(2, [(1, 0)])
     with pytest.raises(ValueError):
         classify_sublattice(axis, full_space(2))
+
+
+# --- certify_composition's hypothesis is one equality test --------------------
+
+def _dense_and_urysohn(e):
+    flags = classify_sublattice(full_space(e.n), e)
+    return flags.order_dense and flags.urysohn
+
+
+def _zero_tie_forms(n):
+    # every zero set, with no tie or with one tie f(x) = r f(y), r in {1, 2}
+    ties = [()] + [((x, y, r),) for x in range(n) for y in range(x + 1, n)
+                   for r in (1, 2)]
+    for zeros in range(1 << n):
+        for tie in ties:
+            yield from_constraints(n, [x for x in range(n) if zeros >> x & 1], tie)
+
+
+def test_order_dense_urysohn_sublattice_is_the_full_lattice():
+    systems = [canonical_form(n, gens) for n in (1, 2)
+               for gens in family_representatives(n)]
+    systems += [e for n in range(1, 5) for e in _zero_tie_forms(n)]
+    verdicts = {e: _dense_and_urysohn(e) for e in systems}
+    assert {e for e, v in verdicts.items() if v} == {full_space(n) for n in range(1, 5)}
+    # 93 distinct systems: the four full lattices and 89 others
+    assert len(verdicts) == 93
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n), max_size=4))))
+def test_order_dense_urysohn_sublattice_is_the_full_lattice_drawn(drawn):
+    n, gens = drawn
+    e = canonical_form(n, gens)
+    assert _dense_and_urysohn(e) == (e == full_space(n))
 
 
 # --- band-ness from its definition ------------------------------------------------

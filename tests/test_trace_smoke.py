@@ -36,6 +36,16 @@ def test_tracer_installs_spans_and_restores():
         tracer.restore()
     assert report.ok
     assert metrics["comphom.hoc.band-preimages.self_s"] > 0
+    hoc, com = report.results
+    discrete = com.exhaustive + com.sampled - com.not_applicable
+    assert discrete == 8
+    # certify_composition classifies the pulled-back lattice once per
+    # discrete map and never the lattice it is given
+    assert metrics["funclat.classify_sublattice.calls"] == discrete
+    # P-hoc builds each operator and its round trip; every composition
+    # operator goes through the constructor too
+    assert metrics["comphom.hom_from_map.calls"] == discrete
+    assert metrics["comphom.HomMatrix.init.calls"] == 2 * hoc.exhaustive + discrete
     assert comphom.HOC_CONDITIONS == conditions
     assert all(comphom.HOC_CONDITIONS[k] is f for k, f in conditions.items())
     assert funclat.classify_sublattice is classify

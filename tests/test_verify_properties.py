@@ -294,6 +294,23 @@ def test_mutation_trips_target_and_witness_replays(name, pid, kw):
     assert replay_witness(witness) == []
 
 
+def test_saturation_losing_a_point_of_its_input_trips_fiber_scan(monkeypatch):
+    # P-sat keeps no separate extensive check: the fiber scan contains its
+    # input, so a saturation that drops a point of it differs there first
+    original = contmap.saturation
+    monkeypatch.setattr(contmap, "saturation",
+                        lambda m, a: original(m, a) & ~(a & -a))
+    result = run_suite(properties=("P-sat",), max_points=2,
+                       sample_budget=0).results[0]
+    # every map fails on the one-point subset {0}
+    assert result.failures == result.exhaustive > 0
+    witness = result.witness
+    assert witness["detail"]["check"] == "fiber-scan"
+    assert replay_witness(witness) == [witness["detail"]]
+    monkeypatch.undo()
+    assert replay_witness(witness) == []
+
+
 def test_mutation_runs_in_worker_processes():
     kw = dict(properties=("P-wo",), max_points=2, sample_budget=200,
               mutation="invert-wo-iii")
