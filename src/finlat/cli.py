@@ -43,10 +43,10 @@ def _emit(args, text_lines, structured):
 
 def _cmd_space_props(args):
     space = records.load_record(_read(args.file), "space")
-    lines = [records.emit_space(space), "points: %d" % space.n,
-             "opens: %d" % len(space.opens)]
+    record = records.emit_space(space)
+    lines = [record, "points: %d" % space.n, "opens: %d" % len(space.opens)]
     structured = {
-        "record": records.emit_space(space),
+        "record": record,
         "n": space.n,
         "open_count": len(space.opens),
     }
@@ -68,7 +68,8 @@ def _cmd_space_props(args):
 def _cmd_classify_map(args):
     m = records.load_record(_read(args.file), "map")
     cls = contmap.classify_map(m)
-    lines = [records.emit_map(m), "", "%-20s %-6s %s" % ("class", "value", "routine")]
+    record = records.emit_map(m)
+    lines = [record, "", "%-20s %-6s %s" % ("class", "value", "routine")]
     for name, value in cls.flags().items():
         lines.append("%-20s %-6s %s" % (name, _flag(value), cls.procedure_ids[name]))
     lines.append("")
@@ -84,7 +85,7 @@ def _cmd_classify_map(args):
             {"id": pid, "target": proc.target, "kind": proc.kind, "value": value}
         )
     structured = {
-        "record": records.emit_map(m),
+        "record": record,
         "classification": cls.flags(),
         "routines": cls.procedure_ids,
         "procedures": table,
@@ -97,21 +98,24 @@ def _cmd_quotient(args):
     rel = records.load_record(_read(args.file), "rel")
     qspace, projection = equivrel.quotient(rel)
     flags = contmap.classify_map(projection)  # P-eqr: closed iff closed_map
+    record = records.emit_rel(rel)
+    quotient_record = records.emit_space(qspace)
+    projection_record = records.emit_map(projection)
     lines = [
-        records.emit_rel(rel),
+        record,
         "blocks: %d" % len(rel.blocks),
         "closed relation: %s" % _flag(flags.closed_map),
-        "quotient: %s" % records.emit_space(qspace),
-        "projection: %s" % records.emit_map(projection),
+        "quotient: %s" % quotient_record,
+        "projection: %s" % projection_record,
         "projection quotient_map: %s" % _flag(flags.quotient_map),
         "projection closed_map: %s" % _flag(flags.closed_map),
     ]
     structured = {
-        "record": records.emit_rel(rel),
+        "record": record,
         "block_count": len(rel.blocks),
         "closed_relation": flags.closed_map,
-        "quotient_record": records.emit_space(qspace),
-        "projection_record": records.emit_map(projection),
+        "quotient_record": quotient_record,
+        "projection_record": projection_record,
         "projection": flags.flags(),
     }
     _emit(args, lines, structured)
@@ -120,9 +124,10 @@ def _cmd_quotient(args):
 
 def _cmd_lattice_canonical(args):
     cs = records.load_record(_read(args.file), "sublattice")
-    lines = [records.emit_sublattice(cs), "dimension: %d" % funclat.dim(cs)]
+    record = records.emit_sublattice(cs)
+    lines = [record, "dimension: %d" % funclat.dim(cs)]
     structured = {
-        "record": records.emit_sublattice(cs),
+        "record": record,
         "n": cs.n,
         "dimension": funclat.dim(cs),
     }
@@ -140,12 +145,14 @@ def _cmd_lattice_classify(args):
     if not funclat.contains(ambient, sub):
         raise ValueError("second record is not a sublattice of the first")
     flags = asdict(funclat.classify_sublattice(ambient, sub))
-    lines = [records.emit_sublattice(ambient), records.emit_sublattice(sub), ""]
+    ambient_record = records.emit_sublattice(ambient)
+    sub_record = records.emit_sublattice(sub)
+    lines = [ambient_record, sub_record, ""]
     for name, value in flags.items():
         lines.append("%-17s %s" % (name, _flag(value)))
     structured = {
-        "ambient_record": records.emit_sublattice(ambient),
-        "sub_record": records.emit_sublattice(sub),
+        "ambient_record": ambient_record,
+        "sub_record": sub_record,
         "flags": flags,
     }
     _emit(args, lines, structured)
@@ -169,8 +176,9 @@ def _cmd_hom_check(args):
               {"accepted": False, "reason": str(exc), "witness": witness})
         return 1
     conditions = comphom.hoc_conditions(t)
+    record = records.emit_hom(t)
     lines = [
-        records.emit_hom(t),
+        record,
         "shape: %d x %d" % (t.m, t.n),
         "weights: [%s]" % ", ".join(str(w) for w in t.weights),
         "coordinates: [%s]" % ", ".join(
@@ -182,7 +190,7 @@ def _cmd_hom_check(args):
     lines.append("order continuous: %s" % _flag(all(conditions.values())))
     structured = {
         "accepted": True,
-        "record": records.emit_hom(t),
+        "record": record,
         "shape": [t.m, t.n],
         "weights": [str(w) for w in t.weights],
         "coordinates": list(t.phi),
@@ -203,7 +211,9 @@ def _cmd_certify(args):
               file=sys.stderr)
         print(records.emit_map(m), file=sys.stderr)
         return 1
-    lines = [records.emit_map(m), records.emit_sublattice(e), ""]
+    map_record = records.emit_map(m)
+    lattice_record = records.emit_sublattice(e)
+    lines = [map_record, lattice_record, ""]
     lines.append("certificates:")
     for name in sorted(report.certificates):
         lines.append("  %-22s %s" % (name, _flag(report.certificates[name])))
@@ -215,8 +225,8 @@ def _cmd_certify(args):
         for name in sorted(report.direct):
             lines.append("  %-22s %s" % (name, _flag(report.direct[name])))
     structured = {
-        "map_record": records.emit_map(m),
-        "lattice_record": records.emit_sublattice(e),
+        "map_record": map_record,
+        "lattice_record": lattice_record,
         "certificates": report.certificates,
         "conclusions": report.conclusions,
         "direct": report.direct,

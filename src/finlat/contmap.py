@@ -40,27 +40,28 @@ class ContMap:
                  "_image", "_preimage")
 
     def __init__(self, domain, codomain, table):
-        self.domain = domain
-        self.codomain = codomain
-        self.table = tuple(table)
-        if len(self.table) != domain.n:
+        table = tuple(table)
+        if len(table) != domain.n:
             raise ValueError("table length must match the domain size")
-        for y in self.table:
+        for y in table:
             if not 0 <= y < codomain.n:
                 raise ValueError("table value %r outside the codomain" % (y,))
-        fibers = [0] * codomain.n
-        for x, y in enumerate(self.table):
-            fibers[y] |= bit(x)
-        self.fibers = tuple(fibers)
-        self._image_bit = tuple(bit(y) for y in self.table)
-        self._image = {}
-        self._preimage = {}
-        y = _discontinuity(domain, codomain, self.table)
+        y = _discontinuity(domain, codomain, table)
         if y is not None:
             raise NotContinuous(
                 "preimage of the star of point %d is not open" % y,
                 witness_open=codomain.stars[y],
             )
+        self.domain = domain
+        self.codomain = codomain
+        self.table = table
+        fibers = [0] * codomain.n
+        for x, y in enumerate(table):
+            fibers[y] |= bit(x)
+        self.fibers = tuple(fibers)
+        self._image_bit = tuple(bit(y) for y in table)
+        self._image = {}
+        self._preimage = {}
 
     def __eq__(self, other):
         return (

@@ -7,6 +7,8 @@ masks, each lattice identity from a second computation path.  Instances come
 from two streams per input kind: an exhaustive stream over all small cases in
 a fixed order, then a seeded sampled stream; the first failing instance in
 stream order becomes the witness and can be replayed from its record text.
+The map, relation and discrete-map streams build each finite space once per
+process and star table (at most 389 on up to 4 points) and share it.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +29,7 @@ from .. import funclat
 from .. import latclosure
 from .. import records
 from ..contmap import ContMap, NotContinuous
-from ..finspace import discrete_space, enumerate_topologies, from_stars
+from ..finspace import enumerate_topologies, from_stars
 from .mutations import MUTATIONS, apply_mutation
 from .report import PropertyResult, SuiteReport
 
@@ -679,11 +681,30 @@ PROPERTY_ORDER = tuple(PROPERTIES)
 # instance kinds: the exhaustive stream, the seeded sampler and the witness
 # record of each kind of instance a property checks
 
+@functools.cache
+def _space(stars):
+    """The one stream space with this star tuple, built on first request.
+
+    Every space the instance streams hand out comes from here, so its
+    closure, interior and opens memos stay warm across maps, runs and
+    stages.  The cache is bounded: streams have at most MAX_POINTS_LIMIT = 4
+    points, so it holds at most the 389 labelled topologies on 1-4 points
+    (1 + 4 + 29 + 355).  Sharing is safe: a FinSpace is immutable and its
+    memos are pure functions of the stars, and no mutation wraps anything a
+    FinSpace memoizes (they wrap contmap.saturation, contmap.PROCEDURES and
+    funclat._tie_ratio).  Witnesses still replay through records.load_record,
+    which builds fresh spaces.
+    """
+    return from_stars(len(stars), stars)
+
+
+def _discrete(n):
+    return _space(tuple(bit(x) for x in range(n)))
+
+
 def _spaces_upto(max_points):
-    out = []
-    for n in range(1, max_points + 1):
-        out.extend(enumerate_topologies(n))
-    return out
+    return [_space(s.stars) for n in range(1, max_points + 1)
+            for s in enumerate_topologies(n)]
 
 
 def _exhaustive_maps(cfg):
@@ -766,9 +787,9 @@ def _exhaustive_monomials(cfg):
 
 def _exhaustive_dismaps(cfg):
     for n_dom in range(1, cfg.max_points + 1):
-        dom = discrete_space(n_dom)
+        dom = _discrete(n_dom)
         for n_cod in range(1, cfg.max_points + 1):
-            cod = discrete_space(n_cod)
+            cod = _discrete(n_cod)
             for table in product(range(n_cod), repeat=n_dom):
                 yield ContMap(dom, cod, table)
 
@@ -789,7 +810,7 @@ def _random_space(rng, n):
             if grown != stars[i]:
                 stars[i] = grown
                 changed = True
-    return from_stars(n, stars)
+    return _space(tuple(stars))
 
 
 def _sample_map(cfg, index):
@@ -851,8 +872,8 @@ def _sample_monohom(cfg, index):
 
 def _sample_dismap(cfg, index):
     rng = _rng(cfg.seed, "dismap", index)
-    dom = discrete_space(rng.randint(1, cfg.sample_points))
-    cod = discrete_space(rng.randint(1, cfg.sample_points))
+    dom = _discrete(rng.randint(1, cfg.sample_points))
+    cod = _discrete(rng.randint(1, cfg.sample_points))
     table = tuple(rng.randrange(cod.n) for _ in range(dom.n))
     return ContMap(dom, cod, table)
 

@@ -359,6 +359,65 @@ def test_certify_needs_full_lattice_off_discrete(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# each subcommand emits each of its records once
+
+
+def _count_outer_emits(monkeypatch):
+    """Count calls of each records.emit_* made by the caller, not those one
+    emitter makes of another (a map record emits its two spaces)."""
+    counts = {}
+    depth = [0]
+
+    def counting(name, emit):
+        def wrapper(*args):
+            if not depth[0]:
+                counts[name] = counts.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return emit(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in [k for k in vars(records) if k.startswith("emit_")]:
+        monkeypatch.setattr(records, name, counting(name, getattr(records, name)))
+    return counts
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_each_record_is_emitted_once(capsys, tmp_path, monkeypatch, fmt):
+    disc2_map = record_file(
+        tmp_path, "m.rec",
+        "map { domain = %s; codomain = %s; table = [0,1] }" % (DISC2, DISC2))
+    full2 = record_file(tmp_path, "l.rec", "sublattice { n = 2 }")
+    line = record_file(tmp_path, "s.rec",
+                       "sublattice { n = 2; generators = [ [1,0] ] }")
+    cases = [
+        (["space-props", record_file(tmp_path, "x.rec", SIER)],
+         {"emit_space": 1}),
+        (["classify-map", disc2_map], {"emit_map": 1}),
+        (["quotient", record_file(
+            tmp_path, "r.rec", "rel { space = %s; blocks = [ [0,1], [2] ] }"
+            % DISC3)],
+         {"emit_rel": 1, "emit_space": 1, "emit_map": 1}),
+        (["lattice", "canonical", line], {"emit_sublattice": 1}),
+        (["lattice", "classify", full2, line], {"emit_sublattice": 2}),
+        (["hom", "check", record_file(
+            tmp_path, "h.rec", 'hom { rows = [ ["2","0"], ["0","1/3"] ] }')],
+         {"emit_hom": 1}),
+        (["certify", disc2_map, full2], {"emit_map": 1, "emit_sublattice": 1}),
+        (["enumerate", "--points", "2", "--strategy", "preorder"],
+         {"emit_space": 4}),
+    ]
+    for argv, expected in cases:
+        counts = _count_outer_emits(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv, "--format", fmt)
+        monkeypatch.undo()
+        assert code == 0, argv
+        assert counts == expected, argv
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 

@@ -55,6 +55,20 @@ def test_contmap_rejects_discontinuous_table():
     assert err.value.witness_open == 0b01
 
 
+@pytest.mark.parametrize("table,message", [
+    ([0, 1, 1], "table length must match the domain size"),
+    ([0, 5], "table value 5 outside the codomain"),
+])
+def test_contmap_checks_shape_before_continuity(table, message):
+    # both tables also break continuity at point 0, yet a wrong length or an
+    # out-of-range value is reported first, as a plain ValueError
+    sierp = make_space(2, [0, 0b10, 0b11])
+    with pytest.raises(ValueError) as err:
+        ContMap(sierp, discrete_space(2), table)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_enumeration_budget_guard():
     # 4^11 candidate tables exceed the budget of 2^20
     with pytest.raises(SpaceTooLarge):

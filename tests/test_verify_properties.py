@@ -1,6 +1,7 @@
 """Suite runner mechanics: registry, streams, determinism, fault injection."""
 
 import ast
+from dataclasses import replace
 from fractions import Fraction
 import itertools
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import finlat
 from finlat import comphom, contmap, discrete_space, enumerate_topologies, funclat
+from finlat.finspace import from_stars
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify import properties
 from finlat.verify.properties import (
@@ -238,6 +240,75 @@ def test_worker_split_matches_serial_run():
     serial = run_suite(workers=1, **kw).to_structured()["results"]
     split = run_suite(workers=2, **kw).to_structured()["results"]
     assert serial == split
+
+
+# ---------------------------------------------------------------------------
+# shared stream spaces
+
+
+def test_stream_space_matches_a_fresh_build():
+    tables = [s.stars for n in (1, 2, 3) for s in enumerate_topologies(n)]
+    tables.append((0b0111, 0b0010, 0b0110, 0b1111))
+    for stars in tables:
+        fresh = from_stars(len(stars), stars)
+        shared = properties._space(stars)
+        assert shared == fresh
+        assert shared.opens == fresh.opens
+        assert properties._space(stars) is shared
+
+
+def test_sampled_maps_share_domains_within_and_across_runs(monkeypatch):
+    domains = []
+    original = PROPERTIES["P-sat"]
+
+    def recording(m):
+        domains.append(m.domain)
+        return original.check(m)
+
+    monkeypatch.setitem(PROPERTIES, "P-sat", replace(original, check=recording))
+    kw = dict(properties=("P-sat",), max_points=1, sample_points=3,
+              sample_budget=120, seed=13)
+    first = run_suite(**kw)
+    in_first = len(domains)
+    second = run_suite(**kw)
+    assert first.ok and second.ok
+    assert first.canonical_bytes() == second.canonical_bytes()
+    by_stars = {}
+    for d in domains:
+        by_stars.setdefault(d.stars, d)
+    # at most 29 tables on 3 points against 120 maps per run, so tables
+    # repeat within a run, and every table recurs in the second run
+    assert len(by_stars) < in_first
+    assert {d.stars for d in domains[:in_first]} == {
+        d.stars for d in domains[in_first:]}
+    for d in domains:
+        assert d is by_stars[d.stars]
+
+
+def test_stream_space_cache_is_bounded_by_the_topology_count():
+    # 1 + 4 + 29 + 355 labelled topologies on 1..4 points
+    properties._spaces_upto(4)
+    assert properties._space.cache_info().currsize == 389
+    for points in (1, 2, 3, 4):
+        cfg = SuiteConfig(sample_points=points, seed=points)
+        for index in range(1000):
+            properties._sample_map(cfg, index)
+            properties._sample_rel(cfg, index)
+            properties._sample_dismap(cfg, index)
+    assert properties._space.cache_info().currsize == 389
+
+
+def test_mutation_runs_leave_no_state_behind():
+    # a clean run, a failing run under each shipped mutation, then the clean
+    # run again, all in this process: the shared spaces keep nothing a
+    # mutation touched
+    kw = dict(max_points=2, sample_points=4, sample_budget=40, lattice_dim=2,
+              seed=17)
+    clean = run_suite(**kw)
+    assert clean.ok
+    for name in ("invert-wo-iii", "saturation-drop", "ratio-flip"):
+        assert not run_suite(mutation=name, **kw).ok, name
+    assert run_suite(**kw).canonical_bytes() == clean.canonical_bytes()
 
 
 # ---------------------------------------------------------------------------
