@@ -18,15 +18,16 @@ Every certified HomMatrix passes all five hoc_conditions, as lattice
 homomorphisms of finite-dimensional lattices are order continuous; the
 lattice-side conditions still run their funclat computations.  Their domain
 side depends only on the dimension n: _coordinate_ideals(n) holds, per
-coordinate mask, the zero mask of G^dd and the band verdict of the
-coordinate ideal G, built by funclat on first use and kept for the process.
-funclat.full_space keeps the full lattice of each dimension the same way.
-The probe vectors of chain-continuity and directed-sups, and the joins of
-the directed-sups probe pairs, are shared per n too.  They are int vectors,
-as are funclat's solution bases, so on a composition operator or an
-integer-weight operator every condition runs in int arithmetic.  The
-codomain side of image-dd is computed per operator, and image-dd applies
-T to each domain basis vector once per operator.
+coordinate mask, the zero mask of G^dd, the band verdict of the coordinate
+ideal G and the solution bases of G and G^dd, built by funclat on first use
+and kept for the process.  funclat.full_space keeps the full lattice of each
+dimension the same way.  The probe vectors of chain-continuity and
+directed-sups, and the joins of the directed-sups probe pairs, are shared
+per n too.  They are int vectors, as are funclat's solution bases, so on a
+composition operator or an integer-weight operator every condition runs in
+int arithmetic.  The codomain side of image-dd is computed per operator and
+never kept: one (TG)^dd per distinct set of nonzero images, with T applied
+to each domain basis vector once.
 
 certify_composition reads the theorem table CONCLUSIONS: each conclusion
 about the lattice pulled back along a map is licensed by one map class and,
@@ -206,18 +207,28 @@ def _coordinate_ideals(n):
 
     Entry a describes the coordinate ideal G_a = zero_ideal(full, a) of
     the full n-dimensional lattice: (zero mask of G_a^dd, whether G_a is
-    a band).  The band test computes G_a^dd and accepts exactly when it
-    equals G_a, so G_a^dd is computed again only for a non-band.  Built
-    on first use and kept for the process; the entries are ints and bools.
+    a band, solution basis of G_a, solution basis of G_a^dd).  The band
+    test computes G_a^dd and accepts exactly when it equals G_a, so a band
+    shares G_a's basis, and G_a^dd is computed again only for a non-band.
+    Built on first use and kept for the process.  Each distinct basis
+    vector is stored once: the bases of a dimension share its n unit
+    vectors.
     """
     full = full_space(n)
+    vectors = {}
+
+    def basis(cs):
+        return tuple([vectors.setdefault(v, v) for v in solution_basis(cs)])
+
     table = []
     for a in range(1 << n):
         g = zero_ideal(full, a)
+        g_basis = basis(g)
         if band_complement(full, g) is not None:
-            table.append((g.zero_mask, True))
+            table.append((g.zero_mask, True, g_basis, g_basis))
         else:
-            table.append((double_complement(full, g)[1].zero_mask, False))
+            gdd = double_complement(full, g)[1]
+            table.append((gdd.zero_mask, False, g_basis, basis(gdd)))
     return tuple(table)
 
 
@@ -311,26 +322,40 @@ def _image_double_complements(t):
     """T(G^dd) must land inside (TG)^dd for every coordinate ideal G.
 
     (TG)^dd is a sublattice, so it contains the sublattice generated by
-    T(G^dd) exactly when it contains T of each basis vector of G^dd.  G^dd
-    comes from the per-dimension table; the codomain side is per operator.
-    The bases are unit vectors of the domain, and each distinct one is
-    applied once per call.
+    T(G^dd) exactly when it contains T of each basis vector of G^dd.  Both
+    bases come from the per-dimension table, and each distinct basis vector
+    is applied once per call.  TG is generated by the images of G's basis
+    whatever their order, repeats or zeros, so each ideal is keyed by its
+    set of nonzero images (a bit per distinct image) and the ideals are
+    visited in key order: (TG)^dd is computed once per key, and only one is
+    alive at a time.  When T reads fewer than n columns, many ideals share
+    a key.
     """
-    dom = full_space(t.n)
     cod = full_space(t.m)
+    table = _coordinate_ideals(t.n)
     images = {}
+    distinct = {}
 
     def image(v):
         if v not in images:
             images[v] = t.apply(v)
         return images[v]
 
-    for a, (dd, _) in enumerate(_coordinate_ideals(t.n)):
-        g_basis = solution_basis(zero_ideal(dom, a))
-        tg = canonical_form(t.m, [image(v) for v in g_basis])
-        _, tgdd = double_complement(cod, tg)
-        gdd_basis = g_basis if dd == a else solution_basis(zero_ideal(dom, dd))
-        if not all(member(tgdd, image(v)) for v in gdd_basis):
+    def image_set(basis):
+        key = 0
+        for tv in map(image, basis):
+            if any(tv):
+                key |= distinct.setdefault(tv, 1 << len(distinct))
+        return key
+
+    keys = [image_set(g_basis) for _, _, g_basis, _ in table]
+    current = None
+    for a in sorted(range(len(table)), key=keys.__getitem__):
+        if keys[a] != current:
+            current = keys[a]
+            tg = canonical_form(t.m, [tv for tv, b in distinct.items() if current & b])
+            _, tgdd = double_complement(cod, tg)
+        if not all(member(tgdd, image(v)) for v in table[a][3]):
             return False
     return True
 

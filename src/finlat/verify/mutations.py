@@ -2,7 +2,12 @@
 
 Each mutation patches one module-level binding, runs the suite body, then
 restores the original.  The suite runner installs it in whichever process
-checks the instances, so mutation runs may use worker processes.  The point
+checks the instances, so mutation runs may use worker processes.  A
+mutation installed around the runner is recorded as the active one, and the
+runner hands its name to every pool worker, whatever the start method.
+Where it is active already (a run given the same mutation, or a worker
+forked from the installing process) it is not installed a second time, so
+two wraps never cancel out; a second, different mutation is refused.  The point
 is evidence that the suite has teeth: a silent pass under any of these bugs
 would mean the corresponding property is vacuous.  Callers outside tests
 should never enable them.
@@ -53,10 +58,19 @@ MUTATIONS = {
 }
 
 
+_active = None
+
+
+def active_mutation():
+    """The name of the mutation installed in this process, or None."""
+    return _active
+
+
 @contextmanager
 def apply_mutation(name):
-    if name is None:
-        yield None
+    global _active
+    if name is None or name == _active:
+        yield name
         return
     try:
         _, owner, key, wrap = MUTATIONS[name]
@@ -64,10 +78,15 @@ def apply_mutation(name):
         raise ValueError(
             "unknown mutation %r; known: %s" % (name, ", ".join(sorted(MUTATIONS)))
         ) from None
+    if _active is not None:
+        raise ValueError("mutation %r is installed already; %r cannot join it"
+                         % (_active, name))
     binding = owner if isinstance(owner, dict) else vars(owner)
     original = binding[key]
     binding[key] = wrap(original)
+    _active = name
     try:
         yield name
     finally:
         binding[key] = original
+        _active = None

@@ -8,15 +8,17 @@ from two streams per input kind: an exhaustive stream over all small cases in
 a fixed order, then a seeded sampled stream; the first failing instance in
 stream order becomes the witness and can be replayed from its record text.
 The map, relation and discrete-map streams build each finite space once per
-process and star table (at most 389 on up to 4 points) and share it.
+process and star table (at most 389 on up to 4 points) and share it, and
+the exhaustive streams enumerate the topologies of each size once.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 import functools
 from itertools import combinations_with_replacement, product
 import math
+import multiprocessing
 from operator import mul
 import random
 import time
@@ -30,7 +32,7 @@ from .. import latclosure
 from .. import records
 from ..contmap import ContMap, NotContinuous
 from ..finspace import enumerate_topologies, from_stars
-from .mutations import MUTATIONS, apply_mutation
+from .mutations import MUTATIONS, active_mutation, apply_mutation
 from .report import PropertyResult, SuiteReport
 
 MAX_POINTS_LIMIT = 4
@@ -702,9 +704,15 @@ def _discrete(n):
     return _space(tuple(bit(x) for x in range(n)))
 
 
+@functools.cache
+def _topologies(n):
+    """The stream spaces of the labelled topologies on n points, in
+    enumerate_topologies order; enumerated once per n and kept."""
+    return tuple(_space(s.stars) for s in enumerate_topologies(n))
+
+
 def _spaces_upto(max_points):
-    return [_space(s.stars) for n in range(1, max_points + 1)
-            for s in enumerate_topologies(n)]
+    return [space for n in range(1, max_points + 1) for space in _topologies(n)]
 
 
 def _exhaustive_maps(cfg):
@@ -990,6 +998,13 @@ def _validate(cfg):
                          % (cfg.mutation, ", ".join(sorted(MUTATIONS))))
 
 
+# how the suite runner's pools start their workers, named here rather than
+# left to the interpreter's default (Python 3.14 moves Linux to forkserver).
+# A spawned worker inherits no module state: everything it checks with,
+# the mutation included, reaches it as an argument.
+_START_METHOD = "spawn"
+
+
 @dataclass
 class _Agg:
     exhaustive: int = 0
@@ -1045,14 +1060,24 @@ def _check_stage(kind, pids, cfg, stage, start=0, stop=0, instances=None):
 
 def _span_parts(kind, pids, cfg, stage, total, instances=None):
     """The stage's indices 0..total-1 checked in stream order: as one span
-    inline, or in spans of at least 64 in a pool of at most cfg.workers."""
+    inline, or in spans of at least 64 in a pool of at most cfg.workers.
+
+    The pool starts its workers by _START_METHOD.  A mutation installed
+    around the runner is passed to the workers as cfg.mutation, so a
+    worker that did not inherit it installs it; the inline span runs under
+    it already.
+    """
     if total <= 0:
         return []
     if cfg.workers <= 1:
         return [_check_stage(kind, pids, cfg, stage, 0, total, instances)]
+    if cfg.mutation is None:
+        cfg = replace(cfg, mutation=active_mutation())
     step = max(64, -(-total // (cfg.workers * 4)))
     starts = range(0, total, step)
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts))) as pool:
+    context = multiprocessing.get_context(_START_METHOD)
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts)),
+                             mp_context=context) as pool:
         futures = [
             pool.submit(_check_stage, kind, pids, cfg, stage, a,
                         min(a + step, total),

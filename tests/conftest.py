@@ -1,6 +1,8 @@
 """Shared converters between the package's bitmask world and the oracles'
 frozenset world, plus a cached enumeration of the small spaces."""
 
+import multiprocessing
+
 import pytest
 
 from finlat import enumerate_topologies
@@ -47,7 +49,7 @@ def inline_pool(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -63,3 +65,14 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(properties, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+@pytest.fixture(params=[m for m in ("fork", "forkserver", "spawn")
+                        if m in multiprocessing.get_all_start_methods()])
+def start_method(request, monkeypatch):
+    """Run the suite runner's worker pools under each start method the
+    platform offers."""
+    from finlat.verify import properties
+
+    monkeypatch.setattr(properties, "_START_METHOD", request.param)
+    return request.param

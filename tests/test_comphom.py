@@ -25,7 +25,10 @@ from finlat import (
     zero_ideal,
 )
 from finlat.contmap import MapClassification
-from finlat.funclat import SublatticeFlags, band_complement, double_complement, member
+from finlat import funclat
+from finlat.funclat import (
+    SublatticeFlags, band_complement, double_complement, member, solution_basis,
+)
 from finlat.verify.mutations import apply_mutation
 from finlat.verify import SuiteConfig
 from finlat.verify.properties import _KINDS
@@ -230,6 +233,11 @@ def test_conditions_never_classify_a_sublattice(monkeypatch):
     ("kernel-band", "band_complement", lambda *args: None),
     ("band-preimages", "band_complement", lambda *args: None),
     ("image-dd", "member", lambda *args: False),
+    # TG generates the zero lattice, so (TG)^dd holds no nonzero image
+    ("image-dd", "canonical_form", lambda n, gens: funclat.canonical_form(n, [])),
+    # (TG)^dd read as the zero lattice
+    ("image-dd", "double_complement",
+     lambda amb, e: (amb, funclat.canonical_form(amb.n, []))),
 ])
 def test_lattice_side_condition_fails_with_its_funclat_routine(
         monkeypatch, name, routine, fake):
@@ -340,16 +348,32 @@ def test_probe_joins_are_the_pairwise_max_of_the_probes(n):
     assert comphom._probe_joins(n) is comphom._probe_joins(n)
 
 
-def test_image_dd_builds_one_canonical_form_per_coordinate_ideal(monkeypatch):
+@pytest.mark.parametrize("rows,image_sets", [
+    # e_0 maps to (1,) and e_1, e_2 to zero: the ideals vanishing on column 0
+    # give the empty set, the others {(1,)}
+    ([[1, 0, 0]], 2),
+    ([[1, 0, 0], [2, 0, 0]], 2),
+    ([[0, 0, 0]], 1),
+    ([[1, 0, 0], [0, 2, 0]], 4),
+    ([[1]], 2),
+    ([[1, 0], [0, 1]], 4),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 8),
+], ids=["col-0", "col-0-twice", "zero-row", "cols-0-1",
+        "identity-1", "identity-2", "identity-3"])
+def test_image_dd_closes_each_distinct_nonzero_image_set_once(
+        monkeypatch, rows, image_sets):
     built = []
-    real = comphom.canonical_form
+    closed = []
+    real_form = comphom.canonical_form
+    real_dd = comphom.double_complement
     monkeypatch.setattr(comphom, "canonical_form",
-                        lambda n, gens: built.append(n) or real(n, gens))
-    for n in (1, 2, 3):
-        built.clear()
-        assert comphom._image_double_complements(
-            HomMatrix([[int(i == j) for j in range(n)] for i in range(n)]))
-        assert len(built) == 1 << n
+                        lambda n, gens: built.append(n) or real_form(n, gens))
+    monkeypatch.setattr(comphom, "double_complement",
+                        lambda amb, e: closed.append(e) or real_dd(amb, e))
+    t = HomMatrix(rows)
+    assert comphom._image_double_complements(t)
+    assert len(built) == len(closed) == image_sets
+    assert len(set(closed)) == image_sets
 
 
 def test_band_preimages_test_each_distinct_preimage_once(monkeypatch):
@@ -426,11 +450,18 @@ def test_coordinate_ideal_table_matches_direct_funclat_calls(n):
     full = full_space(n)
     table = comphom._coordinate_ideals(n)
     assert len(table) == 1 << n
-    for a, (dd, band) in enumerate(table):
+    stored = {}
+    for a, (dd, band, g_basis, gdd_basis) in enumerate(table):
         g = zero_ideal(full, a)
         assert band == (band_complement(full, g) is not None)
         assert dd == double_complement(full, g)[1].zero_mask
         assert type(dd) is int and type(band) is bool
+        assert g_basis == tuple(solution_basis(g))
+        assert gdd_basis == tuple(solution_basis(zero_ideal(full, dd)))
+        # each distinct vector is one object across the whole table
+        for v in g_basis + gdd_basis:
+            assert stored.setdefault(v, v) is v
+    assert len(stored) == n
 
 
 def test_conditions_read_the_same_with_the_table_cold_and_warm():
@@ -446,13 +477,17 @@ def test_conditions_read_the_same_with_the_table_cold_and_warm():
 
 
 def test_coordinate_ideal_table_is_untouched_by_ratio_flip():
-    # the full space has no ties, so no tie ratio enters the table
+    # the full space has no ties, so no tie ratio enters the table: not its
+    # masks and verdicts, and not its bases
     comphom._coordinate_ideals.cache_clear()
     try:
         with apply_mutation("ratio-flip"):
             flipped = [comphom._coordinate_ideals(n) for n in range(1, 7)]
         comphom._coordinate_ideals.cache_clear()
         assert flipped == [comphom._coordinate_ideals(n) for n in range(1, 7)]
+        for n, table in enumerate(flipped, 1):
+            assert {v for entry in table for v in entry[2] + entry[3]} == {
+                tuple(int(i == j) for i in range(n)) for j in range(n)}
     finally:
         comphom._coordinate_ideals.cache_clear()
 

@@ -285,6 +285,24 @@ def test_sampled_maps_share_domains_within_and_across_runs(monkeypatch):
         assert d is by_stars[d.stars]
 
 
+def test_stream_topologies_are_enumerated_once_per_size(monkeypatch):
+    calls = []
+    real = properties.enumerate_topologies
+    monkeypatch.setattr(properties, "enumerate_topologies",
+                        lambda n: calls.append(n) or real(n))
+    properties._topologies.cache_clear()
+    kw = dict(properties=("P-ao", "P-eqr"), max_points=3, sample_budget=0)
+    first = run_suite(**kw)
+    second = run_suite(**kw)
+    assert sorted(calls) == [1, 2, 3]
+    assert first.canonical_bytes() == second.canonical_bytes()
+    # in enumerate_topologies order, one shared stream space per table
+    for n in (1, 2, 3):
+        assert [s.stars for s in properties._topologies(n)] == [
+            s.stars for s in real(n)]
+        assert all(s is properties._space(s.stars) for s in properties._topologies(n))
+
+
 def test_stream_space_cache_is_bounded_by_the_topology_count():
     # 1 + 4 + 29 + 355 labelled topologies on 1..4 points
     properties._spaces_upto(4)
@@ -382,7 +400,7 @@ def test_saturation_losing_a_point_of_its_input_trips_fiber_scan(monkeypatch):
     assert replay_witness(witness) == []
 
 
-def test_mutation_runs_in_worker_processes():
+def test_mutation_runs_in_worker_processes(start_method):
     kw = dict(properties=("P-wo",), max_points=2, sample_budget=200,
               mutation="invert-wo-iii")
     serial = run_suite(workers=1, **kw)
@@ -408,6 +426,31 @@ def test_pool_is_sized_to_its_spans(inline_pool):
     assert inline_pool == [4]
     assert multiprocessing.active_children() == []
     assert split.to_structured()["results"] == serial.to_structured()["results"]
+
+
+def test_a_mutation_is_installed_once_and_alone():
+    from finlat.verify.mutations import active_mutation
+
+    original = contmap.PROCEDURES["wo-iii"]
+    kw = dict(properties=("P-wo",), max_points=2, sample_budget=0)
+    alone = run_suite(mutation="invert-wo-iii", **kw).results[0].to_structured()
+    assert alone["failures"] > 0
+    with apply_mutation("invert-wo-iii"):
+        assert active_mutation() == "invert-wo-iii"
+        wrapped = contmap.PROCEDURES["wo-iii"]
+        # the same mutation again is a no-op, on entry and on exit: two
+        # negations would cancel out
+        with apply_mutation("invert-wo-iii"):
+            assert contmap.PROCEDURES["wo-iii"] is wrapped
+        assert contmap.PROCEDURES["wo-iii"] is wrapped
+        again = run_suite(mutation="invert-wo-iii", **kw).results[0]
+        assert again.to_structured() == alone
+        with pytest.raises(ValueError, match="installed already"):
+            with apply_mutation("ratio-flip"):
+                pass
+        assert contmap.PROCEDURES["wo-iii"] is wrapped
+    assert active_mutation() is None
+    assert contmap.PROCEDURES["wo-iii"] is original
 
 
 def test_mutation_restores_bindings_even_on_error():

@@ -173,9 +173,9 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(properties, "ProcessPoolExecutor", RecordingPool)
     return sizes
@@ -229,7 +229,9 @@ def test_sweep_pool_is_sized_to_its_chunks(inline_pool):
     assert _results(split) == _results(serial)
 
 
-def test_mutation_applies_to_the_sweep(pool_sizes):
+def test_mutation_applies_to_the_sweep(pool_sizes, start_method):
+    # the mutation is installed around the sweep, not passed to it: each
+    # worker gets it whether it inherits the parent's modules or not
     with apply_mutation("ratio-flip"):
         serial = run_family_sweep(2)
         split = run_family_sweep(2, workers=2)
