@@ -8,18 +8,23 @@ derives that description from vectors; from_constraints hands it one
 generator per tree of solved ties, and the other operations manipulate
 a system directly.
 
-All scalar arithmetic is exact.  canonical_form groups the coordinates by
-the gcd-normalised integer direction of their generator columns and builds
-one Fraction ratio per tied coordinate; member tests ties by integer
-cross-multiplication.  Explicit tie constraints compose their ratios along
-the paths of a union-find forest before they reach canonical_form.
-Floating point is never used.
+All scalar arithmetic is exact.  canonical_form scales each generator to
+ints once, groups the coordinates by the gcd-normalised direction of their
+int columns and builds one Fraction ratio per tied coordinate; member tests
+ties by integer cross-multiplication.  Explicit tie constraints compose
+their ratios along the paths of a union-find forest before they reach
+canonical_form.  Floating point is never used.  A ConstraintSystem hashes
+every field but its ratios: equal systems agree on the others, so the hash
+stays valid without hashing a Fraction, and two systems that differ only in
+their ratios are unequal and stay apart as dict keys.
 
 The library takes numbers by one rule, _exact: an int or a Fraction passes
 through unchanged, and anything else (a bool, a float, a numeric string) is
 converted by Fraction(v), so 0.5 reads as 1/2 and True as 1.  funclat,
 comphom.HomMatrix, the latclosure oracle and the record parser all read
-their entries this way.  The vectors the library builds are int tuples: a
+their entries this way; canonical_form and latclosure.closure_subspace
+apply the rule once per generator, at the boundary, and work on int tuples
+from there on.  The vectors the library builds are int tuples: a
 Fraction appears only where a value is a ratio, a tie ratio or a
 non-integral operator weight.  Where integer arithmetic is wanted, a vector
 is scaled by the lcm of its denominators (_integral; solution_basis does
@@ -96,6 +101,10 @@ class ConstraintSystem:
     rep: tuple
     ratio: tuple
     groups: tuple
+
+    def __hash__(self):
+        # the ratios are left out (module docstring)
+        return hash((self.n, self.zero_mask, self.rep, self.groups))
 
 
 def _tie_ratio(num, den):
@@ -177,14 +186,15 @@ def _integral(vec):
 
 
 def _direction(col):
-    """The gcd-normalised integer direction of a column, sign kept; None
-    when the column is zero.  Two nonzero columns are positive multiples of
-    each other exactly when their directions are equal."""
-    col = _integral(col)
+    """The gcd-normalised direction of an int column, sign kept; None when
+    the column is zero.  Two nonzero columns are positive multiples of each
+    other exactly when their directions are equal."""
     g = math.gcd(*col)
     if g == 0:
         return None
-    return tuple(v // g for v in col)
+    if g == 1:
+        return col
+    return tuple([v // g for v in col])
 
 
 def canonical_form(n, generators):
@@ -195,13 +205,18 @@ def canonical_form(n, generators):
     every generator, that is when their generator columns are positive
     multiples of each other.  Both conditions are linear, so checking the
     generators settles them for the whole generated sublattice.
+
+    Each generator is scaled to ints once (_integral).  A positive factor
+    on one generator scales one row of every column, so it keeps which
+    columns vanish, which are positive multiples of each other, and every
+    ratio of two entries in one row.
     """
     gens = []
     for g in generators:
         vec = _exact(g)
         if len(vec) != n:
             raise ValueError("generator dimension mismatch")
-        gens.append(vec)
+        gens.append(_integral(vec))
     if n < 0:
         raise ValueError("coordinate count must be nonnegative")
     rep = list(range(n))
@@ -314,9 +329,13 @@ def contains(outer, inner):
 
 
 def double_complement(ambient, e):
-    """(e^d, e^dd): the disjoint complement of e in ambient and its own."""
+    """(e^d, e^dd): the disjoint complement of e in ambient and its own.
+
+    e^d is a zero ideal of ambient, so its members are ambient's and their
+    supports cover every coordinate it does not zero: e^dd is the zero
+    ideal of ambient on those coordinates."""
     first = disjoint_complement(ambient, solution_basis(e))
-    return first, disjoint_complement(ambient, solution_basis(first))
+    return first, zero_ideal(ambient, ((1 << ambient.n) - 1) & ~first.zero_mask)
 
 
 def band_complement(ambient, e):

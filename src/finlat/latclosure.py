@@ -4,10 +4,13 @@ Independent route to the generated-sublattice question, used to
 cross-check the tie/ratio derivation in funclat.canonical_form: the
 caller passes the system it already holds to lattice_closure_matches,
 which grows the generators' span in one elimination pass.  All
-arithmetic is exact: a vector's entries are read by funclat's number rule
-and scaled by the lcm of their denominators, spans are gcd-normalized
-integer rows, feasibility of a sign pattern is decided by Fourier-Motzkin
-elimination on strict homogeneous inequalities.
+arithmetic is exact, and after the boundary it is integer arithmetic:
+closure_subspace reads each generator once by funclat's number rule and
+scales it by the lcm of its denominators (_exact, _integral); from there
+on every vector is an int tuple.  Spans are pivot-keyed integer rows, the
+kernel of a slice comes from fraction-free elimination, and feasibility of
+a sign pattern is decided by Fourier-Motzkin elimination on strict
+homogeneous inequalities.  No Fraction is built here.
 
 The growth step: for a sign pattern s in {+1,-1,0}^n realized strictly
 by some member v of the current span V (v positive where s=+1, negative
@@ -21,9 +24,8 @@ stable under all such additions is closed under w -> w^+ (take s =
 sign(w), witnessed by w itself), hence lattice closed.
 """
 
-from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .funclat import _exact, _integral, dim
 
@@ -31,44 +33,44 @@ from .funclat import _exact, _integral, dim
 def _reduce(vec):
     g = gcd(*vec)
     if g > 1:
-        return tuple(c // g for c in vec)
+        return tuple([c // g for c in vec])
     return tuple(vec)
 
 
 def _pivot(vec):
-    return next((j for j, c in enumerate(vec) if c != 0), None)
-
-
-def _eliminate(vec, basis):
-    """Reduce vec against pivot-keyed integer rows; result gcd-normalized.
-
-    vec may hold any entries funclat reads; it is scaled to ints first."""
-    vec = _integral(_exact(vec))
-    while True:
-        j = _pivot(vec)
-        if j is None or j not in basis:
-            return vec
-        row = basis[j]
-        vec = _reduce(
-            tuple(row[j] * c - vec[j] * r for c, r in zip(vec, row))
-        )
+    for j, c in enumerate(vec):
+        if c:
+            return j
+    return None
 
 
 def _insert(basis, vec):
-    """Add vec to the span; returns True if the dimension grew."""
-    vec = _eliminate(vec, basis)
-    j = _pivot(vec)
-    if j is None:
-        return False
+    """Add an int tuple to the span of the pivot-keyed integer rows; returns
+    True if the dimension grew.  A vector reduced on the way is
+    gcd-normalized."""
+    while True:
+        j = _pivot(vec)
+        if j is None:
+            return False
+        row = basis.get(j)
+        if row is None:
+            break
+        a, b = row[j], vec[j]
+        vec = _reduce([a * c - b * r for c, r in zip(vec, row)])
     if vec[j] < 0:
-        vec = tuple(-c for c in vec)
+        vec = tuple([-c for c in vec])
     basis[j] = vec
     return True
 
 
 def _kernel_basis(matrix, width):
-    """Integer basis of the rational kernel of an integer matrix."""
-    rows = [[Fraction(c) for c in r] for r in matrix]
+    """Primitive integer basis of the rational kernel of an integer matrix.
+
+    Fraction-free Gauss-Jordan elimination: every row stays a nonzero
+    multiple of the rational row it stands for, so the pivots are the
+    rational ones, and each free column gives the primitive vector that is
+    positive there."""
+    rows = list(matrix)
     pivots = {}
     rank = 0
     for col in range(width):
@@ -76,30 +78,32 @@ def _kernel_basis(matrix, width):
         if pr is None:
             continue
         rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        prow = rows[rank]
+        pv = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                rows[i] = _reduce([pv * a - f * b for a, b in zip(row, prow)])
         pivots[col] = rank
         rank += 1
+    # x[pc] = -row[free] / row[pc] on each pivot row, times a positive scale
+    scale = lcm(*[rows[pr][pc] for pc, pr in pivots.items()])
     basis = []
     for free in (c for c in range(width) if c not in pivots):
         vec = [0] * width
-        vec[free] = 1
+        vec[free] = scale
         for pc, pr in pivots.items():
-            vec[pc] = -rows[pr][free]
-        basis.append(_reduce(_integral(vec)))
+            row = rows[pr]
+            vec[pc] = -row[free] * (scale // row[pc])
+        basis.append(_reduce(vec))
     return basis
 
 
 def _strict_feasible(rows):
     """Does some x satisfy r . x > 0 for every row r (all strict)?"""
-    rows = [tuple(r) for r in rows]
     width = len(rows[0]) if rows else 0
     for j in range(width + 1):
-        if any(all(c == 0 for c in r) for r in rows):
+        if not all(map(any, rows)):
             return False
         if j == width:
             break
@@ -109,9 +113,9 @@ def _strict_feasible(rows):
         if pos and neg:
             for p in pos:
                 for q in neg:
-                    rows.append(_reduce(tuple(
-                        -q[j] * a + p[j] * b for a, b in zip(p, q)
-                    )))
+                    rows.append(_reduce(
+                        [-q[j] * a + p[j] * b for a, b in zip(p, q)]
+                    ))
         # one-sided rows are satisfiable by pushing x_j to an extreme
     return True
 
@@ -128,7 +132,7 @@ def _slice_basis(basis_rows, sigma, n):
         for c, b in zip(coeff, basis_rows):
             for j in range(n):
                 vec[j] += c * b[j]
-        out.append(_reduce(tuple(vec)))
+        out.append(_reduce(vec))
     return out
 
 
@@ -137,16 +141,19 @@ def _pattern_feasible(slice_rows, sigma):
     for j, s in enumerate(sigma):
         if s == 0:
             continue
-        rows.append(tuple(s * b[j] for b in slice_rows))
+        rows.append([s * b[j] for b in slice_rows])
     return _strict_feasible(rows)
 
 
 def _pos_projection(vec, sigma):
-    return tuple(c if s == 1 else 0 for c, s in zip(vec, sigma))
+    return tuple([c if s == 1 else 0 for c, s in zip(vec, sigma)])
 
 
 def closure_subspace(n, gens, *, stop_dim=None):
-    """Basis of the lattice closure of span(gens), gcd-normalized rows.
+    """Basis of the lattice closure of span(gens) as sorted int tuples.
+
+    A row reduced against another row is gcd-normalized; a vector that
+    needed no reduction is kept as scaled, so (2, 2) stays (2, 2).
 
     stop_dim returns early once the span reaches that dimension; the
     result is then a partial basis, enough for a containment verdict.
@@ -155,18 +162,20 @@ def closure_subspace(n, gens, *, stop_dim=None):
     for g in gens:
         if len(g) != n:
             raise ValueError("vector length mismatch")
-        _insert(basis, g)
+        _insert(basis, _integral(_exact(g)))
+    # n rows span the whole space: no later insert can grow it
+    limit = n if stop_dim is None else min(n, stop_dim)
 
     def done():
-        return stop_dim is not None and len(basis) >= stop_dim
+        return len(basis) >= limit
 
     changed = True
     while changed and not done():
         changed = False
         # cheap pass: positive parts of current basis vectors
         for v in list(basis.values()):
-            for w in (v, tuple(-c for c in v)):
-                if _insert(basis, tuple(max(c, 0) for c in w)):
+            for w in (v, [-c for c in v]):
+                if _insert(basis, tuple([c if c > 0 else 0 for c in w])):
                     changed = True
                     if done():
                         break

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 import math
 import random
 
@@ -19,7 +20,14 @@ from finlat import (
     solution_basis,
     zero_ideal,
 )
-from finlat.funclat import band_complement, dim, double_complement, from_constraints
+from finlat.bitset import bits
+from finlat.funclat import (
+    _exact,
+    band_complement,
+    dim,
+    double_complement,
+    from_constraints,
+)
 from finlat.latclosure import closure_subspace
 from finlat.verify import family_representatives
 from finlat.verify.mutations import apply_mutation
@@ -397,3 +405,79 @@ def test_kernel_rejects_bad_dimensions(n, gens):
         canonical_form(n, gens)
     with pytest.raises(ValueError):
         oracles.canonical_form(n, gens)
+
+
+# --- the number rule applied once per generator ----------------------------------
+
+# sha256 over each family, in family_representatives order, of
+# repr(canonical_form(n, gens)) + "\n", recorded before canonical_form
+# scaled each generator to ints
+CANONICAL_FORM_PINS = {
+    1: "d0d4b355af0edaa386746e398549adbc096c6cadea68478e2d10e5a8dd146efd",
+    2: "19064b123a897d18eef4affa8b82a6c6e3c24a3c1f5c47f698360f2a84c0d7e5",
+    3: "9fbae9652d89b95f62ece36dfcadc26fa9f98df3836775ca91bda5b6cf99ff80",
+}
+
+
+def test_canonical_forms_of_each_family_match_their_pin():
+    for n, pin in CANONICAL_FORM_PINS.items():
+        h = hashlib.sha256()
+        for gens in family_representatives(n):
+            h.update(repr(canonical_form(n, gens)).encode() + b"\n")
+        assert h.hexdigest() == pin
+
+
+positive_factor = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.data())
+def test_positive_factors_on_generators_keep_the_canonical_form(inputs, data):
+    # the identity that lets canonical_form scale each generator to ints
+    n, gens, _ = inputs
+    factors = data.draw(st.lists(positive_factor, min_size=len(gens), max_size=len(gens)))
+    scaled = [tuple(q * v for v in _exact(g)) for q, g in zip(factors, gens)]
+    got, want = canonical_form(n, scaled), canonical_form(n, gens)
+    fields = lambda s: (s.n, s.zero_mask, s.rep, s.ratio, s.groups)
+    assert repr(fields(got)) == repr(fields(want))
+
+
+def test_equal_systems_hash_equal_and_a_ratio_keeps_its_own_key():
+    for n in (1, 2, 3):
+        for gens in family_representatives(n):
+            system = canonical_form(n, gens)
+            ties = [(x, r, q) for x, (r, q) in enumerate(zip(system.rep, system.ratio))
+                    if r != x]
+            rebuilt = from_constraints(n, bits(system.zero_mask), ties)
+            assert rebuilt == system and hash(rebuilt) == hash(system)
+    plain = canonical_form(3, [(1, 2, 0), (0, 0, 1)])
+    with apply_mutation("ratio-flip"):
+        flipped = canonical_form(3, [(1, 2, 0), (0, 0, 1)])
+    # only the ratio tells them apart, and the hash leaves the ratio out
+    assert flipped.ratio != plain.ratio
+    assert flipped != plain and hash(flipped) == hash(plain)
+    table = {plain: "plain", flipped: "flipped"}
+    assert len(table) == 2
+    assert table[plain] == "plain" and table[flipped] == "flipped"
+
+
+def test_double_complement_is_the_zero_ideal_off_the_first_complement():
+    systems = dict.fromkeys(canonical_form(n, gens) for n in range(1, 5)
+                            for gens in family_representatives(n))
+    pairs = {}
+    for ambient in systems:
+        for a in range(1 << ambient.n):
+            pairs[ambient, zero_ideal(ambient, a)] = None
+        basis = solution_basis(ambient)
+        for pick in range(1 << len(basis)):
+            pairs[ambient, canonical_form(ambient.n, [basis[i] for i in bits(pick)])] = None
+    for ambient, e in pairs:
+        # the two-step definition: e^d, then the complement of its basis
+        first = disjoint_complement(ambient, solution_basis(e))
+        two_step = (first, disjoint_complement(ambient, solution_basis(first)))
+        assert double_complement(ambient, e) == two_step
+    # every coordinate ideal is also a sub-pick: 98 systems, 390 pairs
+    assert (len(systems), len(pairs)) == (98, 390)
+    # the first step still checks membership
+    with pytest.raises(ValueError):
+        double_complement(canonical_form(2, [(1, 1)]), full_space(2))

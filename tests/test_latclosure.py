@@ -1,11 +1,14 @@
 from fractions import Fraction
+import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finlat import canonical_form, full_space, member
-from finlat.funclat import solution_basis
+from finlat import canonical_form, full_space, funclat, latclosure, member
+from finlat.funclat import dim, solution_basis
 from finlat.latclosure import _insert, closure_subspace, lattice_closure_matches
+from finlat.verify import family_representatives
 
 
 def in_span(rows, vec):
@@ -107,3 +110,55 @@ def test_closure_spans_the_canonical_solution_space(instance):
     assert len(closure) == len(basis)
     assert all(in_span(closure, v) for v in basis)
     assert all(in_span(basis, v) for v in closure)
+
+
+# sha256 over each family, in family_representatives order, of
+# repr(closure_subspace(n, gens)) + "\n", recorded on the Fraction-kernel
+# oracle.  The runs with stop_dim = dim(canonical_form(n, gens)) hash the
+# same: once the span reaches the closure's dimension no insert changes it.
+CLOSURE_PINS = {
+    1: "417c56e3741f59a0218db1fa7afd28162ab896a9f5f7d1e5bc0c34580b807488",
+    2: "04dfa2f739ba1b26a327869a5fc9f4b95e2670369921ddae814e10415160b6c8",
+    3: "02f908fc38a098e7eafb5f780d752c0e85c2757a0a677b0efa1b2977184ae7b2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLOSURE_PINS))
+def test_closure_rows_of_each_family_match_their_pin(n):
+    full, stopped = hashlib.sha256(), hashlib.sha256()
+    for gens in family_representatives(n):
+        target = dim(canonical_form(n, gens))
+        full.update(repr(closure_subspace(n, gens)).encode() + b"\n")
+        stopped.update(repr(closure_subspace(n, gens, stop_dim=target)).encode() + b"\n")
+    assert full.hexdigest() == CLOSURE_PINS[n]
+    assert stopped.hexdigest() == CLOSURE_PINS[n]
+
+
+def test_each_generator_is_read_once_at_the_boundary(monkeypatch):
+    # the third coordinate always vanishes, so the closure stays below full
+    # dimension and every pass of the oracle runs
+    gens = [(Fraction(1, 2), -1, 0, 0), (0.5, 0, 0, -1.5), (True, 2, 0, 0)]
+    reads = []
+    exact = funclat._exact
+
+    def counting(vec):
+        reads.append(vec)
+        return exact(vec)
+
+    monkeypatch.setattr(latclosure, "_exact", counting)
+    rows = closure_subspace(4, gens)
+    assert len(reads) == len(gens)
+    assert len(rows) == 3
+    assert all(type(r) is tuple and all(type(c) is int for c in r) for r in rows)
+
+    reads.clear()
+    monkeypatch.setattr(funclat, "_exact", counting)
+    canonical_form(4, gens)
+    assert len(reads) == len(gens)
+
+
+def test_length_mismatch_messages_are_kept():
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        closure_subspace(2, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="^generator dimension mismatch$"):
+        canonical_form(2, [(1,)])
