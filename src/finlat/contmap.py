@@ -3,9 +3,12 @@
 Every class flag has a fast decision routine that quantifies only over
 minimal open neighbourhoods (sound for finite spaces, where every open
 set is a union of stars), plus literal procedures that spell out each
-characterisation with full subset quantifiers.  The literal procedures
-form a registry keyed by stable string IDs so equivalence suites can
-compare them pairwise and report which routine produced a verdict.
+characterisation with full subset quantifiers.  A literal procedure
+iterates the space's subset family it quantifies over (the dense sets of
+the codomain, the proper closed sets of the domain, ...), which the space
+builds on first use.  The literal procedures form a registry keyed by
+stable string IDs so equivalence suites can compare them pairwise and
+report which routine produced a verdict.
 
 Classes defined through a subspace (the image, a dense subset of the
 domain) are decided on the parent spaces, a mask standing for its subspace.
@@ -280,12 +283,12 @@ def _family_guard(m):
 
 def ao_i(m):
     cod = m.codomain
-    return all(cod.interior(image(m, u)) != 0 for u in m.domain.opens[1:])
+    return all(cod.interior(image(m, u)) != 0 for u in m.domain.nonempty_opens)
 
 
 def ao_ii_nonempty(m):
     dom, cod = m.domain, m.codomain
-    for u in dom.opens[1:]:
+    for u in dom.nonempty_opens:
         if not any(
             w and w & ~u == 0 and cod.is_open(image(m, w)) for w in dom.opens
         ):
@@ -295,7 +298,7 @@ def ao_ii_nonempty(m):
 
 def ao_ii_dense(m):
     dom, cod = m.domain, m.codomain
-    for u in dom.opens[1:]:
+    for u in dom.nonempty_opens:
         if not any(
             w & ~u == 0 and u & ~dom.closure(w) == 0 and cod.is_open(image(m, w))
             for w in dom.opens
@@ -306,8 +309,8 @@ def ao_ii_dense(m):
 
 def ao_iii(m):
     dom, cod = m.domain, m.codomain
-    for a in range(cod.full + 1):
-        if cod.is_dense(a) and not dom.is_dense(preimage(m, a)):
+    for a in cod.dense_sets:
+        if not dom.is_dense(preimage(m, a)):
             return False
     return True
 
@@ -315,7 +318,7 @@ def ao_iii(m):
 def wo_i(m):
     cod = m.codomain
     return all(
-        cod.interior(cod.closure(image(m, u))) != 0 for u in m.domain.opens[1:]
+        cod.interior(cod.closure(image(m, u))) != 0 for u in m.domain.nonempty_opens
     )
 
 
@@ -338,8 +341,8 @@ def wo_iii(m):
 
 def wo_iv(m):
     dom, cod = m.domain, m.codomain
-    for a in range(cod.full + 1):
-        if cod.is_nowhere_dense(a) and not dom.is_nowhere_dense(preimage(m, a)):
+    for a in cod.nowhere_dense_sets:
+        if not dom.is_nowhere_dense(preimage(m, a)):
             return False
     return True
 
@@ -357,20 +360,15 @@ def wo_v(m):
 
 def wo_v_canon(m):
     dom, cod = m.domain, m.codomain
-    for c in range(dom.full + 1):
-        if _canonically_closed(dom, c) and not _canonically_closed(
-            cod, cod.closure(image(m, c))
-        ):
+    for c in dom.canonically_closed_sets:
+        if not _canonically_closed(cod, cod.closure(image(m, c))):
             return False
     return True
 
 
 def _almost_open_on_dense(m, quantifier):
-    dom, full = m.domain, m.codomain.full
-    return quantifier(
-        _almost_open_onto(m, d, full)
-        for d in range(dom.full + 1) if dom.is_dense(d)
-    )
+    full = m.codomain.full
+    return quantifier(_almost_open_onto(m, d, full) for d in m.domain.dense_sets)
 
 
 def wo_vi_every(m):
@@ -391,33 +389,32 @@ def sk_sat(m):
     cod = m.codomain
     return all(
         _open_preimage_inside(m, preimage(m, cod.closure(image(m, u))))
-        for u in m.domain.opens[1:]
+        for u in m.domain.nonempty_opens
     )
 
 
 def ssk_sat(m):
     return all(
-        _open_preimage_inside(m, saturation(m, u)) for u in m.domain.opens[1:]
+        _open_preimage_inside(m, saturation(m, u)) for u in m.domain.nonempty_opens
     )
 
 
 def irr_i(m):
     dom, cod = m.domain, m.codomain
     img = image(m, dom.full)
-    for a in range(dom.full + 1):
-        if a != dom.full and dom.is_closed(a):
-            if img & ~cod.closure(image(m, a)) == 0:
-                return False
+    for a in dom.proper_closed_sets:
+        if img & ~cod.closure(image(m, a)) == 0:
+            return False
     return True
 
 
 def irr_ii(m):
-    return all(_open_preimage_inside(m, u) for u in m.domain.opens[1:])
+    return all(_open_preimage_inside(m, u) for u in m.domain.nonempty_opens)
 
 
 def irr_ii_dense(m):
     dom, cod = m.domain, m.codomain
-    for u in dom.opens[1:]:
+    for u in dom.nonempty_opens:
         ok = False
         for v in cod.opens:
             p = preimage(m, v)
@@ -431,7 +428,7 @@ def irr_ii_dense(m):
 
 def wi_def(m):
     dom = m.domain
-    for u in dom.opens[1:]:
+    for u in dom.nonempty_opens:
         if not any(
             w and w & ~u == 0 and is_saturated(m, w) for w in dom.opens
         ):
@@ -447,15 +444,15 @@ def irr_iv(m):
     if not strongly_skeletal_stars(m):
         return False
     dom = m.domain
-    for a in range(dom.full + 1):
-        if a != dom.full and dom.is_closed(a) and dom.is_dense(saturation(m, a)):
+    for a in dom.proper_closed_sets:
+        if dom.is_dense(saturation(m, a)):
             return False
     return True
 
 
 def wi_i(m):
     dom = m.domain
-    for u in dom.opens[1:]:
+    for u in dom.nonempty_opens:
         w = largest_open_saturated(m, u)
         if u & ~dom.closure(w):
             return False
@@ -473,16 +470,16 @@ def wi_ii(m):
 def wi_iii(m):
     dom, cod = m.domain, m.codomain
     img = image(m, dom.full)
-    for a in range(dom.full + 1):
-        if dom.is_nowhere_dense(a) and _interior_in(cod, img, image(m, a)) != 0:
+    for a in dom.nowhere_dense_sets:
+        if _interior_in(cod, img, image(m, a)) != 0:
             return False
     return True
 
 
 def mirr_i(m):
     dom = m.domain
-    for a in range(dom.full + 1):
-        if a != dom.full and dom.is_closed(a) and saturation(m, a) == dom.full:
+    for a in dom.proper_closed_sets:
+        if saturation(m, a) == dom.full:
             return False
     return True
 

@@ -6,8 +6,15 @@ of stars and is materialised lazily, on first use of `opens`.
 
 Closure and interior are computed from the stars and memoized per space
 object, one dict per operator keyed by the mask asked about.  The memos
-fill only with the masks callers ask about, at any number of points; no
-table over all 2^n subsets is built, and the opens family stays lazy.
+fill only with the masks callers ask about, at any number of points.
+
+The subset families that contmap's literal procedures quantify over (the
+nonempty opens, proper closed, dense, nowhere-dense and canonically closed
+sets) are held per space as ascending tuples, each built on first use from
+the opens family or from a scan of all 2^n masks through the memoized
+closure and interior.  Only the literal procedures read them, behind their
+point limit; the star-based routines and the verify references never do,
+so a space that only they touch builds none.
 """
 
 from dataclasses import dataclass
@@ -34,7 +41,9 @@ class SpaceTooLarge(ValueError):
 class FinSpace:
     """Immutable finite space; equality and hashing go through the stars."""
 
-    __slots__ = ("n", "stars", "full", "_opens", "_closure", "_interior")
+    __slots__ = ("n", "stars", "full", "_opens", "_closure", "_interior",
+                 "_nonempty_opens", "_proper_closed_sets", "_dense_sets",
+                 "_nowhere_dense_sets", "_canonically_closed_sets")
 
     def __init__(self, n, stars):
         self.n = n
@@ -43,6 +52,11 @@ class FinSpace:
         self._opens = None
         self._closure = {}
         self._interior = {}
+        self._nonempty_opens = None
+        self._proper_closed_sets = None
+        self._dense_sets = None
+        self._nowhere_dense_sets = None
+        self._canonically_closed_sets = None
 
     @property
     def opens(self):
@@ -58,6 +72,47 @@ class FinSpace:
                     )
             self._opens = tuple(sorted(family))
         return self._opens
+
+    # the families below are ascending tuples of masks, built on first use
+
+    @property
+    def nonempty_opens(self):
+        if self._nonempty_opens is None:
+            self._nonempty_opens = self.opens[1:]
+        return self._nonempty_opens
+
+    @property
+    def proper_closed_sets(self):
+        """Closed sets other than X: the complements of the nonempty opens."""
+        if self._proper_closed_sets is None:
+            self._proper_closed_sets = tuple(
+                sorted(self.full & ~u for u in self.nonempty_opens)
+            )
+        return self._proper_closed_sets
+
+    @property
+    def dense_sets(self):
+        if self._dense_sets is None:
+            self._dense_sets = self._scan(self.is_dense)
+        return self._dense_sets
+
+    @property
+    def nowhere_dense_sets(self):
+        if self._nowhere_dense_sets is None:
+            self._nowhere_dense_sets = self._scan(self.is_nowhere_dense)
+        return self._nowhere_dense_sets
+
+    @property
+    def canonically_closed_sets(self):
+        """Sets equal to the closure of their interior: the closures of opens."""
+        if self._canonically_closed_sets is None:
+            self._canonically_closed_sets = tuple(
+                sorted({self.closure(u) for u in self.opens})
+            )
+        return self._canonically_closed_sets
+
+    def _scan(self, keep):
+        return tuple(a for a in range(self.full + 1) if keep(a))
 
     def is_open(self, a):
         return self.interior(a) == a

@@ -367,11 +367,11 @@ def _infimum_of_dominators_nonzero(cs, k):
             continue  # no member dominates the indicator
         if any(not g & u for g in cs.groups):
             continue  # an unconstrained group lets dominators sink: no infimum
-        # the infimum exists: groupwise the least admissible value
-        inf_values = [
-            max(Fraction(1) / cs.ratio[x] for x in bits(g & u)) for g in cs.groups
-        ]
-        if not any(v > 0 for v in inf_values):
+        # the infimum exists: groupwise the largest 1 / ratio[x] over the
+        # group's points in u, which is positive exactly when some ratio[x]
+        # is (a Fraction's denominator is positive, so its numerator says)
+        if not any(cs.ratio[x].numerator > 0
+                   for g in cs.groups for x in bits(g & u)):
             return False
     return True
 

@@ -21,6 +21,22 @@ def set_from(mask):
     return frozenset(bits(mask))
 
 
+# the subset families a FinSpace builds on first use, each kept in the
+# slot named "_" + its name
+SUBSET_FAMILIES = (
+    "nonempty_opens",
+    "proper_closed_sets",
+    "dense_sets",
+    "nowhere_dense_sets",
+    "canonically_closed_sets",
+)
+
+
+def built_families(space):
+    return [name for name in SUBSET_FAMILIES
+            if getattr(space, "_" + name) is not None]
+
+
 _SPACES = {}
 
 

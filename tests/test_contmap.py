@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import family_of, set_from, spaces_upto
+from conftest import built_families, family_of, set_from, spaces_upto
 from finlat import (
     ContMap,
     NotContinuous,
@@ -12,6 +12,7 @@ from finlat import (
     decide_by,
     discrete_space,
     enumerate_continuous_maps,
+    from_stars,
     make_space,
     saturation,
 )
@@ -235,3 +236,20 @@ def test_procedures_build_no_map_or_subspace(monkeypatch):
         classify_map(m)
         for pid, proc in PROCEDURES.items():
             decide_by(m, proc.target, pid)
+
+
+# --- the subset families are read only by the literal procedures ---------------
+
+def test_classify_map_builds_no_subset_family():
+    space = discrete_space(16)
+    classify_map(ContMap(space, space, range(16)))
+    assert built_families(space) == []
+
+
+def test_literal_procedure_past_the_limit_builds_no_family():
+    dom = discrete_space(13)
+    cod = from_stars(13, (dom.full,) * 13)
+    m = ContMap(dom, cod, range(13))
+    with pytest.raises(SpaceTooLarge):
+        decide_by(m, "weakly_open", "ao-iii")
+    assert built_families(dom) == built_families(cod) == []

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import family_of, mask_from, set_from, spaces_upto
+from conftest import (
+    SUBSET_FAMILIES,
+    built_families,
+    family_of,
+    mask_from,
+    set_from,
+    spaces_upto,
+)
 from finlat import (
     InvalidTopology,
     classify_subset,
@@ -215,3 +222,62 @@ def test_operator_laws(space, wide):
             assert sp.interior(a) == full & ~sp.closure(full & ~a)
             assert sp.is_open(sp.interior(a))
             assert sp.is_closed(cl)
+
+
+# --- the subset families the literal procedures quantify over ----------------
+
+def _oracle_families(space):
+    family = family_of(space)
+    pts = frozenset(range(space.n))
+    out = {name: [] for name in SUBSET_FAMILIES}
+    for a in range(space.full + 1):
+        sub = set_from(a)
+        cl = oracles.closure(space.n, family, sub)
+        flags = {
+            "nonempty_opens": sub in family and bool(sub),
+            "proper_closed_sets": pts - sub in family and sub != pts,
+            "dense_sets": cl == pts,
+            "nowhere_dense_sets": not oracles.interior(family, cl),
+            "canonically_closed_sets": sub == oracles.closure(
+                space.n, family, oracles.interior(family, sub)
+            ),
+        }
+        for name, keep in flags.items():
+            if keep:
+                out[name].append(a)
+    return {name: tuple(masks) for name, masks in out.items()}
+
+
+def test_families_match_the_oracle_scan_up_to_four_points():
+    spaces = spaces_upto(4)
+    assert len(spaces) == 389
+    for space in spaces:
+        want = _oracle_families(space)
+        assert {name: getattr(space, name) for name in SUBSET_FAMILIES} == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(star_tables(max_n=8))
+def test_families_match_the_subset_flags(space):
+    props = [classify_subset(space, a) for a in range(space.full + 1)]
+    keep = {
+        "nonempty_opens": lambda a, p: a != 0 and space.is_open(a),
+        "proper_closed_sets": lambda a, p: p.closed and a != space.full,
+        "dense_sets": lambda a, p: p.dense,
+        "nowhere_dense_sets": lambda a, p: p.nowhere_dense,
+        "canonically_closed_sets": lambda a, p: p.canonically_closed,
+    }
+    for name in SUBSET_FAMILIES:
+        want = tuple(a for a, p in enumerate(props) if keep[name](a, p))
+        assert getattr(space, name) == want, name
+
+
+@pytest.mark.parametrize("name", SUBSET_FAMILIES)
+def test_a_family_is_built_on_first_use_and_kept(name):
+    # a fresh space, so no earlier test has built anything on it
+    space = from_stars(3, (0b001, 0b011, 0b111))
+    assert built_families(space) == []
+    family = getattr(space, name)
+    assert name in built_families(space)
+    assert getattr(space, "_" + name) is family
+    assert getattr(space, name) is family

@@ -20,6 +20,7 @@ from finlat import (
     solution_basis,
     zero_ideal,
 )
+from finlat import funclat
 from finlat.bitset import bits
 from finlat.funclat import (
     _exact,
@@ -481,3 +482,61 @@ def test_double_complement_is_the_zero_ideal_off_the_first_complement():
     # the first step still checks membership
     with pytest.raises(ValueError):
         double_complement(canonical_form(2, [(1, 1)]), full_space(2))
+
+
+# --- the regularity scan reads the sign of each ratio's numerator ---------------
+
+def _fraction_regularity_scan(cs, k):
+    # the scan's first formulation: the infimum's groupwise values as Fractions
+    for u in range(1, 1 << k):
+        if u & cs.zero_mask:
+            continue
+        if any(not g & u for g in cs.groups):
+            continue
+        inf_values = [
+            max(Fraction(1) / cs.ratio[x] for x in bits(g & u)) for g in cs.groups
+        ]
+        if not any(v > 0 for v in inf_values):
+            return False
+    return True
+
+
+def _flags_both_ways(pairs):
+    got = [classify_sublattice(a, e) for a, e in pairs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(funclat, "_infimum_of_dominators_nonzero",
+                      _fraction_regularity_scan)
+        want = [classify_sublattice(a, e) for a, e in pairs]
+    return got, want
+
+
+def test_sublattice_flags_match_the_fraction_scan_on_each_family():
+    systems = dict.fromkeys(canonical_form(n, gens) for n in range(1, 5)
+                            for gens in family_representatives(n))
+    pairs = dict.fromkeys((full_space(e.n), e) for e in systems)
+    pairs.update(dict.fromkeys((ambient, zero_ideal(ambient, a))
+                               for ambient in systems
+                               for a in range(1 << ambient.n)))
+    got, want = _flags_both_ways(list(pairs))
+    assert got == want
+
+
+@st.composite
+def ambient_and_sublattice(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([-2, -1, 0, 1, 2, F(1, 2), F(-3, 2)])
+    ambient = canonical_form(n, draw(st.lists(st.tuples(*[entry] * n), max_size=4)))
+    basis = solution_basis(ambient)
+    # integer combinations of ambient members generate a sublattice of it
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                    max_size=len(basis)), max_size=3))
+    gens = [tuple(sum(c * v[x] for c, v in zip(coeffs, basis)) for x in range(n))
+            for coeffs in combos]
+    return ambient, canonical_form(n, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ambient_and_sublattice(), min_size=1, max_size=5))
+def test_sublattice_flags_match_the_fraction_scan_drawn(pairs):
+    got, want = _flags_both_ways(pairs)
+    assert got == want

@@ -33,7 +33,7 @@ from finlat.verify.properties import (
 from finlat.verify.report import SUITE_SCHEMA
 
 import oracles
-from conftest import family_of
+from conftest import SUBSET_FAMILIES, family_of
 
 
 EXPECTED_ORDER = (
@@ -675,6 +675,49 @@ def test_map_references_read_no_memoized_operator(monkeypatch):
     for m, flags in maps:
         refs = _MapRefs(m)
         assert {t: refs.get(t) for t in targets} == {t: flags[t] for t in targets}
+
+
+def test_dense_family_missing_its_least_member_trips_p_ao_and_p_wo(monkeypatch):
+    # ao-iii and wo-vi-some quantify over the dense sets: one dense set
+    # fewer lets ao-iii pass a map it should fail, and wo-vi-some fail one
+    # it should pass
+    dense_sets = finlat.FinSpace.dense_sets
+    monkeypatch.setattr(finlat.FinSpace, "dense_sets",
+                        property(lambda space: dense_sets.fget(space)[1:]))
+    report = run_suite(properties=("P-ao", "P-wo"), max_points=3, sample_budget=0)
+    results = {r.property_id: r for r in report.results}
+    assert {pid: r.failures for pid, r in results.items()} == {
+        "P-ao": 1676, "P-wo": 1190}
+    witnesses = {pid: r.witness for pid, r in results.items()}
+    assert {pid: w["detail"]["procedure"] for pid, w in witnesses.items()} == {
+        "P-ao": "ao-iii", "P-wo": "wo-vi-some"}
+    for w in witnesses.values():
+        assert replay_witness(w) == [w["detail"]]
+    monkeypatch.undo()
+    for w in witnesses.values():
+        assert replay_witness(w) == []
+
+
+def test_map_references_read_no_subset_family(monkeypatch):
+    # the opens-only references, P-sat and P-hier's checks, and the
+    # star-based classification never read a family the literal
+    # procedures quantify over
+    spaces = [s for n in (1, 2, 3) for s in enumerate_topologies(n)]
+    maps = [m for d in spaces for c in spaces[:8]
+            for m in contmap.enumerate_continuous_maps(d, c)]
+
+    def refuse(space):
+        raise AssertionError("a reference read a subset family")
+
+    for name in SUBSET_FAMILIES:
+        monkeypatch.setattr(finlat.FinSpace, name, property(refuse))
+    targets = sorted({p.target for p in contmap.PROCEDURES.values()})
+    for m in maps:
+        refs = _MapRefs(m)
+        for t in targets:
+            refs.get(t)
+        assert properties._check_saturation(m) == ([], 0)
+        assert properties._check_hierarchy(m) == ([], 0)
 
 
 OPTIMIZED_SCRIPT = """
