@@ -27,9 +27,16 @@ are integers or such strings.
 
 Brackets nest at most MAX_NESTING deep.  A sublattice's n and a hom's row
 and column counts are at most the spaces' point limit, DEFAULT_MAX_POINTS.
+
+A text is read in one scan: one findall splits it into token texts, and the
+parser reads that flat list by index.  A bad character or a too-long integer
+anywhere in the text is reported before any grammar error.  No offsets are
+kept; an error rescans the text up to its token for the line number.
 """
 
+import itertools
 import re
+import string
 
 from .bitset import mask_of, mask_to_list
 from .comphom import HomMatrix
@@ -52,153 +59,177 @@ class RecordError(ValueError):
 # its tail as tokens.  Each character of a gap has one way to match, so a
 # failing match backtracks in linear time.
 _GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
-_SKIP = re.compile(_GAP)
-# one token, after the gap before it
-_TOKEN = re.compile(
-    _GAP + r"""(?: (?P<int>-?\d+) | (?P<str>"[^"\n]*") |
-        (?P<ident>[A-Za-z_][A-Za-z0-9_-]*) | (?P<punct>[{}\[\]=;,@]) )""",
+# after the gap before it: one token, or one character that starts no token
+# (a bad character), or the end of the text.  Every position matches, so
+# one findall reads the whole text left to right and eats the tail gap once.
+# A token keeps its text (a string its quotes), so no two kinds share one;
+# the end is the empty string.
+_SCAN = re.compile(
+    _GAP + r"""(?: ( [{}\[\]=;,@] | -?\d+ | "[^"\n]*" |
+        [A-Za-z_][A-Za-z0-9_-]* | . ) | \Z )""",
     re.VERBOSE,
 )
+_PUNCT = frozenset("{}[]=;,@")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 
 def _line(text, offset):
     return text.count("\n", 0, offset) + 1
 
 
-def _tokenize(text):
-    """(type, value, offset) triples, ending with an "end" token."""
-    out = []
-    pos = 0
-    while m := _TOKEN.match(text, pos):
-        pos = m.end()
-        kind = m.lastgroup
-        value = m[kind]
-        if kind == "int":
-            try:
-                value = int(value)
-            except ValueError:  # past the interpreter's digit limit
-                raise RecordError(
-                    "line %d: integer too long" % _line(text, m.start(kind))
-                ) from None
-        elif kind == "str":
-            value = value[1:-1]
-        out.append((kind, value, m.start(kind)))
-    pos = _SKIP.match(text, pos).end()
-    if pos < len(text):
-        raise RecordError(
-            "line %d: bad character %r" % (_line(text, pos), text[pos])
-        )
-    out.append(("end", None, pos))
-    return out
+def _value_of(tok):
+    """The int or str a value token stands for, or None for a punctuation
+    mark, an identifier or the end; a bad character or an integer past the
+    interpreter's digit limit raises ValueError with the message."""
+    if tok in _PUNCT or tok[:1] in _IDENT_START or not tok:
+        return None
+    if tok[0] == '"':
+        if len(tok) > 1:
+            return tok[1:-1]
+    elif len(tok) > 1 or tok.isdecimal():  # a lone "-" is no integer
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError("integer too long") from None
+    raise ValueError("bad character %r" % tok)
 
 
 class _Parser:
+    """Recursive descent over the token texts of one findall.  Methods take
+    the index of their first token and return the index past their last;
+    a token's offset in the text is found again only for an error."""
+
     def __init__(self, text):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.tokens = tokens = _SCAN.findall(text)
+        try:
+            # every distinct token, so the first bad one in the text is
+            # reported before any grammar error
+            self.values = {t: v for t in set(tokens)
+                           if (v := _value_of(t)) is not None}
+        except ValueError:
+            for i, tok in enumerate(tokens):
+                try:
+                    _value_of(tok)
+                except ValueError as exc:
+                    raise self.error(i, str(exc)) from None
         self.env = {}
 
-    def error(self, tok, message):
-        """A RecordError that names the line of tok."""
-        return RecordError("line %d: %s" % (_line(self.text, tok[2]), message))
+    def error(self, i, message):
+        """A RecordError that names the line of token i."""
+        m = next(itertools.islice(_SCAN.finditer(self.text), i, None))
+        offset = m.end() if m[1] is None else m.start(1)
+        return RecordError("line %d: %s" % (_line(self.text, offset), message))
 
-    def peek(self):
-        return self.tokens[self.i]
+    def shown(self, i):
+        """Token i as an error message names it: an int or str by its
+        value, the end as None."""
+        tok = self.tokens[i]
+        return self.values.get(tok, tok) if tok else None
 
-    def take(self, ttype=None, value=None):
-        tok = self.tokens[self.i]
-        if ttype is not None and tok[0] != ttype:
-            raise self.error(tok, "expected %s, found %r" % (ttype, tok[1]))
-        if value is not None and tok[1] != value:
-            raise self.error(tok, "expected %r, found %r" % (value, tok[1]))
-        self.i += 1
+    def ident(self, i):
+        tok = self.tokens[i]
+        if tok[:1] not in _IDENT_START:
+            raise self.error(i, "expected ident, found %r" % (self.shown(i),))
         return tok
 
+    def punct(self, i, mark):
+        tok = self.tokens[i]
+        if tok != mark:
+            if tok not in _PUNCT:
+                raise self.error(i, "expected punct, found %r" % (self.shown(i),))
+            raise self.error(i, "expected %r, found %r" % (mark, tok))
+
     def parse_file(self):
+        tokens = self.tokens
         records = []
-        while self.peek()[0] != "end":
+        i = 0
+        while tokens[i]:
             name = None
-            tok = self.take("ident")
-            if self.peek()[:2] == ("punct", "="):
-                if tok[1] in KINDS:
-                    raise self.error(tok, "%r cannot name a record" % tok[1])
-                name = tok[1]
-                self.take("punct", "=")
-                tok = self.take("ident")
-            if tok[1] not in KINDS:
-                raise self.error(tok, "unknown record kind %r" % tok[1])
-            obj = self._build(tok[1], self._fields(1), tok)
+            kind = self.ident(i)
+            if tokens[i + 1] == "=":
+                if kind in KINDS:
+                    raise self.error(i, "%r cannot name a record" % kind)
+                name = kind
+                i += 2
+                kind = self.ident(i)
+            if kind not in KINDS:
+                raise self.error(i, "unknown record kind %r" % kind)
+            fields, end = self._fields(i + 1, 1)
+            obj = self._build(kind, fields, i)
             if name is not None:
                 self.env[name] = obj
             records.append((name, obj))
+            i = end
         if not records:
             raise RecordError("no records found")
         return records
 
-    def _nest(self, depth):
+    def _nest(self, i, depth):
         if depth > MAX_NESTING:
-            raise self.error(self.peek(),
-                             "brackets nested deeper than %d" % MAX_NESTING)
+            raise self.error(i, "brackets nested deeper than %d" % MAX_NESTING)
 
-    def _fields(self, depth):
+    def _fields(self, i, depth):
         """The fields of a "{" body that is depth brackets deep."""
-        self._nest(depth)
-        self.take("punct", "{")
+        self._nest(i, depth)
+        self.punct(i, "{")
+        tokens = self.tokens
         fields = {}
-        while True:
-            tok = self.peek()
-            if tok[:2] == ("punct", "}"):
-                self.take()
-                return fields
-            key = self.take("ident")
-            self.take("punct", "=")
-            fields[key[1]] = self._value(depth)
-            if self.peek()[:2] == ("punct", ";"):
-                self.take()
-            elif self.peek()[:2] != ("punct", "}"):
-                raise self.error(self.peek(), "expected ';' or '}'")
+        i += 1
+        while tokens[i] != "}":
+            key = self.ident(i)
+            self.punct(i + 1, "=")
+            fields[key], i = self._value(i + 2, depth)
+            if tokens[i] == ";":
+                i += 1
+            elif tokens[i] != "}":
+                raise self.error(i, "expected ';' or '}'")
+        return fields, i + 1
 
-    def _value(self, depth):
+    def _value(self, i, depth):
         """A value inside depth brackets."""
-        tok = self.peek()
-        ttype, val = tok[0], tok[1]
-        if ttype in ("int", "str"):
-            self.take()
-            return val
-        if (ttype, val) == ("punct", "@"):
-            self.take()
-            ref = self.take("ident")
-            if ref[1] not in self.env:
-                raise self.error(ref, "undefined name %r" % ref[1])
-            return self.env[ref[1]]
-        if (ttype, val) == ("punct", "["):
-            self._nest(depth + 1)
-            self.take()
+        tokens = self.tokens
+        values = self.values
+        tok = tokens[i]
+        value = values.get(tok)
+        if value is not None:
+            return value, i + 1
+        if tok == "@":
+            ref = self.ident(i + 1)
+            if ref not in self.env:
+                raise self.error(i + 1, "undefined name %r" % ref)
+            return self.env[ref], i + 2
+        if tok == "[":
+            self._nest(i, depth + 1)
             items = []
-            while self.peek()[:2] != ("punct", "]"):
-                items.append(self._value(depth + 1))
-                if self.peek()[:2] == ("punct", ","):
-                    self.take()
-                elif self.peek()[:2] != ("punct", "]"):
-                    raise self.error(self.peek(), "expected ',' or ']'")
-            self.take()
-            return items
-        if (ttype, val) == ("punct", "{"):
-            return self._fields(depth + 1)
-        if ttype == "ident" and val in KINDS:
-            self.take()
-            return self._build(val, self._fields(depth + 1), tok)
-        raise self.error(tok, "expected a value, found %r" % (val,))
+            i += 1
+            while (tok := tokens[i]) != "]":
+                value = values.get(tok)
+                if value is None:
+                    value, i = self._value(i, depth + 1)
+                else:
+                    i += 1
+                items.append(value)
+                if tokens[i] == ",":
+                    i += 1
+                elif tokens[i] != "]":
+                    raise self.error(i, "expected ',' or ']'")
+            return items, i + 1
+        if tok == "{":
+            return self._fields(i, depth + 1)
+        if tok in KINDS:
+            fields, end = self._fields(i + 1, depth + 1)
+            return self._build(tok, fields, i), end
+        raise self.error(i, "expected a value, found %r" % (self.shown(i),))
 
-    def _build(self, kind, fields, tok):
-        """The kind's object from its fields; tok is the kind's token."""
+    def _build(self, kind, fields, i):
+        """The kind's object from its fields; i is the kind's token."""
         try:
             return _KIND_TABLE[kind][1](fields)
         except RecordError:
             raise
         except (TypeError, ValueError, KeyError) as exc:
-            raise self.error(tok, "bad %s record: %s" % (kind, exc)) from exc
+            raise self.error(i, "bad %s record: %s" % (kind, exc)) from exc
 
 
 def _need(fields, key, kind):

@@ -24,6 +24,9 @@ from .properties import _lattice_alphabet, _normalize, check_instances
 
 PERMUTE_FROM = 4
 MAX_GENS = 3
+# index triples per slice of the orbit-minimum pass, which bounds the size
+# of its arrays (about 3.4 M triples in all at n = 4)
+SLICE_TRIPLES = 2 ** 18
 # the properties the sweep checks, with the suite label of their mismatches
 _SUITES = {"P-sw": "closure", "P-dis": "dis", "P-menag": "menag"}
 
@@ -36,7 +39,9 @@ def _permutation_quotient(n, alphabet):
     sorts last.  Packing a sorted triple into one integer key in base
     ``len(alphabet) + 1`` makes integer order the lexicographic order on
     triples, so the orbit minimum is a running ``np.minimum`` of the keys
-    over the coordinate permutations.
+    over the coordinate permutations.  The triples are taken about
+    SLICE_TRIPLES at a time; one orbit's minimum can come from several
+    slices, so the distinct minima of every slice are merged at the end.
     """
     # imported here, so importing the package does not load numpy
     import numpy as np
@@ -47,30 +52,44 @@ def _permutation_quotient(n, alphabet):
     index_type = np.min_scalar_type(size)
     key_type = np.min_scalar_type(base ** 3)
 
-    # every triple a <= b <= c over 0..size: each pair b <= c takes a = 0..b
-    b, c = np.triu_indices(base)
-    counts = b + 1
-    a = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    columns = [
-        col.astype(index_type)
-        for col in (a, np.repeat(b, counts), np.repeat(c, counts))
-    ]
-
-    best = None
+    tables = []
     for perm in permutations(range(n)):
         table = np.empty(base, dtype=index_type)
         table[size] = size
         for i, vec in enumerate(alphabet):
             table[i] = lookup[_normalize(tuple(vec[p] for p in perm))]
-        x, y, z = (table[col] for col in columns)
-        # sorting network on the three columns
-        x, y = np.minimum(x, y), np.maximum(x, y)
-        y, z = np.minimum(y, z), np.maximum(y, z)
-        x, y = np.minimum(x, y), np.maximum(x, y)
-        key = (x.astype(key_type) * base + y) * base + z
-        best = key if best is None else np.minimum(best, key, out=best)
+        tables.append(table)
 
-    x, yz = np.divmod(np.unique(best), base * base)
+    # every triple a <= b <= c over 0..size: each pair b <= c takes a = 0..b
+    pair_b, pair_c = np.triu_indices(base)
+    ends = np.cumsum(pair_b + 1)
+    minima = []
+    start = 0
+    while start < len(pair_b):
+        done = ends[start - 1] if start else 0
+        # the pairs whose triples fit in the slice, and at least one
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, done + SLICE_TRIPLES, "right")))
+        b, c = pair_b[start:stop], pair_c[start:stop]
+        counts = b + 1
+        a = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        columns = [
+            col.astype(index_type)
+            for col in (a, np.repeat(b, counts), np.repeat(c, counts))
+        ]
+        best = None
+        for table in tables:
+            x, y, z = (table[col] for col in columns)
+            # sorting network on the three columns
+            x, y = np.minimum(x, y), np.maximum(x, y)
+            y, z = np.minimum(y, z), np.maximum(y, z)
+            x, y = np.minimum(x, y), np.maximum(x, y)
+            key = (x.astype(key_type) * base + y) * base + z
+            best = key if best is None else np.minimum(best, key, out=best)
+        minima.append(np.unique(best))
+        start = stop
+
+    x, yz = np.divmod(np.unique(np.concatenate(minima)), base * base)
     y, z = np.divmod(yz, base)
     return [
         tuple(alphabet[i] for i in row if i != size)

@@ -7,14 +7,17 @@ these and the fast bitmask routines is a genuine cross-check.  The one
 exception is the subspace section below: it rebuilds each restricted map as
 its own space and map with the package's ``subspace`` and ``ContMap``, the
 way the map classes were first decided, and checks the mask-based subspace
-routines against those rebuilt maps.  The lattice-construction section at
-the end likewise keeps the first, longer formulations of a few constructions
-on top of the package's own constraint systems.
+routines against those rebuilt maps.  The lattice-construction section
+likewise keeps the first, longer formulations of a few constructions on top
+of the package's own constraint systems, and the record section at the end
+keeps the first record parser (one regex match and one token tuple per
+token) on top of the package's record builders.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd
+import re
 
 
 def powerset(points):
@@ -578,3 +581,169 @@ def certified_direct(phi, e):
         "order_continuous": all(conditions),
         "image_regular": flags.regular,
     }
+
+
+# --- records: the token-tuple parser ------------------------------------------
+
+_REF_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
+_REF_SKIP = re.compile(_REF_GAP)
+_REF_TOKEN = re.compile(
+    _REF_GAP + r"""(?: (?P<int>-?\d+) | (?P<str>"[^"\n]*") |
+        (?P<ident>[A-Za-z_][A-Za-z0-9_-]*) | (?P<punct>[{}\[\]=;,@]) )""",
+    re.VERBOSE,
+)
+
+
+def _ref_line(text, offset):
+    return text.count("\n", 0, offset) + 1
+
+
+def reference_tokenize(text):
+    """(type, value, offset) triples, ending with an "end" token."""
+    from finlat.records import RecordError
+
+    out = []
+    pos = 0
+    while m := _REF_TOKEN.match(text, pos):
+        pos = m.end()
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's digit limit
+                raise RecordError(
+                    "line %d: integer too long" % _ref_line(text, m.start(kind))
+                ) from None
+        elif kind == "str":
+            value = value[1:-1]
+        out.append((kind, value, m.start(kind)))
+    pos = _REF_SKIP.match(text, pos).end()
+    if pos < len(text):
+        raise RecordError(
+            "line %d: bad character %r" % (_ref_line(text, pos), text[pos])
+        )
+    out.append(("end", None, pos))
+    return out
+
+
+class ReferenceParser:
+    """The whole text tokenized first, then read through peek()/take();
+    records are built by the package's own builders."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = reference_tokenize(text)
+        self.i = 0
+        self.env = {}
+
+    def error(self, tok, message):
+        from finlat.records import RecordError
+
+        return RecordError("line %d: %s" % (_ref_line(self.text, tok[2]), message))
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, ttype=None, value=None):
+        tok = self.tokens[self.i]
+        if ttype is not None and tok[0] != ttype:
+            raise self.error(tok, "expected %s, found %r" % (ttype, tok[1]))
+        if value is not None and tok[1] != value:
+            raise self.error(tok, "expected %r, found %r" % (value, tok[1]))
+        self.i += 1
+        return tok
+
+    def parse_file(self):
+        from finlat.records import KINDS, RecordError
+
+        records = []
+        while self.peek()[0] != "end":
+            name = None
+            tok = self.take("ident")
+            if self.peek()[:2] == ("punct", "="):
+                if tok[1] in KINDS:
+                    raise self.error(tok, "%r cannot name a record" % tok[1])
+                name = tok[1]
+                self.take("punct", "=")
+                tok = self.take("ident")
+            if tok[1] not in KINDS:
+                raise self.error(tok, "unknown record kind %r" % tok[1])
+            obj = self._build(tok[1], self._fields(1), tok)
+            if name is not None:
+                self.env[name] = obj
+            records.append((name, obj))
+        if not records:
+            raise RecordError("no records found")
+        return records
+
+    def _nest(self, depth):
+        from finlat.records import MAX_NESTING
+
+        if depth > MAX_NESTING:
+            raise self.error(self.peek(),
+                             "brackets nested deeper than %d" % MAX_NESTING)
+
+    def _fields(self, depth):
+        self._nest(depth)
+        self.take("punct", "{")
+        fields = {}
+        while True:
+            tok = self.peek()
+            if tok[:2] == ("punct", "}"):
+                self.take()
+                return fields
+            key = self.take("ident")
+            self.take("punct", "=")
+            fields[key[1]] = self._value(depth)
+            if self.peek()[:2] == ("punct", ";"):
+                self.take()
+            elif self.peek()[:2] != ("punct", "}"):
+                raise self.error(self.peek(), "expected ';' or '}'")
+
+    def _value(self, depth):
+        from finlat.records import KINDS
+
+        tok = self.peek()
+        ttype, val = tok[0], tok[1]
+        if ttype in ("int", "str"):
+            self.take()
+            return val
+        if (ttype, val) == ("punct", "@"):
+            self.take()
+            ref = self.take("ident")
+            if ref[1] not in self.env:
+                raise self.error(ref, "undefined name %r" % ref[1])
+            return self.env[ref[1]]
+        if (ttype, val) == ("punct", "["):
+            self._nest(depth + 1)
+            self.take()
+            items = []
+            while self.peek()[:2] != ("punct", "]"):
+                items.append(self._value(depth + 1))
+                if self.peek()[:2] == ("punct", ","):
+                    self.take()
+                elif self.peek()[:2] != ("punct", "]"):
+                    raise self.error(self.peek(), "expected ',' or ']'")
+            self.take()
+            return items
+        if (ttype, val) == ("punct", "{"):
+            return self._fields(depth + 1)
+        if ttype == "ident" and val in KINDS:
+            self.take()
+            return self._build(val, self._fields(depth + 1), tok)
+        raise self.error(tok, "expected a value, found %r" % (val,))
+
+    def _build(self, kind, fields, tok):
+        from finlat.records import RecordError, _KIND_TABLE
+
+        try:
+            return _KIND_TABLE[kind][1](fields)
+        except RecordError:
+            raise
+        except (TypeError, ValueError, KeyError) as exc:
+            raise self.error(tok, "bad %s record: %s" % (kind, exc)) from exc
+
+
+def reference_parse_records(text):
+    return ReferenceParser(text).parse_file()

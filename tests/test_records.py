@@ -1,10 +1,12 @@
 import signal
+import string
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import spaces_upto
 from finlat import (
     ConstraintSystem,
@@ -102,8 +104,15 @@ def test_comments_are_skipped_whole():
     ("\n\nx = space { n = 1; opens = [[],[0]] }\nmap { domain = @y }",
      "line 4: undefined name 'y'"),
     ("\n" + "1" * 5000, "line 2: integer too long"),
+    # a bad character or a too-long integer anywhere in the text comes
+    # before any grammar error
+    ("space { ; } $", "line 1: bad character '$'"),
+    ("space { ; }\n" + "9" * 5000, "line 2: integer too long"),
+    ('space { n = 1;\n opens = "[]] }', "line 2: bad character '\"'"),
+    ("-", "line 1: bad character '-'"),
 ], ids=["bad-character", "after-comment", "comment-ends-line", "kind-line",
-        "undefined-name", "integer-too-long"])
+        "undefined-name", "integer-too-long", "bad-character-first",
+        "long-integer-first", "unclosed-string", "lone-minus"])
 def test_error_lines_count_comments_and_blank_lines(text, message):
     with pytest.raises(RecordError) as err:
         parse_records(text)
@@ -128,8 +137,18 @@ _SPACE_1 = "space { n = 1; opens = [ [], [0] ] }"
     (_SPACE_1 + " " * 40, None),
     (_SPACE_1 + "\n" * 40, None),
     (_SPACE_1 + "\n # c" * 40, None),
+    # a scanner that retries the tail gap at each of its positions is
+    # quadratic in the gap's length
+    (_SPACE_1 + " " * 100_000, None),
+    (_SPACE_1 + "\n" * 100_000, None),
+    (_SPACE_1 + "# c\n" * 25_000, None),
+    (_SPACE_1 + " " * 100_000 + "$", "line 1: bad character '$'"),
+    (_SPACE_1 + "\n" * 100_000 + "$", "line 100001: bad character '$'"),
+    (_SPACE_1 + "# c\n" * 25_000 + "$", "line 25001: bad character '$'"),
 ], ids=["spaces-bad", "newlines-bad", "comments-bad", "spaces-end",
-        "newlines-end", "comments-end"])
+        "newlines-end", "comments-end", "long-spaces-end", "long-newlines-end",
+        "long-comments-end", "long-spaces-bad", "long-newlines-bad",
+        "long-comments-bad"])
 def test_long_gaps_tokenize_in_linear_time(text, message):
     # a gap pattern that can split a whitespace run several ways backtracks
     # through about 2**40 splits here; the timer turns that into a failure
@@ -324,3 +343,31 @@ def test_token_streams_parse_or_raise_record_error(text):
         back = load_record(_EMIT[type(obj)](obj))
         assert type(back) is type(obj)
         assert back == obj
+
+
+# --- the parser against the first token-tuple parser --------------------------
+
+# single characters that start, end or break tokens, and whole words
+_CHAR_SOUP = st.lists(st.one_of(
+    st.sampled_from(tuple('{}[]=;,@"#-$' + string.digits + string.ascii_letters
+                          + " \n")),
+    st.sampled_from(KINDS + ("n", "opens", "table", "rows", "a", "b")),
+), max_size=60).map("".join)
+
+
+def _outcome(parse, text):
+    """The parsed (name, type, object) triples, or the exception's type
+    and text."""
+    try:
+        return [(name, type(obj), obj) for name, obj in parse(text)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_TOKEN_SOUP, _CHAR_SOUP,
+                 st.lists(_RECORD, min_size=1, max_size=2).map("\n".join)))
+def test_parser_matches_the_reference_parser(text):
+    """Equal records, or a RecordError with the same text, line included."""
+    assert _outcome(parse_records, text) == _outcome(
+        oracles.reference_parse_records, text)

@@ -110,9 +110,16 @@ def _orbit_minima(n):
     return [tuple(alphabet[i] for i in t) for t in ordered]
 
 
-@pytest.mark.parametrize("n,orbits", [(2, 92), (3, 3900)])
-def test_permutation_quotient_is_sorted_orbit_minima(monkeypatch, n, orbits):
+@pytest.mark.parametrize("n,orbits,slice_triples", [
+    pytest.param(n, orbits, size, id="%d-%d%s" % (n, orbits, suffix))
+    for n, orbits in ((2, 92), (3, 3900))
+    for size, suffix in ((1, "-slice-1"), (50, "-slice-50"),
+                         (swsweep.SLICE_TRIPLES, ""))
+])
+def test_permutation_quotient_is_sorted_orbit_minima(monkeypatch, n, orbits,
+                                                     slice_triples):
     monkeypatch.setattr(swsweep, "PERMUTE_FROM", n)
+    monkeypatch.setattr(swsweep, "SLICE_TRIPLES", slice_triples)
     reps = family_representatives(n)
     assert reps == _orbit_minima(n)
     assert len(reps) == oracles.burnside_multiset_orbits(
