@@ -21,13 +21,15 @@ side depends only on the dimension n: _coordinate_ideals(n) holds, per
 coordinate mask, the zero mask of G^dd, the band verdict of the coordinate
 ideal G and the solution bases of G and G^dd, built by funclat on first use
 and kept for the process.  funclat.full_space keeps the full lattice of each
-dimension the same way.  The probe vectors of chain-continuity and
-directed-sups, and the joins of the directed-sups probe pairs, are shared
-per n too.  They are int vectors, as are funclat's solution bases, so on a
-composition operator or an integer-weight operator every condition runs in
-int arithmetic.  The codomain side of image-dd is computed per operator and
-never kept: one (TG)^dd per distinct set of nonzero images, with T applied
-to each domain basis vector once.
+dimension the same way.  The probe vectors of chain-continuity are shared
+per n too, and so is the table of directed-sups: each distinct vector of
+its families (the probes, the joins of the probe pairs and, up to n = 12,
+the subset indicators) once, with the checks as index triples, so T is
+applied once per distinct vector.  They are int vectors, as are funclat's
+solution bases, so on a composition operator or an integer-weight operator
+every condition runs in int arithmetic.  The codomain side of image-dd is
+computed per operator and never kept: one (TG)^dd per distinct set of
+nonzero images, with T applied to each domain basis vector once.
 
 certify_composition reads the theorem table CONCLUSIONS: each conclusion
 about the lattice pulled back along a map is licensed by one map class and,
@@ -86,7 +88,7 @@ def _normal_form(rows):
     weights = []
     phi = []
     for row in rows:
-        live = [j for j, v in enumerate(row) if v != 0]
+        live = [j for j, v in enumerate(row) if v]
         if len(live) > 1 or (live and row[live[0]] < 0):
             return None
         w = row[live[0]] if live else 0
@@ -105,12 +107,13 @@ def _first_failing_probe(rows):
     nonzero-column pair over the rows.
     """
     n = len(rows[0])
-    negative = [j for j in range(n) if any(row[j] < 0 for row in rows)]
-    if negative:
-        return tuple(int(j == negative[0]) for j in range(n))
+    negative = min((j for row in rows for j, v in enumerate(row) if v < 0),
+                   default=None)
+    if negative is not None:
+        return tuple(int(j == negative) for j in range(n))
     pair = min(
         (live[:2]
-         for live in ([j for j, v in enumerate(row) if v != 0] for row in rows)
+         for live in ([j for j, v in enumerate(row) if v] for row in rows)
          if len(live) > 1),
         default=None,
     )
@@ -254,10 +257,31 @@ def _probe_joins(n):
 
 
 @cache
-def _subset_indicators(n):
-    """The int indicator vectors of all 2^n coordinate sets and their sup."""
-    chain = tuple(tuple(a >> j & 1 for j in range(n)) for a in range(1 << n))
-    return chain, tuple(max(vals) for vals in zip(*chain))
+def _directed_sup_table(n):
+    """The vectors directed-sups applies T to, and its checks by index.
+
+    (vectors, joins, indicators, sup): vectors holds each distinct int
+    vector among the probes, their pairwise joins and, for n <= 12, the
+    2^n subset indicators, once, in order of first appearance.  joins holds
+    (i, j, k) for each pair of _probe_joins(n), with vectors[i] and
+    vectors[j] its probes and vectors[k] their join; indicators holds the
+    indices of the 2^n indicators and sup the index of their sup, the
+    all-ones vector.  Above n = 12 indicators is empty and sup None.
+    """
+    index = {}
+
+    def at(v):
+        return index.setdefault(v, len(index))
+
+    probes = [at(p) for p in _probe_positives(n)]
+    joins = tuple((probes[i], probes[j], at(join)) for i, j, join in _probe_joins(n))
+    indicators = ()
+    sup = None
+    if n <= 12:
+        indicators = tuple(at(tuple(a >> j & 1 for j in range(n)))
+                           for a in range(1 << n))
+        sup = at((1,) * n)
+    return tuple(index), joins, indicators, sup
 
 
 def _chain_continuity(t):
@@ -279,19 +303,20 @@ def _directed_sup_preservation(t):
     Each probe pair a, b gives the directed family {a, b, a v b}, whose sup
     is a v b.  The family is symmetric in a and b and trivially preserved
     when a = b, so each unordered pair of distinct probes is visited once.
-    The subset indicators form an upward-directed family whose sup is the
-    all-ones vector.
+    For n <= 12 the 2^n subset indicators form one more upward-directed
+    family, whose sup is the all-ones vector; above that it is skipped.
+    The per-dimension _directed_sup_table lists every vector these
+    families hold once, so T is applied once per distinct vector, and the
+    checks read the images by index.
     """
-    images = [t.apply(a) for a in _probe_positives(t.n)]
-    for i, j, join in _probe_joins(t.n):
-        t_top = t.apply(join)
-        if t_top != tuple(max(vals) for vals in zip(images[i], images[j], t_top)):
+    vectors, joins, indicators, sup = _directed_sup_table(t.n)
+    images = [t.apply(v) for v in vectors]
+    for i, j, k in joins:
+        top = images[k]
+        if tuple(map(max, images[i], images[j], top)) != top:
             return False
-    if t.n <= 12:
-        chain, sup_dom = _subset_indicators(t.n)
-        sup_img = tuple(max(vals) for vals in zip(*(t.apply(f) for f in chain)))
-        if t.apply(sup_dom) != sup_img:
-            return False
+    if indicators and tuple(map(max, *[images[k] for k in indicators])) != images[sup]:
+        return False
     return True
 
 

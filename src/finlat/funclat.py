@@ -20,7 +20,8 @@ their ratios are unequal and stay apart as dict keys.
 
 The library takes numbers by one rule, _exact: an int or a Fraction passes
 through unchanged, and anything else (a bool, a float, a numeric string) is
-converted by Fraction(v), so 0.5 reads as 1/2 and True as 1.  funclat,
+converted by Fraction(v), so 0.5 reads as 1/2 and True as 1, and a
+non-finite float (an infinity or a NaN) raises ValueError.  funclat,
 comphom.HomMatrix, the latclosure oracle and the record parser all read
 their entries this way; canonical_form and latclosure.closure_subspace
 apply the rule once per generator, at the boundary, and work on int tuples
@@ -170,11 +171,18 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _exact(vec):
-    """The entries as ints and Fractions; any other type through Fraction."""
+    """The entries as ints and Fractions; any other type through Fraction.
+
+    An infinite or NaN float raises ValueError (Fraction itself raises
+    OverflowError for an infinity).
+    """
     vec = tuple(vec)
     if _EXACT_TYPES.issuperset(map(type, vec)):
         return vec
-    return tuple(v if type(v) in _EXACT_TYPES else Fraction(v) for v in vec)
+    try:
+        return tuple(v if type(v) in _EXACT_TYPES else Fraction(v) for v in vec)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _integral(vec):
@@ -398,15 +406,9 @@ def classify_sublattice(ambient, e):
     projection_band = band and dim(inner) + dim(first) == k
     order_dense = contains(inner, amb)
 
-    kfull = (1 << k) - 1
-    urysohn = True
-    weakly_urysohn = True
-    for u in range(1, 1 << k):
-        vanish = zero_ideal(inner, kfull & ~u)
-        if not vanish.groups:
-            weakly_urysohn = False
-        if vanish.zero_mask & u:
-            urysohn = False
+    # zero_ideal(inner, ~{x}) is nonzero, and zeroes no coordinate of {x},
+    # only when {x} is a group; so both hold for every u iff inner is full
+    urysohn = weakly_urysohn = order_dense
     regular = _infimum_of_dominators_nonzero(inner, k)
 
     return SublatticeFlags(

@@ -564,6 +564,29 @@ def band_preimages_every_subset(t):
     return True
 
 
+def urysohn_flags_by_zero_ideals(ambient, e):
+    """(urysohn, weakly_urysohn) of e in ambient by their definition.
+
+    e is rewritten over the group representatives of ambient, as in
+    classify_sublattice; then for every nonempty coordinate set u the
+    members vanishing off u, zero_ideal(inner, ~u), must be nonzero (weakly
+    Urysohn) and must zero no coordinate of u (Urysohn).
+    """
+    from finlat import canonical_form, solution_basis, zero_ideal
+
+    k = len(ambient.groups)
+    reps = [(g & -g).bit_length() - 1 for g in ambient.groups]
+    inner = canonical_form(k, [tuple(v[r] for r in reps) for v in solution_basis(e)])
+    urysohn = weakly_urysohn = True
+    for u in range(1, 1 << k):
+        vanish = zero_ideal(inner, ((1 << k) - 1) & ~u)
+        if not vanish.groups:
+            weakly_urysohn = False
+        if vanish.zero_mask & u:
+            urysohn = False
+    return urysohn, weakly_urysohn
+
+
 def certified_direct(phi, e):
     """The direct lattice verdicts of certify_composition on discrete
     spaces, through the formulations above."""

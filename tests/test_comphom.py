@@ -292,13 +292,34 @@ def test_directed_sups_match_the_family_reference_on_drawn_matrices(rows):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_directed_sups_apply_each_probe_and_join_once(n):
-    # one join per unordered pair of distinct probes, then the indicator
-    # family and its sup
+    # one apply per distinct vector among the probes, their joins and the
+    # subset indicators: a vector shared by several families is applied once
     t = DenseOperator([[int(i == j) for j in range(n)] for i in range(n)])
     assert comphom._directed_sup_preservation(t)
-    probes = 2 * n + 1
-    chain = (1 << n) + 1
-    assert t.applied == probes * (probes - 1) // 2 + probes + chain
+    distinct = {1: 2, 2: 6, 3: 14, 4: 24}[n]
+    assert t.applied == distinct == len(comphom._directed_sup_table(n)[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 13])
+def test_directed_sup_table_lists_each_vector_once(n):
+    vectors, joins, indicators, sup = comphom._directed_sup_table(n)
+    probes = comphom._probe_positives(n)
+    pairs = comphom._probe_joins(n)
+    assert len(joins) == len(pairs)
+    for (i, j, k), (a, b, join) in zip(joins, pairs):
+        assert (vectors[i], vectors[j]) == (probes[a], probes[b])
+        assert vectors[k] == join == tuple(map(max, vectors[i], vectors[j]))
+    want = set(probes) | {join for _, _, join in pairs}
+    if n <= 12:
+        assert sorted(vectors[k] for k in indicators) == \
+            sorted(product((0, 1), repeat=n))
+        assert vectors[sup] == (1,) * n
+        want |= set(product((0, 1), repeat=n))
+    else:
+        # the indicator family is skipped above n = 12
+        assert (indicators, sup) == ((), None)
+    assert len(vectors) == len(want) and set(vectors) == want
+    assert comphom._directed_sup_table(n) is comphom._directed_sup_table(n)
 
 
 # --- the conditions against their first formulations --------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from finlat import (
     ConstraintSystem,
+    HomMatrix,
     canonical_form,
     classify_sublattice,
     contains,
@@ -112,6 +113,18 @@ def test_member_checks_zeros_and_ratios():
         member(half, (1, 2, 3))
 
 
+def test_zero_ideal_on_zeroed_coordinates_is_the_system_itself():
+    # a mask inside zero_mask meets no group: an equal system comes back,
+    # and bits above n are ignored as on every other mask
+    tied = canonical_form(4, [(1, 2, 0, 0), (0, 0, 3, 0)])
+    systems = (tied, zero_ideal(tied, 0b0100), canonical_form(3, []), full_space(2))
+    for system in systems:
+        for a in range(1 << system.n):
+            if not a & ~system.zero_mask:
+                assert zero_ideal(system, a) == system
+                assert zero_ideal(system, a | 1 << system.n) == system
+
+
 def test_zero_ideal_kills_whole_groups():
     sys3 = canonical_form(3, [(1, 1, 0), (0, 0, 2)])
     assert zero_ideal(sys3, 0b001) == cs(3, 0b011, (0, 1, 2), (1, 1, 1), (0b100,))
@@ -143,6 +156,22 @@ def test_float_and_bool_entries_follow_the_number_rule(entry, loose, exact):
         got = from_constraints(2, ties=[(1, 0, loose)])
         assert repr(got) == repr(from_constraints(2, ties=[(1, 0, exact)]))
         assert got == canonical_form(2, [(1, exact)])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda v: canonical_form(2, [(1, v)]),
+    lambda v: member(full_space(2), (v, 1)),
+    lambda v: from_constraints(2, ties=[(1, 0, v)]),
+    lambda v: HomMatrix([[v, 0]]),
+    lambda v: HomMatrix([[1, 0]]).apply((v, 1)),
+], ids=["canonical_form", "member", "from_constraints", "HomMatrix",
+        "HomMatrix.apply"])
+def test_non_finite_floats_raise_value_error(entry, value):
+    # Fraction raises OverflowError for an infinity and ValueError for a NaN;
+    # the number rule turns both into ValueError
+    with pytest.raises(ValueError, match="cannot convert"):
+        entry(value)
 
 
 def test_disjoint_complement_is_support_annihilator():
@@ -519,6 +548,24 @@ def test_sublattice_flags_match_the_fraction_scan_on_each_family():
                                for a in range(1 << ambient.n)))
     got, want = _flags_both_ways(list(pairs))
     assert got == want
+
+
+def test_urysohn_flags_match_the_zero_ideal_definition_on_each_family():
+    systems = dict.fromkeys(canonical_form(n, gens) for n in range(1, 5)
+                            for gens in family_representatives(n))
+    pairs = dict.fromkeys((full_space(e.n), e) for e in systems)
+    for e in systems:
+        for a in range(1 << e.n):
+            pairs[full_space(e.n), zero_ideal(e, a)] = None
+            pairs[e, zero_ideal(e, a)] = None
+    verdicts = set()
+    for ambient, e in pairs:
+        flags = classify_sublattice(ambient, e)
+        want = oracles.urysohn_flags_by_zero_ideals(ambient, e)
+        assert (flags.urysohn, flags.weakly_urysohn) == want
+        verdicts.add(want)
+    assert {u for u, _ in verdicts} == {True, False}
+    assert {w for _, w in verdicts} == {True, False}
 
 
 @st.composite
