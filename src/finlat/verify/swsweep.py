@@ -7,9 +7,8 @@ generators, scaling a generator positively, negating one, reordering the
 tuple, and permuting coordinates.  The sweep therefore normalizes generators
 to primitive sign-normalized vectors and, where the coordinate count makes
 the raw family large, keeps one representative per coordinate-permutation
-orbit.  Each generator multiset is packed into one integer key whose order
-is the lexicographic order of its sorted alphabet indices, so the orbit
-minimum is an elementwise minimum of keys over the permutations.
+orbit: the least sorted alphabet-index triple of each orbit, found in one
+pass over the triples in ascending order.
 The equivariances themselves are property-tested separately.
 
 The representatives are one exhaustive stream for the suite runner, checked
@@ -24,9 +23,6 @@ from .properties import _lattice_alphabet, _normalize, check_instances
 
 PERMUTE_FROM = 4
 MAX_GENS = 3
-# index triples per slice of the orbit-minimum pass, which bounds the size
-# of its arrays (about 3.4 M triples in all at n = 4)
-SLICE_TRIPLES = 2 ** 18
 # the properties the sweep checks, with the suite label of their mismatches
 _SUITES = {"P-sw": "closure", "P-dis": "dis", "P-menag": "menag"}
 
@@ -36,65 +32,39 @@ def _permutation_quotient(n, alphabet):
 
     A multiset of at most MAX_GENS = 3 generators is a sorted index triple
     over the alphabet, padded with the sentinel ``len(alphabet)``, which
-    sorts last.  Packing a sorted triple into one integer key in base
-    ``len(alphabet) + 1`` makes integer order the lexicographic order on
-    triples, so the orbit minimum is a running ``np.minimum`` of the keys
-    over the coordinate permutations.  The triples are taken about
-    SLICE_TRIPLES at a time; one orbit's minimum can come from several
-    slices, so the distinct minima of every slice are merged at the end.
+    sorts last and which every permutation's index table maps to itself.
+    A triple a <= b <= c is its orbit's minimum exactly when a is the least
+    image of itself, no index among b and c has an image below a, and no
+    table's sorted image of the triple is lexicographically smaller.  Under
+    the first two conditions every image is at least a, so only a table
+    that maps one of a, b, c onto a can give a smaller image.  The triples
+    are visited in ascending order, so the minima come out sorted.
     """
-    # imported here, so importing the package does not load numpy
-    import numpy as np
-
     lookup = {vec: i for i, vec in enumerate(alphabet)}
     size = len(alphabet)
-    base = size + 1
-    index_type = np.min_scalar_type(size)
-    key_type = np.min_scalar_type(base ** 3)
-
-    tables = []
-    for perm in permutations(range(n)):
-        table = np.empty(base, dtype=index_type)
-        table[size] = size
-        for i, vec in enumerate(alphabet):
-            table[i] = lookup[_normalize(tuple(vec[p] for p in perm))]
-        tables.append(table)
-
-    # every triple a <= b <= c over 0..size: each pair b <= c takes a = 0..b
-    pair_b, pair_c = np.triu_indices(base)
-    ends = np.cumsum(pair_b + 1)
-    minima = []
-    start = 0
-    while start < len(pair_b):
-        done = ends[start - 1] if start else 0
-        # the pairs whose triples fit in the slice, and at least one
-        stop = max(start + 1,
-                   int(np.searchsorted(ends, done + SLICE_TRIPLES, "right")))
-        b, c = pair_b[start:stop], pair_c[start:stop]
-        counts = b + 1
-        a = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        columns = [
-            col.astype(index_type)
-            for col in (a, np.repeat(b, counts), np.repeat(c, counts))
-        ]
-        best = None
-        for table in tables:
-            x, y, z = (table[col] for col in columns)
-            # sorting network on the three columns
-            x, y = np.minimum(x, y), np.maximum(x, y)
-            y, z = np.minimum(y, z), np.maximum(y, z)
-            x, y = np.minimum(x, y), np.maximum(x, y)
-            key = (x.astype(key_type) * base + y) * base + z
-            best = key if best is None else np.minimum(best, key, out=best)
-        minima.append(np.unique(best))
-        start = stop
-
-    x, yz = np.divmod(np.unique(np.concatenate(minima)), base * base)
-    y, z = np.divmod(yz, base)
-    return [
-        tuple(alphabet[i] for i in row if i != size)
-        for row in zip(x.tolist(), y.tolist(), z.tolist())
+    tables = [
+        [lookup[_normalize(tuple(vec[p] for p in perm))] for vec in alphabet]
+        + [size]
+        for perm in permutations(range(n))
     ]
+    low = [min(images) for images in zip(*tables)]
+    reps = []
+    for a in range(size + 1):
+        if low[a] != a:
+            continue
+        # the tables by the one index each maps onto a
+        onto = [[] for _ in range(size + 1)]
+        for table in tables:
+            onto[table.index(a)].append(table)
+        rest = [i for i in range(a, size + 1) if low[i] >= a]
+        for j, b in enumerate(rest):
+            for c in rest[j:]:
+                triple = [a, b, c]
+                if all(sorted((t[a], t[b], t[c])) >= triple
+                       for t in onto[a] + onto[b] + onto[c]):
+                    reps.append(
+                        tuple(alphabet[i] for i in triple if i != size))
+    return reps
 
 
 def family_representatives(n):

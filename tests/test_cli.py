@@ -624,16 +624,29 @@ def test_malformed_record_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    # only the family sweep's permutation quotient uses numpy
+def _run_finlat_python(code):
     src = str(Path(finlat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, finlat.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # where numpy is installed, the CLI still leaves it unloaded
+    assert _run_finlat_python(
+        "import sys, finlat.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_finlat_runs_without_numpy():
+    # numpy is no dependency: with a None entry in sys.modules any import
+    # of it fails, and the CLI and the whole dim-4 family still work
+    assert _run_finlat_python(
+        "import sys; sys.modules['numpy'] = None; "
+        "import finlat.cli, finlat.verify; "
+        "print(len(finlat.verify.family_representatives(4)))") == "150608"

@@ -120,6 +120,41 @@ def test_rel_stream_size_is_bell_weighted():
     assert report.results[0].exhaustive == expected == 9
 
 
+def test_relations_on_four_points_pass_exhaustively():
+    # every relation on every space of at most 4 points: topologies(n)
+    # times Bell(n), with the topology counts of criterion 1
+    rels = list(properties._exhaustive_rels(SuiteConfig(max_points=4)))
+    topologies = {1: 1, 2: 4, 3: 29, 4: 355}
+    assert len(rels) == sum(
+        cnt * oracles.BELL[n] for n, cnt in topologies.items()) == 5479
+    results = properties.check_instances(("P-eqr", "P-quot", "P-eqq"), rels)
+    assert [(r.property_id, r.exhaustive, r.failures) for r in results] == [
+        ("P-eqr", 5479, 0), ("P-quot", 5479, 0), ("P-eqq", 5479, 0)]
+    # P-eqq's lattice bridge runs only on the 23 discrete-space relations
+    assert results[2].not_applicable == 5456
+
+
+def test_sign_matrices_up_to_3x3_pass_exhaustively():
+    homs = [
+        tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(m))
+        for m in (1, 2, 3) for n in (1, 2, 3)
+        for flat in itertools.product((-1, 0, 1), repeat=m * n)
+    ]
+    assert len(homs) == sum(
+        3 ** (m * n) for m in (1, 2, 3) for n in (1, 2, 3)) == 21297
+    (result,) = properties.check_instances(("P-hom",), homs)
+    assert (result.exhaustive, result.failures) == (21297, 0)
+    # the family holds matrices HomMatrix accepts and matrices it rejects
+    def accepted(rows):
+        try:
+            comphom.HomMatrix(rows)
+        except comphom.NotHomomorphism:
+            return False
+        return True
+
+    assert {accepted(rows) for rows in homs} == {True, False}
+
+
 def _gcd_one_vectors(n, bound=2):
     out = set()
     for vec in itertools.product(range(-bound, bound + 1), repeat=n):
