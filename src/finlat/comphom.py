@@ -18,9 +18,9 @@ Every certified HomMatrix passes all five hoc_conditions, as lattice
 homomorphisms of finite-dimensional lattices are order continuous; the
 lattice-side conditions still run their funclat computations.  Their domain
 side depends only on the dimension n: _coordinate_ideals(n) holds, per
-coordinate mask, the zero mask of G^dd, the band verdict of the coordinate
-ideal G and the solution bases of G and G^dd, built by funclat on first use
-and kept for the process.  funclat.full_space keeps the full lattice of each
+coordinate mask, the band verdict of the coordinate ideal G and the
+solution bases of G and G^dd, built by funclat on first use and kept for
+the process.  funclat.full_space keeps the full lattice of each
 dimension the same way.  The probe vectors of chain-continuity are shared
 per n too, and so is the table of directed-sups: each distinct vector of
 its families (the probes, the joins of the probe pairs and, up to n = 12,
@@ -209,13 +209,12 @@ def _coordinate_ideals(n):
     """The domain side of the lattice-side conditions, per dimension n.
 
     Entry a describes the coordinate ideal G_a = zero_ideal(full, a) of
-    the full n-dimensional lattice: (zero mask of G_a^dd, whether G_a is
-    a band, solution basis of G_a, solution basis of G_a^dd).  The band
-    test computes G_a^dd and accepts exactly when it equals G_a, so a band
-    shares G_a's basis, and G_a^dd is computed again only for a non-band.
-    Built on first use and kept for the process.  Each distinct basis
-    vector is stored once: the bases of a dimension share its n unit
-    vectors.
+    the full n-dimensional lattice: (whether G_a is a band, solution basis
+    of G_a, solution basis of G_a^dd).  The band test computes G_a^dd and
+    accepts exactly when it equals G_a, so a band shares G_a's basis, and
+    G_a^dd is computed again only for a non-band.  Built on first use and
+    kept for the process.  Each distinct basis vector is stored once: the
+    bases of a dimension share its n unit vectors.
     """
     full = full_space(n)
     vectors = {}
@@ -228,10 +227,9 @@ def _coordinate_ideals(n):
         g = zero_ideal(full, a)
         g_basis = basis(g)
         if band_complement(full, g) is not None:
-            table.append((g.zero_mask, True, g_basis, g_basis))
+            table.append((True, g_basis, g_basis))
         else:
-            gdd = double_complement(full, g)[1]
-            table.append((gdd.zero_mask, False, g_basis, basis(gdd)))
+            table.append((False, g_basis, basis(double_complement(full, g)[1])))
     return tuple(table)
 
 
@@ -321,7 +319,7 @@ def _directed_sup_preservation(t):
 
 
 def _kernel_is_band(t):
-    return _coordinate_ideals(t.n)[_columns_read(t)][1]
+    return _coordinate_ideals(t.n)[_columns_read(t)][0]
 
 
 def _band_preimages(t):
@@ -336,7 +334,7 @@ def _band_preimages(t):
     table = _coordinate_ideals(t.n)
     used = _columns_read(t)
     cols = used
-    while table[cols][1]:
+    while table[cols][0]:
         if not cols:
             return True
         cols = (cols - 1) & used
@@ -373,14 +371,14 @@ def _image_double_complements(t):
                 key |= distinct.setdefault(tv, 1 << len(distinct))
         return key
 
-    keys = [image_set(g_basis) for _, _, g_basis, _ in table]
+    keys = [image_set(g_basis) for _, g_basis, _ in table]
     current = None
     for a in sorted(range(len(table)), key=keys.__getitem__):
         if keys[a] != current:
             current = keys[a]
             tg = canonical_form(t.m, [tv for tv, b in distinct.items() if current & b])
             _, tgdd = double_complement(cod, tg)
-        if not all(member(tgdd, image(v)) for v in table[a][3]):
+        if not all(member(tgdd, image(v)) for v in table[a][2]):
             return False
     return True
 

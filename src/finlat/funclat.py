@@ -8,6 +8,13 @@ derives that description from vectors; from_constraints hands it one
 generator per tree of solved ties, and the other operations manipulate
 a system directly.
 
+canonical_form, zero_ideal, from_constraints and full_space each build the
+unique description of their sublattice: the zeroed coordinates, the tie
+groups sorted by least element, each coordinate's group lead and its ratio
+to that lead (1 for a lead or a zeroed coordinate).  So two systems the
+module builds are equal exactly when their sublattices are, and
+band_complement and classify_sublattice compare sublattices with ==.
+
 All scalar arithmetic is exact.  canonical_form scales each generator to
 ints once, groups the coordinates by the gcd-normalised direction of their
 int columns and builds one Fraction ratio per tied coordinate; member tests
@@ -348,11 +355,10 @@ def double_complement(ambient, e):
 
 def band_complement(ambient, e):
     """The disjoint complement of e in ambient when e is a band there, else
-    None.  A band is a sublattice that equals its double disjoint complement."""
+    None.  A band is a sublattice that equals its double disjoint complement,
+    and equal sublattices have equal systems (module docstring)."""
     first, dd = double_complement(ambient, e)
-    if contains(e, dd) and contains(dd, e):
-        return first
-    return None
+    return first if dd == e else None
 
 
 @dataclass(frozen=True)
@@ -366,35 +372,22 @@ class SublatticeFlags:
     regular: bool
 
 
-def _infimum_of_dominators_nonzero(cs, k):
-    """Regularity scan: for every nonempty coordinate set u, the members
-    dominating the indicator of u must have a nonzero infimum inside the
-    lattice, unless there are no such members or no infimum at all."""
-    for u in range(1, 1 << k):
-        if u & cs.zero_mask:
-            continue  # no member dominates the indicator
-        if any(not g & u for g in cs.groups):
-            continue  # an unconstrained group lets dominators sink: no infimum
-        # the infimum exists: groupwise the largest 1 / ratio[x] over the
-        # group's points in u, which is positive exactly when some ratio[x]
-        # is (a Fraction's denominator is positive, so its numerator says)
-        if not any(cs.ratio[x].numerator > 0
-                   for g in cs.groups for x in bits(g & u)):
-            return False
-    return True
-
-
 def classify_sublattice(ambient, e):
     """All structural flags of e relative to ambient.
 
     The ambient lattice is isomorphic to the full lattice over its tie
     groups (project to group representatives), so e is first rewritten
     in those coordinates and every flag is decided there.
+
+    regular holds by theorem: a sublattice of the finite-dimensional full
+    lattice is closed and holds the finite infima of its members, so the
+    infimum in the full lattice of any subset of it, the limit of those
+    finite infima, lies in it, and the inclusion is order continuous.
     """
     if ambient.n != e.n:
         raise ValueError("dimension mismatch")
     if not contains(ambient, e):
-        raise ValueError("sublattice not inside the ambient lattice")
+        raise ValueError("sublattice is not a sublattice of the ambient lattice")
     k = dim(ambient)
     reps = [(g & -g).bit_length() - 1 for g in ambient.groups]
     inner = canonical_form(k, [tuple(v[r] for r in reps) for v in solution_basis(e)])
@@ -404,12 +397,11 @@ def classify_sublattice(ambient, e):
     first = band_complement(amb, inner)
     band = first is not None
     projection_band = band and dim(inner) + dim(first) == k
-    order_dense = contains(inner, amb)
+    order_dense = inner == amb
 
     # zero_ideal(inner, ~{x}) is nonzero, and zeroes no coordinate of {x},
     # only when {x} is a group; so both hold for every u iff inner is full
     urysohn = weakly_urysohn = order_dense
-    regular = _infimum_of_dominators_nonzero(inner, k)
 
     return SublatticeFlags(
         ideal=ideal,
@@ -418,5 +410,5 @@ def classify_sublattice(ambient, e):
         order_dense=order_dense,
         urysohn=urysohn,
         weakly_urysohn=weakly_urysohn,
-        regular=regular,
+        regular=True,
     )

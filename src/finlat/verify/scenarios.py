@@ -333,7 +333,7 @@ def _blocks_from_names(names, groups):
     return blocks
 
 
-def _line_groups(k, names, axis):
+def _line_groups(k, axis):
     """Vertical (axis 0) or horizontal (axis 1) collapse of the square part."""
     groups = []
     for c in range(k + 1):
@@ -420,9 +420,9 @@ def grid_scenario(k=4):
         raise ValueError("k must be at most %d" % MAX_GRID_K)
     space, names = grid_space(k)
     vertical = equivrel.EquivRel(
-        space, _blocks_from_names(names, _line_groups(k, names, 0)))
+        space, _blocks_from_names(names, _line_groups(k, 0)))
     horizontal = equivrel.EquivRel(
-        space, _blocks_from_names(names, _line_groups(k, names, 1)))
+        space, _blocks_from_names(names, _line_groups(k, 1)))
     joined = equivrel._merge_base(vertical, horizontal)
 
     quotients = {}

@@ -564,6 +564,16 @@ def band_preimages_every_subset(t):
     return True
 
 
+def rewritten_over_leads(ambient, e):
+    """(k, inner): e rewritten over the k group leads of ambient, as
+    classify_sublattice rewrites it before deciding any flag."""
+    from finlat import canonical_form, solution_basis
+
+    k = len(ambient.groups)
+    reps = [(g & -g).bit_length() - 1 for g in ambient.groups]
+    return k, canonical_form(k, [tuple(v[r] for r in reps) for v in solution_basis(e)])
+
+
 def urysohn_flags_by_zero_ideals(ambient, e):
     """(urysohn, weakly_urysohn) of e in ambient by their definition.
 
@@ -572,11 +582,9 @@ def urysohn_flags_by_zero_ideals(ambient, e):
     members vanishing off u, zero_ideal(inner, ~u), must be nonzero (weakly
     Urysohn) and must zero no coordinate of u (Urysohn).
     """
-    from finlat import canonical_form, solution_basis, zero_ideal
+    from finlat import zero_ideal
 
-    k = len(ambient.groups)
-    reps = [(g & -g).bit_length() - 1 for g in ambient.groups]
-    inner = canonical_form(k, [tuple(v[r] for r in reps) for v in solution_basis(e)])
+    k, inner = rewritten_over_leads(ambient, e)
     urysohn = weakly_urysohn = True
     for u in range(1, 1 << k):
         vanish = zero_ideal(inner, ((1 << k) - 1) & ~u)
@@ -585,6 +593,25 @@ def urysohn_flags_by_zero_ideals(ambient, e):
         if vanish.zero_mask & u:
             urysohn = False
     return urysohn, weakly_urysohn
+
+
+def regularity_scan(cs, k):
+    """The regularity scan that classify_sublattice ran before its regular
+    flag was read from the theorem: for every nonempty coordinate set u, the
+    members dominating the indicator of u must have a nonzero infimum inside
+    the lattice, unless there are no such members or no infimum at all."""
+    for u in range(1, 1 << k):
+        if u & cs.zero_mask:
+            continue  # no member dominates the indicator
+        if any(not g & u for g in cs.groups):
+            continue  # an unconstrained group lets dominators sink: no infimum
+        # the infimum exists: groupwise the largest 1 / ratio[x] over the
+        # group's points in u, which is positive exactly when some ratio[x]
+        # is (a Fraction's denominator is positive, so its numerator says)
+        if not any(cs.ratio[x].numerator > 0
+                   for g in cs.groups for x in range(k) if (g & u) >> x & 1):
+            return False
+    return True
 
 
 def certified_direct(phi, e):

@@ -423,7 +423,7 @@ class RecordingTable:
     and each lookup is recorded."""
 
     def __init__(self, n, bad):
-        self.entries = [(a, a not in bad) for a in range(1 << n)]
+        self.entries = [(a not in bad, (), ()) for a in range(1 << n)]
         self.looked_up = []
 
     def __getitem__(self, a):
@@ -472,13 +472,12 @@ def test_coordinate_ideal_table_matches_direct_funclat_calls(n):
     table = comphom._coordinate_ideals(n)
     assert len(table) == 1 << n
     stored = {}
-    for a, (dd, band, g_basis, gdd_basis) in enumerate(table):
+    for a, (band, g_basis, gdd_basis) in enumerate(table):
         g = zero_ideal(full, a)
         assert band == (band_complement(full, g) is not None)
-        assert dd == double_complement(full, g)[1].zero_mask
-        assert type(dd) is int and type(band) is bool
+        assert type(band) is bool
         assert g_basis == tuple(solution_basis(g))
-        assert gdd_basis == tuple(solution_basis(zero_ideal(full, dd)))
+        assert gdd_basis == tuple(solution_basis(double_complement(full, g)[1]))
         # each distinct vector is one object across the whole table
         for v in g_basis + gdd_basis:
             assert stored.setdefault(v, v) is v
@@ -507,7 +506,7 @@ def test_coordinate_ideal_table_is_untouched_by_ratio_flip():
         comphom._coordinate_ideals.cache_clear()
         assert flipped == [comphom._coordinate_ideals(n) for n in range(1, 7)]
         for n, table in enumerate(flipped, 1):
-            assert {v for entry in table for v in entry[2] + entry[3]} == {
+            assert {v for entry in table for v in entry[1] + entry[2]} == {
                 tuple(int(i == j) for i in range(n)) for j in range(n)}
     finally:
         comphom._coordinate_ideals.cache_clear()

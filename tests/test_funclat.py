@@ -11,6 +11,7 @@ import oracles
 from finlat import (
     ConstraintSystem,
     HomMatrix,
+    SublatticeFlags,
     canonical_form,
     classify_sublattice,
     contains,
@@ -21,7 +22,6 @@ from finlat import (
     solution_basis,
     zero_ideal,
 )
-from finlat import funclat
 from finlat.bitset import bits
 from finlat.funclat import (
     _exact,
@@ -513,7 +513,7 @@ def test_double_complement_is_the_zero_ideal_off_the_first_complement():
         double_complement(canonical_form(2, [(1, 1)]), full_space(2))
 
 
-# --- the regularity scan reads the sign of each ratio's numerator ---------------
+# --- regular by theorem, bands and order density by equality --------------------
 
 def _fraction_regularity_scan(cs, k):
     # the scan's first formulation: the infimum's groupwise values as Fractions
@@ -530,24 +530,70 @@ def _fraction_regularity_scan(cs, k):
     return True
 
 
-def _flags_both_ways(pairs):
-    got = [classify_sublattice(a, e) for a, e in pairs]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(funclat, "_infimum_of_dominators_nonzero",
-                      _fraction_regularity_scan)
-        want = [classify_sublattice(a, e) for a, e in pairs]
-    return got, want
+def _flags_by_containment(ambient, e):
+    """The flags by the earlier code path: band and order density by mutual
+    containment, regular by the scan."""
+    k, inner = oracles.rewritten_over_leads(ambient, e)
+    full = full_space(k)
+    first, dd = double_complement(full, inner)
+    band = contains(inner, dd) and contains(dd, inner)
+    order_dense = contains(inner, full)
+    return SublatticeFlags(
+        ideal=all(g.bit_count() == 1 for g in inner.groups),
+        band=band,
+        projection_band=band and dim(inner) + dim(first) == k,
+        order_dense=order_dense,
+        urysohn=order_dense,
+        weakly_urysohn=order_dense,
+        regular=oracles.regularity_scan(inner, k),
+    )
 
 
-def test_sublattice_flags_match_the_fraction_scan_on_each_family():
+def _assert_flags_match_the_scans(pairs):
+    for ambient, e in pairs:
+        flags = classify_sublattice(ambient, e)
+        assert flags == _flags_by_containment(ambient, e)
+        # regular is True by theorem; regularity_scan agrees through the
+        # comparison above, the Fraction scan here
+        assert flags.regular is True
+        k, inner = oracles.rewritten_over_leads(ambient, e)
+        assert _fraction_regularity_scan(inner, k) is True
+
+
+def _family_pairs():
+    """The (ambient, e) pairs of the dims 1-4 family: each system in the
+    full lattice, and each zero ideal of each system in that system."""
     systems = dict.fromkeys(canonical_form(n, gens) for n in range(1, 5)
                             for gens in family_representatives(n))
     pairs = dict.fromkeys((full_space(e.n), e) for e in systems)
     pairs.update(dict.fromkeys((ambient, zero_ideal(ambient, a))
                                for ambient in systems
                                for a in range(1 << ambient.n)))
-    got, want = _flags_both_ways(list(pairs))
-    assert got == want
+    return list(pairs)
+
+
+def test_sublattice_flags_match_the_fraction_scan_on_each_family():
+    pairs = _family_pairs()
+    assert len(pairs) == 469
+    _assert_flags_match_the_scans(pairs)
+
+
+@pytest.mark.parametrize("mutation", [None, "ratio-flip"])
+def test_band_and_order_density_by_equality_match_mutual_containment(mutation):
+    with apply_mutation(mutation):
+        pairs = _family_pairs()
+        bands = dense = 0
+        for ambient, e in pairs:
+            dd = double_complement(ambient, e)[1]
+            band = band_complement(ambient, e) is not None
+            assert band == (contains(e, dd) and contains(dd, e))
+            k, inner = oracles.rewritten_over_leads(ambient, e)
+            order_dense = classify_sublattice(ambient, e).order_dense
+            assert order_dense == contains(inner, full_space(k))
+            bands += band
+            dense += order_dense
+    assert len(pairs) == 469
+    assert 0 < dense < bands < len(pairs)
 
 
 def test_urysohn_flags_match_the_zero_ideal_definition_on_each_family():
@@ -585,5 +631,4 @@ def ambient_and_sublattice(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(ambient_and_sublattice(), min_size=1, max_size=5))
 def test_sublattice_flags_match_the_fraction_scan_drawn(pairs):
-    got, want = _flags_both_ways(pairs)
-    assert got == want
+    _assert_flags_match_the_scans(pairs)
