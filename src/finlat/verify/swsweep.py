@@ -8,7 +8,11 @@ tuple, and permuting coordinates.  The sweep therefore normalizes generators
 to primitive sign-normalized vectors and, where the coordinate count makes
 the raw family large, keeps one representative per coordinate-permutation
 orbit: the least sorted alphabet-index triple of each orbit, found in one
-pass over the triples in ascending order.
+pass over the triples in ascending order.  The pass tests a whole row of
+triples sharing their first two indices at once: a permutation that maps one
+of those two onto the least index either rejects the row outright or bounds
+the third index by two integer comparisons, so only the few triples whose
+third index also maps onto the least one need their images sorted.
 The equivariances themselves are property-tested separately.
 
 The representatives are one exhaustive stream for the suite runner, checked
@@ -37,8 +41,19 @@ def _permutation_quotient(n, alphabet):
     image of itself, no index among b and c has an image below a, and no
     table's sorted image of the triple is lexicographically smaller.  Under
     the first two conditions every image is at least a, so only a table
-    that maps one of a, b, c onto a can give a smaller image.  The triples
-    are visited in ascending order, so the minima come out sorted.
+    that maps one of a, b, c onto a can give a smaller image.
+
+    The triples are visited in rows of fixed a and b.  A table t that maps
+    a or b onto a sends the other one to some u, and its sorted image is
+    (a, min(u, t[c]), max(u, t[c])), which is at least (a, b, c) exactly
+    when (min(u, t[c]), max(u, t[c])) >= (b, c).  That pair is below (b, c)
+    for every c when u < b, so one such table rejects the whole row.
+    Otherwise, with u == b, it is at least (b, c) exactly when t[c] >= c;
+    with u > b, exactly when t[c] > b, or t[c] == b and u >= c.  Each row
+    filters its c by these tests; only a c with a table of its own onto a
+    (c outside a and b) still sorts that table's image.  The rows come in
+    ascending order and each keeps its c ascending, so the minima come out
+    sorted.
     """
     lookup = {vec: i for i, vec in enumerate(alphabet)}
     size = len(alphabet)
@@ -48,6 +63,8 @@ def _permutation_quotient(n, alphabet):
         for perm in permutations(range(n))
     ]
     low = [min(images) for images in zip(*tables)]
+    # each output is one concatenation of these; the sentinel adds nothing
+    wrapped = [(vec,) for vec in alphabet] + [()]
     reps = []
     for a in range(size + 1):
         if low[a] != a:
@@ -58,12 +75,24 @@ def _permutation_quotient(n, alphabet):
             onto[table.index(a)].append(table)
         rest = [i for i in range(a, size + 1) if low[i] >= a]
         for j, b in enumerate(rest):
-            for c in rest[j:]:
-                triple = [a, b, c]
-                if all(sorted((t[a], t[b], t[c])) >= triple
-                       for t in onto[a] + onto[b] + onto[c]):
-                    reps.append(
-                        tuple(alphabet[i] for i in triple if i != size))
+            # each table mapping a or b onto a, with its image of the other
+            pairs = [(t, t[b]) for t in onto[a]]
+            if b != a:
+                pairs += [(t, t[a]) for t in onto[b]]
+            if any(u < b for _, u in pairs):
+                continue
+            cs = rest[j:]
+            for t, u in pairs:
+                if u == b:
+                    cs = [c for c in cs if t[c] >= c]
+                else:
+                    cs = [c for c in cs if t[c] > b or t[c] == b and u >= c]
+            row = wrapped[a] + wrapped[b]
+            for c in cs:
+                if c != b and onto[c] and not all(
+                        sorted((t[a], t[b], a)) >= [a, b, c] for t in onto[c]):
+                    continue
+                reps.append(row + wrapped[c])
     return reps
 
 

@@ -11,7 +11,9 @@ routines against those rebuilt maps.  The lattice-construction section
 likewise keeps the first, longer formulations of a few constructions on top
 of the package's own constraint systems, and the record section at the end
 keeps the first record parser (one regex match and one token tuple per
-token) on top of the package's record builders.
+token) on top of the package's record builders, and the map-sampler section
+keeps the first rejection loop (a ContMap built for every drawn table) on
+top of the package's seeded spaces.
 """
 
 from fractions import Fraction
@@ -315,6 +317,43 @@ def burnside_multiset_orbits(n, alphabet, normalize):
     return total // len(perms)
 
 
+def orbit_minima_by_tables(n, alphabet):
+    """The orbit-minimal multisets of at most three alphabet vectors under
+    coordinate permutations, in ascending sentinel-padded index-triple order,
+    by sorting each visited triple's image under every table that maps one
+    of its indices onto its least index.
+
+    The first formulation of the sweep's quotient pass; ``alphabet`` must be
+    closed under permuting coordinates up to the sign of each vector.
+    """
+    from itertools import permutations as _perms
+
+    lookup = {vec: i for i, vec in enumerate(alphabet)}
+    size = len(alphabet)
+    tables = [
+        [lookup[normalize_generators((tuple(vec[p] for p in perm),))[0]]
+         for vec in alphabet] + [size]
+        for perm in _perms(range(n))
+    ]
+    low = [min(images) for images in zip(*tables)]
+    reps = []
+    for a in range(size + 1):
+        if low[a] != a:
+            continue
+        onto = [[] for _ in range(size + 1)]
+        for table in tables:
+            onto[table.index(a)].append(table)
+        rest = [i for i in range(a, size + 1) if low[i] >= a]
+        for j, b in enumerate(rest):
+            for c in rest[j:]:
+                triple = [a, b, c]
+                if all(sorted((t[a], t[b], t[c])) >= triple
+                       for t in onto[a] + onto[b] + onto[c]):
+                    reps.append(
+                        tuple(alphabet[i] for i in triple if i != size))
+    return reps
+
+
 def set_partitions(points):
     pts = list(points)
     if not pts:
@@ -470,6 +509,28 @@ def subspace_classes(m):
         "wo_vi_every": all(almost_open_stars(r) for r in dense_restrictions(m)),
         "wo_vi_some": any(almost_open_stars(r) for r in dense_restrictions(m)),
     }
+
+
+# ---------------------------------------------------------------------------
+# map sampler: the first rejection loop
+
+
+def reference_sample_map(cfg, index):
+    """The suite's sampled map, drawn by building a ContMap for every table
+    and catching NotContinuous until one is continuous."""
+    from finlat import ContMap, NotContinuous
+    from finlat.verify.properties import _random_space, _rng
+
+    rng = _rng(cfg.seed, "map", index)
+    dom = _random_space(rng, cfg.sample_points)
+    cod = _random_space(rng, cfg.sample_points)
+    for _ in range(40):
+        table = tuple(rng.randrange(cod.n) for _ in range(dom.n))
+        try:
+            return ContMap(dom, cod, table)
+        except NotContinuous:
+            continue
+    return ContMap(dom, cod, (rng.randrange(cod.n),) * dom.n)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,17 @@ def test_stream_topologies_are_enumerated_once_per_size(monkeypatch):
         assert all(s is properties._space(s.stars) for s in properties._topologies(n))
 
 
+def test_sampled_maps_match_the_rejection_loop_reference():
+    # the sampler tests each drawn table before building a ContMap; the rng
+    # draws, and so the whole sampled stream, stay those of the first loop
+    cfg = SuiteConfig(seed=0)
+    for index in range(2000):
+        got = properties._sample_map(cfg, index)
+        want = oracles.reference_sample_map(cfg, index)
+        assert (got.domain, got.codomain, got.table) == (
+            want.domain, want.codomain, want.table), index
+
+
 def test_stream_space_cache_is_bounded_by_the_topology_count():
     # 1 + 4 + 29 + 355 labelled topologies on 1..4 points
     properties._spaces_upto(4)

@@ -123,6 +123,14 @@ def test_permutation_quotient_is_sorted_orbit_minima(monkeypatch, n, orbits):
         n, _lattice_alphabet(n), swsweep._normalize) == orbits
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_quotient_matches_the_table_pass(n):
+    # n = 1 is the sentinel-only corner; n = 4 is the swept dimension
+    alphabet = _lattice_alphabet(n)
+    assert swsweep._permutation_quotient(n, alphabet) == (
+        oracles.orbit_minima_by_tables(n, alphabet))
+
+
 # sha256 of repr(generators) + "\n" over family_representatives(4), in list
 # order: the criteria 3/4 sweep reports and the lattice benchmark workload
 # index the representatives by position, so their order is pinned too
