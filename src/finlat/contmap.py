@@ -12,6 +12,14 @@ report which routine produced a verdict.
 
 Classes defined through a subspace (the image, a dense subset of the
 domain) are decided on the parent spaces, a mask standing for its subspace.
+
+Every quantifier is a plain loop over its family in iteration order that
+returns at the first witness (`for ... else` where an inner search runs
+dry), so a verdict stops where its first counterexample is.  Verdicts are
+not memoized per map; only image and preimage are, and they read nothing
+a verification mutation wraps.  A mutation installed after a map was
+classified (say, a wrapped `saturation`) must still change that map's
+answers, or the suite would re-check stale values.
 """
 
 from dataclasses import dataclass, field, fields
@@ -168,19 +176,20 @@ def final_star(domain, fibers, table, y):
 def _weakly_open_onto(m, s):
     """Weakly open as a map onto the subspace on s (s holds the image)."""
     cod = m.codomain
-    return all(
-        _interior_in(cod, s, image(m, star)) != 0 for star in m.domain.stars
-    )
+    for star in m.domain.stars:
+        if not _interior_in(cod, s, image(m, star)):
+            return False
+    return True
 
 
 def _almost_open_onto(m, d, s):
     """Almost open as the restriction to the subspace on d, onto the
     subspace on s (s holds the image of d)."""
-    cod = m.codomain
-    return all(
-        _interior_in(cod, s, cod.closure(image(m, m.domain.stars[x] & d)) & s) != 0
-        for x in bits(d)
-    )
+    cod, stars = m.codomain, m.domain.stars
+    for x in bits(d):
+        if not _interior_in(cod, s, cod.closure(image(m, stars[x] & d)) & s):
+            return False
+    return True
 
 
 def weakly_open_stars(m):
@@ -203,18 +212,19 @@ def irreducible_stars(m):
     dom, cod = m.domain, m.codomain
     for x in range(dom.n):
         star = dom.stars[x]
-        if not any(
-            m.fibers[y] and preimage(m, cod.stars[y]) & ~star == 0
-            for y in range(cod.n)
-        ):
+        for y in range(cod.n):
+            if m.fibers[y] and preimage(m, cod.stars[y]) & ~star == 0:
+                break
+        else:
             return False
     return True
 
 
 def weakly_injective_stars(m):
-    return all(
-        largest_open_saturated(m, m.domain.stars[x]) != 0 for x in range(m.domain.n)
-    )
+    for star in m.domain.stars:
+        if not largest_open_saturated(m, star):
+            return False
+    return True
 
 
 def almost_injective_stars(m):
@@ -226,9 +236,11 @@ def almost_injective_stars(m):
 
 
 def open_map_stars(m):
-    return all(
-        m.codomain.is_open(image(m, m.domain.stars[x])) for x in range(m.domain.n)
-    )
+    cod = m.codomain
+    for star in m.domain.stars:
+        if not cod.is_open(image(m, star)):
+            return False
+    return True
 
 
 def closed_map_stars(m):
@@ -244,25 +256,28 @@ def is_injective(m):
 
 
 def is_surjective(m):
-    return all(f != 0 for f in m.fibers)
+    return all(m.fibers)
 
 
 def embedding_stars(m):
     """Injective, and each star's image is open in the image subspace."""
+    if not is_injective(m):
+        return False
     cod, img = m.codomain, image(m, m.domain.full)
-    return is_injective(m) and all(
-        _interior_in(cod, img, a) == a
-        for a in (image(m, star) for star in m.domain.stars)
-    )
+    for star in m.domain.stars:
+        a = image(m, star)
+        if _interior_in(cod, img, a) != a:
+            return False
+    return True
 
 
 def quotient_map_stars(m):
     if not is_surjective(m):
         return False
-    return all(
-        final_star(m.domain, m.fibers, m.table, y) == m.codomain.stars[y]
-        for y in range(m.codomain.n)
-    )
+    for y, star in enumerate(m.codomain.stars):
+        if final_star(m.domain, m.fibers, m.table, y) != star:
+            return False
+    return True
 
 
 def domain_is_discrete(m):
@@ -273,25 +288,28 @@ def domain_is_discrete(m):
 # literal procedures: full subset quantifiers, one routine per characterisation
 
 
-def _family_guard(m):
-    if m.domain.n > LITERAL_POINT_LIMIT or m.codomain.n > LITERAL_POINT_LIMIT:
-        raise SpaceTooLarge(
-            "literal procedures enumerate subsets; limited to %d points"
-            % LITERAL_POINT_LIMIT
-        )
+def _family_guard():
+    raise SpaceTooLarge(
+        "literal procedures enumerate subsets; limited to %d points"
+        % LITERAL_POINT_LIMIT
+    )
 
 
 def ao_i(m):
     cod = m.codomain
-    return all(cod.interior(image(m, u)) != 0 for u in m.domain.nonempty_opens)
+    for u in m.domain.nonempty_opens:
+        if not cod.interior(image(m, u)):
+            return False
+    return True
 
 
 def ao_ii_nonempty(m):
     dom, cod = m.domain, m.codomain
     for u in dom.nonempty_opens:
-        if not any(
-            w and w & ~u == 0 and cod.is_open(image(m, w)) for w in dom.opens
-        ):
+        for w in dom.opens:
+            if w and w & ~u == 0 and cod.is_open(image(m, w)):
+                break
+        else:
             return False
     return True
 
@@ -299,10 +317,11 @@ def ao_ii_nonempty(m):
 def ao_ii_dense(m):
     dom, cod = m.domain, m.codomain
     for u in dom.nonempty_opens:
-        if not any(
-            w & ~u == 0 and u & ~dom.closure(w) == 0 and cod.is_open(image(m, w))
-            for w in dom.opens
-        ):
+        for w in dom.opens:
+            if (w & ~u == 0 and u & ~dom.closure(w) == 0
+                    and cod.is_open(image(m, w))):
+                break
+        else:
             return False
     return True
 
@@ -317,9 +336,10 @@ def ao_iii(m):
 
 def wo_i(m):
     cod = m.codomain
-    return all(
-        cod.interior(cod.closure(image(m, u))) != 0 for u in m.domain.nonempty_opens
-    )
+    for u in m.domain.nonempty_opens:
+        if not cod.interior(cod.closure(image(m, u))):
+            return False
+    return True
 
 
 def wo_ii(m):
@@ -353,9 +373,10 @@ def _canonically_closed(space, a):
 
 def wo_v(m):
     cod = m.codomain
-    return all(
-        _canonically_closed(cod, cod.closure(image(m, u))) for u in m.domain.opens
-    )
+    for u in m.domain.opens:
+        if not _canonically_closed(cod, cod.closure(image(m, u))):
+            return False
+    return True
 
 
 def wo_v_canon(m):
@@ -366,37 +387,46 @@ def wo_v_canon(m):
     return True
 
 
-def _almost_open_on_dense(m, quantifier):
+def _almost_open_on_dense(m, every):
+    """Whether every (every=True) or some (every=False) restriction to a
+    dense subset of the domain is almost open."""
     full = m.codomain.full
-    return quantifier(_almost_open_onto(m, d, full) for d in m.domain.dense_sets)
+    for d in m.domain.dense_sets:
+        if _almost_open_onto(m, d, full) is not every:
+            return not every
+    return every
 
 
 def wo_vi_every(m):
-    return _almost_open_on_dense(m, all)
+    return _almost_open_on_dense(m, True)
 
 
 def wo_vi_some(m):
-    return _almost_open_on_dense(m, any)
+    return _almost_open_on_dense(m, False)
 
 
 def _open_preimage_inside(m, cap):
     """Some open set has a nonempty preimage inside cap."""
-    pres = (preimage(m, v) for v in m.codomain.opens)
-    return any(p and p & ~cap == 0 for p in pres)
+    for v in m.codomain.opens:
+        p = preimage(m, v)
+        if p and p & ~cap == 0:
+            return True
+    return False
 
 
 def sk_sat(m):
     cod = m.codomain
-    return all(
-        _open_preimage_inside(m, preimage(m, cod.closure(image(m, u))))
-        for u in m.domain.nonempty_opens
-    )
+    for u in m.domain.nonempty_opens:
+        if not _open_preimage_inside(m, preimage(m, cod.closure(image(m, u)))):
+            return False
+    return True
 
 
 def ssk_sat(m):
-    return all(
-        _open_preimage_inside(m, saturation(m, u)) for u in m.domain.nonempty_opens
-    )
+    for u in m.domain.nonempty_opens:
+        if not _open_preimage_inside(m, saturation(m, u)):
+            return False
+    return True
 
 
 def irr_i(m):
@@ -409,7 +439,10 @@ def irr_i(m):
 
 
 def irr_ii(m):
-    return all(_open_preimage_inside(m, u) for u in m.domain.nonempty_opens)
+    for u in m.domain.nonempty_opens:
+        if not _open_preimage_inside(m, u):
+            return False
+    return True
 
 
 def irr_ii_dense(m):
@@ -429,9 +462,10 @@ def irr_ii_dense(m):
 def wi_def(m):
     dom = m.domain
     for u in dom.nonempty_opens:
-        if not any(
-            w and w & ~u == 0 and is_saturated(m, w) for w in dom.opens
-        ):
+        for w in dom.opens:
+            if w and w & ~u == 0 and is_saturated(m, w):
+                break
+        else:
             return False
     return True
 
@@ -560,8 +594,9 @@ def decide_by(m, class_name, procedure_id):
         raise ValueError(
             "procedure %s decides %s, not %s" % (procedure_id, proc.target, class_name)
         )
-    if proc.needs_family:
-        _family_guard(m)
+    if proc.needs_family and (m.domain.n > LITERAL_POINT_LIMIT
+                              or m.codomain.n > LITERAL_POINT_LIMIT):
+        _family_guard()
     if proc.hypothesis is not None and not proc.hypothesis(m):
         return NOT_APPLICABLE
     return proc.evaluate(m)

@@ -145,7 +145,10 @@ class FinSpace:
         return self.interior(self.closure(a)) == 0
 
     def is_discrete(self):
-        return all(self.stars[x] == bit(x) for x in range(self.n))
+        for x, star in enumerate(self.stars):
+            if star != bit(x):
+                return False
+        return True
 
     def __eq__(self, other):
         return (

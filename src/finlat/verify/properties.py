@@ -69,19 +69,18 @@ def _preimage_of(table, b):
     return out
 
 
-def _fiber_sat(table, n, a):
-    hit = set()
-    for x in bits(a):
-        hit.add(table[x])
-    out = 0
-    for x in range(n):
-        if table[x] in hit:
-            out |= bit(x)
-    return out
+def _fiber_sat(table, a):
+    """The union of the fibers that meet a."""
+    return _preimage_of(table, _image_of(table, a))
 
 
 class _MapRefs:
-    """Lazy per-map reference values, all derived from the opens families."""
+    """Lazy per-map reference values, all derived from the opens families.
+
+    Each reference keeps its opens-family definition (interior as a union
+    of open subsets, closure by complement) rather than the star
+    shortcuts that contmap's procedures take.
+    """
 
     def __init__(self, m):
         self.m = m
@@ -98,32 +97,36 @@ class _MapRefs:
 
     def _weakly_open(self):
         t = self.m.table
-        return all(
-            _int_in(self.cod_opens, _image_of(t, u))
-            for u in self.dom_opens if u
-        )
+        for u in self.dom_opens:
+            if u and not _int_in(self.cod_opens, _image_of(t, u)):
+                return False
+        return True
 
     def _almost_open(self):
         t = self.m.table
+        cod_opens = self.cod_opens
         cod_full = self.m.codomain.full
-        return all(
-            _int_in(self.cod_opens, _cl_in(self.cod_opens, cod_full, _image_of(t, u)))
-            for u in self.dom_opens if u
-        )
+        for u in self.dom_opens:
+            if u and not _int_in(cod_opens,
+                                 _cl_in(cod_opens, cod_full, _image_of(t, u))):
+                return False
+        return True
 
     def _strongly_skeletal(self):
         t = self.m.table
-        return all(
-            _int_in(self.rel_opens, _image_of(t, u))
-            for u in self.dom_opens if u
-        )
+        for u in self.dom_opens:
+            if u and not _int_in(self.rel_opens, _image_of(t, u)):
+                return False
+        return True
 
     def _skeletal(self):
         t = self.m.table
-        return all(
-            _int_in(self.rel_opens, _cl_in(self.rel_opens, self.img, _image_of(t, u)))
-            for u in self.dom_opens if u
-        )
+        rel_opens = self.rel_opens
+        for u in self.dom_opens:
+            if u and not _int_in(rel_opens,
+                                 _cl_in(rel_opens, self.img, _image_of(t, u))):
+                return False
+        return True
 
     def _irreducible(self):
         # no proper closed subset of the domain has a dense image in the image
@@ -138,15 +141,14 @@ class _MapRefs:
         return True
 
     def _weakly_injective(self):
-        m = self.m
-        n = m.domain.n
+        t = self.m.table
         for u in self.dom_opens:
             if not u:
                 continue
-            if not any(
-                w and not w & ~u and _fiber_sat(m.table, n, w) == w
-                for w in self.dom_opens
-            ):
+            for w in self.dom_opens:
+                if w and not w & ~u and _fiber_sat(t, w) == w:
+                    break
+            else:
                 return False
         return True
 
@@ -159,7 +161,10 @@ class _MapRefs:
         for x, y in enumerate(m.table):
             if counts[y] == 1:
                 solo |= bit(x)
-        return all(not u or u & solo for u in self.dom_opens)
+        for u in self.dom_opens:
+            if u and not u & solo:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +225,10 @@ def _procedure_check(prop_id):
 
 def _check_saturation(m):
     full = m.domain.full
-    n = m.domain.n
     sat_full = contmap.saturation(m, full)
     for a in range(full + 1):
         s = contmap.saturation(m, a)
-        ref = _fiber_sat(m.table, n, a)
+        ref = _fiber_sat(m.table, a)
         if s != ref:
             return [{"check": "fiber-scan", "subset": a, "got": s, "expected": ref}], 0
         if contmap.saturation(m, s) != s:
@@ -261,7 +265,11 @@ def _check_hierarchy(m):
     open_set = frozenset(cod_opens)
     dom_open_set = frozenset(dom_opens)
     cod_full = m.codomain.full
-    ref_open = all(_image_of(t, u) in open_set for u in dom_opens)
+    ref_open = True
+    for u in dom_opens:
+        if _image_of(t, u) not in open_set:
+            ref_open = False
+            break
     ref_closed = True
     for u in dom_opens:
         img = _image_of(t, m.domain.full & ~u)

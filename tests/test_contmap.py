@@ -1,4 +1,5 @@
-from itertools import product
+import hashlib
+from itertools import chain, product
 
 import pytest
 
@@ -24,7 +25,8 @@ from finlat.contmap import (
     preimage,
 )
 from finlat.finspace import SpaceTooLarge
-from finlat.verify.properties import SuiteConfig, _sample_map
+from finlat.verify.mutations import apply_mutation
+from finlat.verify.properties import SuiteConfig, _exhaustive_maps, _sample_map
 
 
 def all_pairs(k):
@@ -253,3 +255,46 @@ def test_literal_procedure_past_the_limit_builds_no_family():
     with pytest.raises(SpaceTooLarge):
         decide_by(m, "weakly_open", "ao-iii")
     assert built_families(dom) == built_families(cod) == []
+
+
+# --- every verdict pinned -------------------------------------------------------
+
+def _verdict(value):
+    return "-" if value is None else "1" if value else "0"
+
+
+def _verdicts(m):
+    procs = "".join(_verdict(decide_by(m, PROCEDURES[pid].target, pid))
+                    for pid in sorted(PROCEDURES))
+    flags = "".join(_verdict(v) for v in classify_map(m).flags().values())
+    return procs, flags
+
+
+def test_procedure_and_flag_verdicts_pinned():
+    # the 11,310 exhaustive maps on at most 3 points, then 2,000 samples on 4
+    cfg = SuiteConfig(max_points=3, seed=0)
+    maps = chain(_exhaustive_maps(cfg),
+                 (_sample_map(cfg, index) for index in range(2000)))
+    digest = hashlib.sha256()
+    lines = 0
+    for m in maps:
+        line = "%r %r %r %s %s\n" % ((m.domain.stars, m.codomain.stars, m.table)
+                                     + _verdicts(m))
+        digest.update(line.encode())
+        lines += 1
+    assert lines == 13310
+    assert digest.hexdigest() == (
+        "9646f195d6c0db5d9167a30fde90da674925412e97f88d1d65db343c2988ec67"
+    )
+
+
+def test_no_verdict_outlives_a_mutation():
+    # nothing a mutation wraps may be memoized per map: under saturation-drop
+    # the maps evaluated plainly answer as freshly built copies of them do
+    maps = list(_exhaustive_maps(SuiteConfig(max_points=3)))[::3]
+    plain = [_verdicts(m) for m in maps]
+    with apply_mutation("saturation-drop"):
+        reused = [_verdicts(m) for m in maps]
+        fresh = [_verdicts(ContMap(m.domain, m.codomain, m.table)) for m in maps]
+    assert reused == fresh
+    assert any(r[1] != p[1] for r, p in zip(reused, plain))
