@@ -1,4 +1,4 @@
-"""Equivalence relations on finite spaces, quotients, and closed-relation joins.
+"""Equivalence relations on finite spaces and their quotients.
 
 A relation is kept as a partition in canonical form (blocks sorted by
 least element).  "Closed" means the saturation of every closed set is
@@ -14,13 +14,9 @@ the quotient, and every nonempty open set contains a star.
 is the largest closed set missing that star, and saturation is monotone.
 """
 
-from dataclasses import dataclass
-
 from .bitset import bit, bits
 from .contmap import ContMap, final_star, weakly_open_stars
 from .finspace import from_stars
-
-JOIN_BLOCK_LIMIT = 10
 
 
 class PartitionError(ValueError):
@@ -146,15 +142,6 @@ def meet(r1, r2):
     return EquivRel(r1.space, blocks)
 
 
-def _merge_base(r1, r2):
-    pairs = []
-    for rel in (r1, r2):
-        for b in rel.blocks:
-            run = list(bits(b))
-            pairs.extend(zip(run, run[1:]))
-    return from_pairs(r1.space, pairs)
-
-
 def _partitions_of(k):
     """Restricted-growth strings: every partition of {0..k-1}."""
     rgs = [0] * k
@@ -168,63 +155,6 @@ def _partitions_of(k):
             yield from rec(i + 1, max(maxval, v))
 
     yield from rec(1, 0) if k else iter(((),))
-
-
-@dataclass(frozen=True)
-class JoinResult:
-    """Outcome of the closed-relation join.
-
-    join is the unique smallest closed relation above both inputs when
-    the intersection of all closed candidates is itself closed; when it
-    is not, join is None and minimal lists the minimal closed
-    candidates instead.
-    """
-
-    join: object
-    minimal: tuple
-    candidates: int
-
-
-def join_closed(r1, r2):
-    if r1.space != r2.space:
-        raise ValueError("relations live on different spaces")
-    space = r1.space
-    base = _merge_base(r1, r2)
-    k = len(base.blocks)
-    if k > JOIN_BLOCK_LIMIT:
-        raise ValueError(
-            "join search enumerates partitions of %d blocks; limit is %d"
-            % (k, JOIN_BLOCK_LIMIT)
-        )
-    closed_above = []
-    for rgs in _partitions_of(k):
-        groups = {}
-        for i, g in enumerate(rgs):
-            groups[g] = groups.get(g, 0) | base.blocks[i]
-        cand = EquivRel(space, groups.values())
-        if is_closed_relation(cand):
-            closed_above.append(cand)
-    bottom = closed_above[0]
-    for cand in closed_above[1:]:
-        bottom = meet(bottom, cand)
-    # bottom still contains the merge base, so when closed it was enumerated
-    if is_closed_relation(bottom):
-        return JoinResult(join=bottom, minimal=(bottom,), candidates=len(closed_above))
-    minimal = []
-    for cand in closed_above:
-        if not any(
-            other != cand and _refines(other, cand) for other in closed_above
-        ):
-            minimal.append(cand)
-    return JoinResult(join=None, minimal=tuple(minimal), candidates=len(closed_above))
-
-
-def _refines(fine, coarse):
-    for b in fine.blocks:
-        low = (b & -b).bit_length() - 1
-        if b & ~coarse.block_of(low):
-            return False
-    return True
 
 
 def eqq_condition_i(rel):

@@ -195,7 +195,10 @@ _SOUND = {
 }
 
 
-def _procedure_check(prop_id):
+def _procedure_spec(prop_id, description):
+    """The map suite prop_id: every procedure _suite_of routes to it,
+    checked against the reference of its target; each procedure id is the
+    label of its own failures."""
     pids = tuple(pid for pid in sorted(contmap.PROCEDURES)
                  if _suite_of(contmap.PROCEDURES[pid]) == prop_id)
 
@@ -212,7 +215,7 @@ def _procedure_check(prop_id):
             ref = refs.get(proc.target)
             if not _SOUND[proc.kind](got, ref):
                 failures.append({
-                    "procedure": pid,
+                    "check": pid,
                     "target": proc.target,
                     "kind": proc.kind,
                     "procedure_value": got,
@@ -220,7 +223,7 @@ def _procedure_check(prop_id):
                 })
         return failures, na
 
-    return check
+    return PropertySpec(prop_id, "map", description, check, pids)
 
 
 def _check_saturation(m):
@@ -247,6 +250,11 @@ _IMPLICATIONS = (
     ("strongly_skeletal", "skeletal"),
     ("embedding", "irreducible"),
 )
+
+# the flags P-hier compares with plain references, each the label of its
+# own failures
+_HIER_FLAGS = ("open_map", "closed_map", "injective", "surjective",
+               "embedding", "quotient_map")
 
 
 def _check_hierarchy(m):
@@ -285,14 +293,9 @@ def _check_hierarchy(m):
         v for v in range(cod_full + 1) if _preimage_of(t, v) in dom_open_set
     }
     failures = []
-    for name, ref in (
-        ("open_map", ref_open),
-        ("closed_map", ref_closed),
-        ("injective", ref_injective),
-        ("surjective", ref_surjective),
-        ("embedding", ref_embedding),
-        ("quotient_map", ref_quotient),
-    ):
+    refs = (ref_open, ref_closed, ref_injective, ref_surjective,
+            ref_embedding, ref_quotient)
+    for name, ref in zip(_HIER_FLAGS, refs):
         if flags[name] != ref:
             failures.append({"check": name, "flag": flags[name], "reference_value": ref})
     return failures, 0
@@ -489,13 +492,13 @@ def _disjoint_identities_of(outer):
             gd_local = funclat.disjoint_complement(e, gb)
             gd_outer = funclat.disjoint_complement(outer, gb)
             if gd_local != funclat.intersection(gd_outer, e):
-                return [{"identity": "complement-localizes",
+                return [{"check": "complement-localizes",
                          "slice_zero": e.zero_mask, "pick": pick}], 0
             gdd_local = funclat.disjoint_complement(e, funclat.solution_basis(gd_local))
             gdd_outer = funclat.disjoint_complement(outer, funclat.solution_basis(gd_outer))
             restricted = funclat.intersection(gdd_outer, e)
             if not funclat.contains(gdd_local, restricted):
-                return [{"identity": "double-complement-monotone",
+                return [{"check": "double-complement-monotone",
                          "slice_zero": e.zero_mask, "pick": pick}], 0
             flags = funclat.classify_sublattice(e, g)
             broken = ["%s -> %s" % (a, b) for a, b in _SUBLATTICE_IMPLICATIONS
@@ -507,7 +510,7 @@ def _disjoint_identities_of(outer):
                          "slice_zero": e.zero_mask, "pick": pick}
                         for b in broken], 0
             if flags.band and g != restricted:
-                return [{"identity": "band-restriction",
+                return [{"check": "band-restriction",
                          "slice_zero": e.zero_mask, "pick": pick}], 0
     return [], 0
 
@@ -523,7 +526,7 @@ def _ideal_intersection_of(sub):
         ideal = funclat.zero_ideal(ambient, a)
         inter = funclat.intersection(ideal, sub)
         if not funclat.classify_sublattice(sub, inter).ideal:
-            return [{"identity": "ideal-meets-sublattice", "zero_mask": a}], 0
+            return [{"check": "ideal-meets-sublattice", "zero_mask": a}], 0
     return [], 0
 
 
@@ -628,61 +631,82 @@ def _check_certification(m):
 
 @dataclass(frozen=True)
 class PropertySpec:
+    """One property: check(instance) returns (failure dicts, n/a count).
+
+    Each failure dict names its label under "check"; labels lists every
+    label the check can emit.  Any check may also fail with
+    UNEXPECTED_EXCEPTION, which the runner emits when it raises.
+    """
+
     id: str
     kind: str
     description: str
     check: object
+    labels: tuple
 
+
+UNEXPECTED_EXCEPTION = "unexpected-exception"
 
 PROPERTIES = {p.id: p for p in (
-    PropertySpec("P-ao", "map",
-                 "weak-openness procedures match the opens-family reference",
-                 _procedure_check("P-ao")),
-    PropertySpec("P-wo", "map",
-                 "almost-openness and skeletality procedures match the reference",
-                 _procedure_check("P-wo")),
-    PropertySpec("P-irr", "map",
-                 "irreducibility procedures match the closed-image scan",
-                 _procedure_check("P-irr")),
-    PropertySpec("P-wi", "map",
-                 "injectivity-flavour procedures stay within their direction",
-                 _procedure_check("P-wi")),
-    PropertySpec("P-mirr", "map",
-                 "hypothesis-gated irreducibility procedures are sound",
-                 _procedure_check("P-mirr")),
+    _procedure_spec("P-ao",
+                    "weak-openness procedures match the opens-family reference"),
+    _procedure_spec("P-wo",
+                    "almost-openness and skeletality procedures match the reference"),
+    _procedure_spec("P-irr",
+                    "irreducibility procedures match the closed-image scan"),
+    _procedure_spec("P-wi",
+                    "injectivity-flavour procedures stay within their direction"),
+    _procedure_spec("P-mirr",
+                    "hypothesis-gated irreducibility procedures are sound"),
     PropertySpec("P-sat", "map",
                  "saturation equals the fiber scan and acts like a closure",
-                 _check_saturation),
+                 _check_saturation,
+                 ("fiber-scan", "idempotent", "union-additive")),
     PropertySpec("P-hier", "map",
                  "classification flags are consistent and match plain references",
-                 _check_hierarchy),
+                 _check_hierarchy,
+                 ("classification-consistency",) + _HIER_FLAGS),
     PropertySpec("P-eqr", "rel",
                  "relation saturation and closedness agree with references",
-                 _check_relation),
+                 _check_relation,
+                 ("saturation", "closed-relation", "closed-relation-projection")),
     PropertySpec("P-quot", "rel",
                  "the quotient topology is final for the projection",
-                 _check_quotient),
+                 _check_quotient,
+                 ("projection-table", "final-topology")),
     PropertySpec("P-eqq", "rel",
                  "block conditions match references and the discrete bridge",
-                 _check_block_conditions),
+                 _check_block_conditions,
+                 ("open-saturation-condition", "closed-saturation-condition",
+                  "lattice-regular-bridge", "lattice-density-bridge")),
     PropertySpec("P-dis", "lattice",
                  "disjoint-complement identities hold in every ideal slice",
-                 _check_disjoint_identities),
+                 _check_disjoint_identities,
+                 ("complement-localizes", "double-complement-monotone",
+                  "flag-hierarchy", "band-restriction")),
     PropertySpec("P-menag", "lattice",
                  "ideals meet sublattices in ideals",
-                 _check_ideal_intersection),
+                 _check_ideal_intersection,
+                 ("ideal-meets-sublattice",)),
     PropertySpec("P-sw", "lattice",
                  "canonical form matches the integer closure oracle",
-                 _check_span_closure),
+                 _check_span_closure,
+                 ("generator-membership", "closure-dimension")),
     PropertySpec("P-hoc", "monohom",
                  "order-continuity conditions hold for row-monomial operators",
-                 _check_operator_conditions),
+                 _check_operator_conditions,
+                 ("constructor", "structural-vs-definitional",
+                  "normal-form-roundtrip") + tuple(comphom.HOC_CONDITIONS)),
     PropertySpec("P-hom", "hom",
                  "structural and definitional homomorphism tests agree",
-                 _check_homomorphism_test),
+                 _check_homomorphism_test,
+                 ("structural-vs-definitional", "constructor-rejects-homomorphism",
+                  "missing-witness", "witness-does-not-witness",
+                  "constructor-accepts-non-homomorphism", "normal-form-roundtrip")),
     PropertySpec("P-com", "dismap",
                  "certificates equal direct verdicts on discrete spaces",
-                 _check_certification),
+                 _check_certification,
+                 ("certificate-vs-direct",)),
 )}
 
 PROPERTY_ORDER = tuple(PROPERTIES)
@@ -948,7 +972,7 @@ def _safe_check(pid, instance):
     try:
         return PROPERTIES[pid].check(instance)
     except Exception as exc:  # a crash counts as a failing instance
-        return [{"check": "unexpected-exception", "error": repr(exc)}], 0
+        return [{"check": UNEXPECTED_EXCEPTION, "error": repr(exc)}], 0
 
 
 def replay_witness(witness):
@@ -997,10 +1021,13 @@ def _validate(cfg):
         raise ValueError("sample_budget must be nonnegative")
     if cfg.workers < 1:
         raise ValueError("workers must be positive")
-    for pid in cfg.selected():
+    selected = cfg.selected()
+    for pid in selected:
         if pid not in PROPERTIES:
             raise ValueError("unknown property %r; known: %s"
                              % (pid, ", ".join(PROPERTY_ORDER)))
+        if selected.count(pid) > 1:
+            raise ValueError("property %r is selected more than once" % pid)
     if cfg.mutation is not None and cfg.mutation not in MUTATIONS:
         raise ValueError("unknown mutation %r; known: %s"
                          % (cfg.mutation, ", ".join(sorted(MUTATIONS))))

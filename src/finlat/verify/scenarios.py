@@ -423,7 +423,17 @@ def grid_scenario(k=4):
         space, _blocks_from_names(names, _line_groups(k, 0)))
     horizontal = equivrel.EquivRel(
         space, _blocks_from_names(names, _line_groups(k, 1)))
-    joined = equivrel._merge_base(vertical, horizontal)
+
+    def chained(pairs, *rels):
+        # the relation generated by pairs and the blocks of rels
+        pairs = list(pairs)
+        for rel in rels:
+            for b in rel.blocks:
+                run = list(bits(b))
+                pairs.extend(zip(run, run[1:]))
+        return equivrel.from_pairs(space, pairs)
+
+    joined = chained((), vertical, horizontal)
 
     quotients = {}
     flag_sets = {}
@@ -440,15 +450,8 @@ def grid_scenario(k=4):
         diag_pairs.append((index["S(%d)" % t], index["V(%d,%d)" % (t, t)]))
         diag_pairs.append((index["E(%d)" % t], index["D(%d)" % (t - 1)]))
 
-    def extend(rel):
-        pairs = list(diag_pairs)
-        for b in rel.blocks:
-            run = list(bits(b))
-            pairs.extend(zip(run, run[1:]))
-        return equivrel.from_pairs(space, pairs)
-
-    vertical_d = extend(vertical)
-    horizontal_d = extend(horizontal)
+    vertical_d = chained(diag_pairs, vertical)
+    horizontal_d = chained(diag_pairs, horizontal)
     meet_d = equivrel.meet(vertical_d, horizontal_d)
     for name, rel in (("vertical+diag", vertical_d),
                       ("horizontal+diag", horizontal_d),

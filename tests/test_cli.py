@@ -457,6 +457,10 @@ def test_verify_unknown_inputs_are_usage_errors(capsys):
                            "--sample-budget", "0")
     assert code == 2
     assert "unknown mutation" in err
+    code, _, err = run_cli(capsys, "verify", "--props", "P-sat", "P-sat",
+                           "--max-points", "1", "--sample-budget", "0")
+    assert code == 2
+    assert err.startswith("error:") and "P-sat" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ from finlat import (
     from_pairs,
     identity_relation,
     is_closed_relation,
-    join_closed,
     make_space,
     meet,
     quotient,
     saturate,
 )
 from finlat.equivrel import PartitionError, _partitions_of
-from finlat.finspace import from_stars
 
 
 def all_partitions(n):
@@ -109,7 +107,7 @@ def test_closed_relation_matches_direct_scan():
             assert is_closed_relation(rel) == want
 
 
-# --- meet and closed join ------------------------------------------------------
+# --- meet ---------------------------------------------------------------------
 
 def test_meet_is_coarsest_common_refinement():
     space = make_space(4, [0, 0b1111])
@@ -118,26 +116,6 @@ def test_meet_is_coarsest_common_refinement():
     assert meet(r1, r2).blocks == (1, 2, 4, 8)
     r3 = from_blocks(space, [[0, 1, 2], [3]])
     assert meet(r1, r3).blocks == (0b0011, 0b0100, 0b1000)
-
-
-def test_join_exists_when_merge_base_is_closed():
-    space = make_space(3, [0, 0b111])  # indiscrete: everything is closed
-    r1 = from_blocks(space, [[0, 1], [2]])
-    r2 = from_blocks(space, [[0], [1, 2]])
-    res = join_closed(r1, r2)
-    assert res.join is not None
-    assert res.join.blocks == (0b111,)
-
-
-def test_join_can_fail_with_incomparable_minimal_candidates():
-    # star table frozen from an exhaustive search over the 4-point spaces
-    space = from_stars(4, (1, 2, 5, 15))
-    rel = from_blocks(space, [[0, 1], [2], [3]])
-    assert not is_closed_relation(rel)
-    res = join_closed(rel, rel)
-    assert res.join is None
-    assert {m.blocks for m in res.minimal} == {(7, 8), (3, 12)}
-    assert res.candidates == 3
 
 
 # --- block-space conditions -----------------------------------------------------

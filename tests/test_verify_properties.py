@@ -60,6 +60,90 @@ def test_registry_frozen():
         assert callable(PROPERTIES[pid].check)
 
 
+def _check_label(node):
+    """The value a dict literal holds under "check", else None."""
+    if isinstance(node, ast.Dict):
+        for key, value in zip(node.keys, node.values):
+            if isinstance(key, ast.Constant) and key.value == "check":
+                return value
+    return None
+
+
+def _reachable(top, qualname):
+    """The definition at qualname, and every module-level function or class
+    that it names, transitively."""
+    parts = [p for p in qualname.split(".") if p != "<locals>"]
+    node = top[parts[0]]
+    for part in parts[1:]:
+        node = next(n for n in ast.walk(node)
+                    if isinstance(n, ast.FunctionDef) and n.name == part)
+    found = {}
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node.name not in found:
+            found[node.name] = node
+            todo.extend(top[n.id] for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and n.id in top)
+    return list(found.values())
+
+
+def test_failure_labels_are_declared_and_emitted():
+    # labels that come from data: the name the check reads them through,
+    # and the labels that data holds
+    sources = {
+        "P-hier": ("_HIER_FLAGS", set(properties._HIER_FLAGS)),
+        "P-hoc": ("hoc_conditions", set(comphom.HOC_CONDITIONS)),
+    }
+    for pid, proc in contmap.PROCEDURES.items():
+        suite = properties._suite_of(proc)
+        sources.setdefault(suite, ("PROCEDURES", set()))[1].add(pid)
+    tree = ast.parse(Path(properties.__file__).read_text(encoding="utf-8"))
+    top = {n.name: n for n in tree.body
+           if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    covered = set()
+    for pid, spec in PROPERTIES.items():
+        declared = set(spec.labels)
+        assert len(declared) == len(spec.labels), pid
+        assert properties.UNEXPECTED_EXCEPTION not in declared, pid
+        assert spec.check.__module__ == properties.__name__, pid
+        nodes = _reachable(top, spec.check.__qualname__)
+        named = {n.id if isinstance(n, ast.Name) else n.attr
+                 for node in nodes for n in ast.walk(node)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        literal = set()
+        dynamic = False
+        for node in nodes:
+            for n in ast.walk(node):
+                value = _check_label(n)
+                if value is None:
+                    continue
+                covered.add(id(n))
+                if isinstance(value, ast.Constant):
+                    literal.add(value.value)
+                else:
+                    dynamic = True
+        assert literal <= declared, (pid, sorted(literal - declared))
+        source, from_data = sources.get(pid, (None, set()))
+        assert dynamic == (source is not None), pid
+        if source is not None:
+            assert source in named, (pid, source)
+        assert from_data <= declared, (pid, sorted(from_data - declared))
+        assert declared - literal <= from_data, (
+            pid, sorted(declared - literal - from_data))
+    # every procedure id labels the failures of exactly one map suite
+    for proc_id in contmap.PROCEDURES:
+        owners = [pid for pid, spec in PROPERTIES.items() if proc_id in spec.labels]
+        assert len(owners) == 1 and PROPERTIES[owners[0]].kind == "map", proc_id
+    # every other failure dict of the module is the runner's own
+    rest = [ast.unparse(_check_label(n)) for n in ast.walk(tree)
+            if _check_label(n) is not None and id(n) not in covered]
+    assert rest == ["UNEXPECTED_EXCEPTION"]
+    keys = {k.value for n in ast.walk(tree) if isinstance(n, ast.Dict)
+            for k in n.keys if isinstance(k, ast.Constant)}
+    assert not keys & {"identity", "procedure"}
+
+
 @pytest.mark.parametrize("kind", sorted(set(EXPECTED_KINDS.values())))
 def test_witness_fields_rebuild_each_kind(kind):
     # the replay path of every kind, including those no mutation reaches
@@ -388,6 +472,7 @@ def test_mutation_runs_leave_no_state_behind():
     {"workers": 0},
     {"properties": ("P-nope",)},
     {"mutation": "not-a-mutation"},
+    {"properties": ("P-sat", "P-sat")},
 ])
 def test_bad_config_rejected(kw):
     with pytest.raises(ValueError):
@@ -735,7 +820,7 @@ def test_dense_family_missing_its_least_member_trips_p_ao_and_p_wo(monkeypatch):
     assert {pid: r.failures for pid, r in results.items()} == {
         "P-ao": 1676, "P-wo": 1190}
     witnesses = {pid: r.witness for pid, r in results.items()}
-    assert {pid: w["detail"]["procedure"] for pid, w in witnesses.items()} == {
+    assert {pid: w["detail"]["check"] for pid, w in witnesses.items()} == {
         "P-ao": "ao-iii", "P-wo": "wo-vi-some"}
     for w in witnesses.values():
         assert replay_witness(w) == [w["detail"]]
