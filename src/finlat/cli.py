@@ -14,12 +14,13 @@ import sys
 
 from . import comphom, contmap, equivrel, finspace, funclat, records
 from .bitset import mask_of
-from .verify import (
-    SuiteConfig,
-    grid_scenario,
-    intero_scenario,
-    run_suite,
-)
+
+# finlat.verify is imported by the handlers that use it, so the other
+# subcommands start without it and without its process pool.  The verify
+# flags below map one to one onto SuiteConfig fields; their parser default
+# is None, and a flag left out keeps SuiteConfig's own default
+_SUITE_FLAGS = ("max_points", "sample_points", "sample_budget", "seed",
+                "workers", "lattice_dim", "mutation", "include_timing")
 
 
 def _read(path):
@@ -254,18 +255,13 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    config = SuiteConfig(
-        max_points=args.max_points,
-        sample_points=args.sample_points,
-        sample_budget=args.sample_budget,
-        properties=tuple(args.props or ()),
-        seed=args.seed,
-        workers=args.workers,
-        lattice_dim=args.lattice_dim,
-        mutation=args.mutation,
-        include_timing=args.include_timing,
-    )
-    report = run_suite(config)
+    from .verify import SuiteConfig, run_suite
+
+    given = {name: getattr(args, name) for name in _SUITE_FLAGS
+             if getattr(args, name) is not None}
+    if args.props:
+        given["properties"] = tuple(args.props)
+    report = run_suite(SuiteConfig(**given))
     if args.format == "structured":
         sys.stdout.write(report.canonical_bytes().decode("utf-8") + "\n")
     else:
@@ -274,12 +270,16 @@ def _cmd_verify(args):
 
 
 def _cmd_example_intero(args):
+    from .verify import intero_scenario
+
     report = intero_scenario(args.depth)
     _emit(args, [report.to_text()], report.to_structured())
     return 0 if report.ok else 1
 
 
 def _cmd_example_grid(args):
+    from .verify import grid_scenario
+
     report = grid_scenario(args.k)
     _emit(args, [report.to_text()], report.to_structured())
     return 0 if report.ok else 1
@@ -350,17 +350,17 @@ def build_parser():
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--max-points", type=int, default=SuiteConfig.max_points)
-    p.add_argument("--props", nargs="+", default=None,
+    p.add_argument("--max-points", type=int)
+    p.add_argument("--props", nargs="+",
                    help="property ids to run (default: all)")
-    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    p.add_argument("--workers", type=int, default=SuiteConfig.workers)
-    p.add_argument("--sample-budget", type=int, default=SuiteConfig.sample_budget)
-    p.add_argument("--sample-points", type=int, default=SuiteConfig.sample_points)
-    p.add_argument("--lattice-dim", type=int, default=SuiteConfig.lattice_dim)
-    p.add_argument("--mutation", default=SuiteConfig.mutation,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--sample-budget", type=int)
+    p.add_argument("--sample-points", type=int)
+    p.add_argument("--lattice-dim", type=int)
+    p.add_argument("--mutation",
                    help="named defect to install first (expected to fail)")
-    p.add_argument("--include-timing", action="store_true")
+    p.add_argument("--include-timing", action="store_true", default=None)
     _add_format(p)
     p.set_defaults(run=_cmd_verify)
 

@@ -28,8 +28,12 @@ the subset indicators) once, with the checks as index triples, so T is
 applied once per distinct vector.  They are int vectors, as are funclat's
 solution bases, so on a composition operator or an integer-weight operator
 every condition runs in int arithmetic.  The codomain side of image-dd is
-computed per operator and never kept: one (TG)^dd per distinct set of
-nonzero images, with T applied to each domain basis vector once.
+kept with the domain side: each (TG)^dd is closed once per distinct
+(m, set of nonzero images) and stored in the closed dict of the table
+_coordinate_ideals(n), so clearing that table clears them too, as
+verify.mutations does around every mutation.  T is applied to each domain
+basis vector once per call, and membership of T(G^dd) is tested on every
+call.
 
 certify_composition reads the theorem table CONCLUSIONS: each conclusion
 about the lattice pulled back along a map is licensed by one map class and,
@@ -204,6 +208,23 @@ def _columns_read(t):
     return used
 
 
+class _IdealTable(tuple):
+    """A dimension's coordinate-ideal entries, with the (TG)^dd sets that
+    image-dd closed from them.
+
+    closed maps (m, the sorted tuple of the nonzero images of G's basis)
+    to (TG)^dd in m-dimensional space.  The sorted tuple names the set
+    whatever order the images came in, and holds less than a frozenset.
+    closed lives and dies with the table, so whatever clears
+    _coordinate_ideals clears it too.
+    """
+
+    def __new__(cls, entries):
+        table = super().__new__(cls, entries)
+        table.closed = {}
+        return table
+
+
 @cache
 def _coordinate_ideals(n):
     """The domain side of the lattice-side conditions, per dimension n.
@@ -213,8 +234,9 @@ def _coordinate_ideals(n):
     of G_a, solution basis of G_a^dd).  The band test computes G_a^dd and
     accepts exactly when it equals G_a, so a band shares G_a's basis, and
     G_a^dd is computed again only for a non-band.  Built on first use and
-    kept for the process.  Each distinct basis vector is stored once: the
-    bases of a dimension share its n unit vectors.
+    kept for the process; its closed dict starts empty and fills as
+    image-dd runs.  Each distinct basis vector is stored once: the bases of
+    a dimension share its n unit vectors.
     """
     full = full_space(n)
     vectors = {}
@@ -230,7 +252,7 @@ def _coordinate_ideals(n):
             table.append((True, g_basis, g_basis))
         else:
             table.append((False, g_basis, basis(double_complement(full, g)[1])))
-    return tuple(table)
+    return _IdealTable(table)
 
 
 @cache
@@ -349,36 +371,37 @@ def _image_double_complements(t):
     bases come from the per-dimension table, and each distinct basis vector
     is applied once per call.  TG is generated by the images of G's basis
     whatever their order, repeats or zeros, so each ideal is keyed by its
-    set of nonzero images (a bit per distinct image) and the ideals are
-    visited in key order: (TG)^dd is computed once per key, and only one is
-    alive at a time.  When T reads fewer than n columns, many ideals share
-    a key.
+    set of nonzero images (a bit per distinct image).  (TG)^dd is read from
+    the table's closed dict under (m, that set), and canonical_form and
+    double_complement build it only when no earlier operator of the
+    dimension closed the same set.  When T reads fewer than n columns, many
+    ideals share a set.
     """
-    cod = full_space(t.m)
     table = _coordinate_ideals(t.n)
+    closed = table.closed
     images = {}
     distinct = {}
+    by_key = {}
 
     def image(v):
         if v not in images:
             images[v] = t.apply(v)
         return images[v]
 
-    def image_set(basis):
+    for _, g_basis, gdd_basis in table:
         key = 0
-        for tv in map(image, basis):
+        for tv in map(image, g_basis):
             if any(tv):
                 key |= distinct.setdefault(tv, 1 << len(distinct))
-        return key
-
-    keys = [image_set(g_basis) for _, g_basis, _ in table]
-    current = None
-    for a in sorted(range(len(table)), key=keys.__getitem__):
-        if keys[a] != current:
-            current = keys[a]
-            tg = canonical_form(t.m, [tv for tv, b in distinct.items() if current & b])
-            _, tgdd = double_complement(cod, tg)
-        if not all(member(tgdd, image(v)) for v in table[a][2]):
+        tgdd = by_key.get(key)
+        if tgdd is None:
+            gens = [tv for tv, b in distinct.items() if key & b]
+            slot = t.m, tuple(sorted(gens))
+            if slot not in closed:
+                tg = canonical_form(t.m, gens)
+                closed[slot] = double_complement(full_space(t.m), tg)[1]
+            tgdd = by_key[key] = closed[slot]
+        if not all(member(tgdd, image(v)) for v in gdd_basis):
             return False
     return True
 

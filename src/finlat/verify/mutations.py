@@ -7,7 +7,10 @@ mutation installed around the runner is recorded as the active one, and the
 runner hands its name to every pool worker, whatever the start method.
 Where it is active already (a run given the same mutation, or a worker
 forked from the installing process) it is not installed a second time, so
-two wraps never cancel out; a second, different mutation is refused.  The point
+two wraps never cancel out; a second, different mutation is refused.
+Installing or restoring a mutation clears comphom's per-dimension
+coordinate-ideal tables, and with them the (TG)^dd sets image-dd closed,
+so no closed set outlives the code that built it.  The point
 is evidence that the suite has teeth: a silent pass under any of these bugs
 would mean the corresponding property is vacuous.  Callers outside tests
 should never enable them.
@@ -16,6 +19,7 @@ should never enable them.
 from contextlib import contextmanager
 from dataclasses import replace
 
+from .. import comphom
 from .. import contmap
 from .. import funclat
 
@@ -85,8 +89,10 @@ def apply_mutation(name):
     original = binding[key]
     binding[key] = wrap(original)
     _active = name
+    comphom._coordinate_ideals.cache_clear()
     try:
         yield name
     finally:
         binding[key] = original
         _active = None
+        comphom._coordinate_ideals.cache_clear()

@@ -12,13 +12,11 @@ process and star table (at most 389 on up to 4 points) and share it, and
 the exhaustive streams enumerate the topologies of each size once.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 import functools
 from itertools import combinations_with_replacement, product
 import math
-import multiprocessing
 from operator import mul
 import random
 import time
@@ -547,33 +545,47 @@ def _sign_pairs(n):
     return tuple((f, tuple(map(abs, f))) for f in product((-1, 0, 1), repeat=n))
 
 
-def _breaks_on(rows, pairs):
-    """Some row r and pair (f, |f|) with |r.f| != r.|f|.
+def _scaled_rows(rows):
+    """Each distinct row scaled by the lcm of its denominators.
 
-    Each distinct row is scaled by the lcm of its denominators first.  The
-    factor is positive, so the scaled row breaks the identity exactly when
-    the row does, and on int vectors f the sweep runs in int arithmetic.
+    The factor is positive, so a scaled row breaks |r.f| = r.|f| exactly
+    when the row does, and on int vectors f the test runs in int
+    arithmetic.
     """
-    scaled = {funclat._integral(funclat._exact(row)) for row in rows}
-    return any(
-        abs(sum(map(mul, r, f))) != sum(map(mul, r, af))
-        for r in scaled
-        for f, af in pairs
-    )
+    return {funclat._integral(funclat._exact(row)) for row in rows}
+
+
+def _breaks_on(r, pairs):
+    """Some pair (f, |f|) with |r.f| != r.|f|, for the int row r."""
+    return any(abs(sum(map(mul, r, f))) != sum(map(mul, r, af)) for f, af in pairs)
+
+
+@functools.cache
+def _row_breaks_some_sign_vector(r):
+    """The sign sweep of one scaled row, once per process.
+
+    It reads only _sign_pairs and operator.mul: no funclat routine, nothing
+    a mutation wraps and nothing a test patches.  So a process-wide cache
+    answers as a per-stage one would, and it also serves callers that run
+    a property's check outside any stage.
+    """
+    return _breaks_on(r, _sign_pairs(len(r)))
 
 
 def _breaks_absolute_value(rows, f):
     """|Tf| != T|f| for the dense rows and the vector f."""
-    return _breaks_on(rows, ((f, tuple(map(abs, f))),))
+    pairs = ((f, tuple(map(abs, f))),)
+    return any(_breaks_on(r, pairs) for r in _scaled_rows(rows))
 
 
 def _definitional_homomorphism(rows):
     """|Tf| = T|f| on every sign vector f, the definitional test.
 
     A linear map preserves absolute values exactly when it does so on the
-    3^n vectors with entries in {-1, 0, 1}.
+    3^n vectors with entries in {-1, 0, 1}, and it does so exactly when
+    each of its rows does.
     """
-    return not _breaks_on(rows, _sign_pairs(len(rows[0])))
+    return not any(map(_row_breaks_some_sign_vector, _scaled_rows(rows)))
 
 
 def _check_operator_conditions(rows):
@@ -1106,6 +1118,10 @@ def _span_parts(kind, pids, cfg, stage, total, instances=None):
         return []
     if cfg.workers <= 1:
         return [_check_stage(kind, pids, cfg, stage, 0, total, instances)]
+    # imported here, so a process that never opens a pool never loads them
+    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+
     if cfg.mutation is None:
         cfg = replace(cfg, mutation=active_mutation())
     step = max(64, -(-total // (cfg.workers * 4)))
@@ -1137,10 +1153,19 @@ def _summed(pid, aggs):
 
 def check_instances(pids, instances, *, workers=1):
     """Check an explicit instance list, as an exhaustive stream, with
-    properties of one kind; returns their PropertyResults in pids order."""
-    kind = PROPERTIES[pids[0]].kind
-    parts = _span_parts(kind, pids, SuiteConfig(workers=workers), "exhaustive",
-                        len(instances), instances)
+    properties of one kind; returns their PropertyResults in pids order.
+
+    pids and workers are checked by run_suite's rules: an unknown or
+    repeated id, or fewer than one worker, raises ValueError.  So do no
+    ids, and ids of more than one kind.
+    """
+    cfg = SuiteConfig(properties=tuple(pids), workers=workers)
+    _validate(cfg)
+    kinds = {PROPERTIES[pid].kind for pid in pids}
+    if len(kinds) != 1:
+        raise ValueError("check_instances needs properties of one kind")
+    (kind,) = kinds
+    parts = _span_parts(kind, pids, cfg, "exhaustive", len(instances), instances)
     return tuple(_summed(pid, [part[pid] for part in parts]) for pid in pids)
 
 

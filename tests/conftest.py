@@ -58,9 +58,8 @@ def small_spaces():
 def inline_pool(monkeypatch):
     """Replace the suite runner's process pool by a stand-in that runs the
     work inline; yields the pool sizes asked for."""
+    import concurrent.futures
     from concurrent.futures import Future
-
-    from finlat.verify import properties
 
     sizes = []
 
@@ -79,7 +78,8 @@ def inline_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(properties, "ProcessPoolExecutor", InlinePool)
+    # the runner imports the pool class when it opens a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 

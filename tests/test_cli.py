@@ -642,9 +642,11 @@ def _run_finlat_python(code):
 
 
 def test_importing_the_cli_does_not_load_numpy():
-    # where numpy is installed, the CLI still leaves it unloaded
+    # where numpy is installed, the CLI still leaves it unloaded; nor does it
+    # load the verify layer or the process pool before a subcommand needs them
     assert _run_finlat_python(
-        "import sys, finlat.cli; print('numpy' in sys.modules)") == "False"
+        "import sys, finlat.cli; print([m for m in ('numpy', 'finlat.verify', "
+        "'concurrent.futures', 'multiprocessing') if m in sys.modules])") == "[]"
 
 
 def test_finlat_runs_without_numpy():

@@ -383,18 +383,27 @@ def test_probe_joins_are_the_pairwise_max_of_the_probes(n):
         "identity-1", "identity-2", "identity-3"])
 def test_image_dd_closes_each_distinct_nonzero_image_set_once(
         monkeypatch, rows, image_sets):
+    # from a cold table the first call closes each distinct set once; the
+    # table keeps them, so a second call closes none
     built = []
     closed = []
     real_form = comphom.canonical_form
     real_dd = comphom.double_complement
+    comphom._coordinate_ideals.cache_clear()
     monkeypatch.setattr(comphom, "canonical_form",
                         lambda n, gens: built.append(n) or real_form(n, gens))
     monkeypatch.setattr(comphom, "double_complement",
                         lambda amb, e: closed.append(e) or real_dd(amb, e))
-    t = HomMatrix(rows)
-    assert comphom._image_double_complements(t)
-    assert len(built) == len(closed) == image_sets
-    assert len(set(closed)) == image_sets
+    try:
+        t = HomMatrix(rows)
+        assert comphom._image_double_complements(t)
+        assert len(built) == len(closed) == image_sets
+        assert len(set(closed)) == image_sets
+        assert comphom._image_double_complements(t)
+        assert len(built) == len(closed) == image_sets
+    finally:
+        monkeypatch.undo()
+        comphom._coordinate_ideals.cache_clear()
 
 
 def test_band_preimages_test_each_distinct_preimage_once(monkeypatch):
@@ -509,6 +518,40 @@ def test_coordinate_ideal_table_is_untouched_by_ratio_flip():
             assert {v for entry in table for v in entry[1] + entry[2]} == {
                 tuple(int(i == j) for i in range(n)) for j in range(n)}
     finally:
+        comphom._coordinate_ideals.cache_clear()
+
+
+def test_no_closed_image_set_outlives_a_mutation(monkeypatch):
+    # the table keeps each (TG)^dd, closed from a TG that canonical_form
+    # builds with funclat._tie_ratio; these operators' images tie, so
+    # ratio-flip changes every TG they close.  (TG)^dd itself is a
+    # coordinate ideal of the full space, so the verdict cannot show a stale
+    # read: the TG systems handed to double_complement do
+    ops = [HomMatrix(rows) for rows in
+           ([[1], [2]], [[1, 0], [3, 0]], [[2, 0], [0, 1], [1, 0]])]
+    closed = []
+    real_dd = comphom.double_complement
+    monkeypatch.setattr(comphom, "double_complement",
+                        lambda amb, e: closed.append(e) or real_dd(amb, e))
+
+    def image_dd():
+        closed.clear()
+        return [comphom._image_double_complements(t) for t in ops], list(closed)
+
+    comphom._coordinate_ideals.cache_clear()
+    try:
+        plain = image_dd()
+        assert plain[0] == [True] * len(ops) and plain[1]
+        assert image_dd() == ([True] * len(ops), [])
+        with apply_mutation("ratio-flip"):
+            reused = image_dd()
+            comphom._coordinate_ideals.cache_clear()
+            cold = image_dd()
+        assert reused == cold
+        assert cold[1] != plain[1]
+        assert image_dd() == plain
+    finally:
+        monkeypatch.undo()
         comphom._coordinate_ideals.cache_clear()
 
 

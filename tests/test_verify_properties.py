@@ -239,6 +239,31 @@ def test_sign_matrices_up_to_3x3_pass_exhaustively():
     assert {accepted(rows) for rows in homs} == {True, False}
 
 
+def test_operators_on_four_points_pass_exhaustively():
+    # every row-monomial operator with m, n <= 4 whose rows are zero or
+    # hold one entry from 1..3: (1 + 3n)^m matrices per shape.  P-hoc runs
+    # the five conditions and the normal-form round trip on each
+    homs = list(_KINDS["monohom"].exhaustive(SuiteConfig(max_points=4)))
+    assert len(homs) == sum(
+        (1 + 3 * n) ** m for m in (1, 2, 3, 4) for n in (1, 2, 3, 4)) == 45190
+    (result,) = properties.check_instances(("P-hoc",), homs, workers=2)
+    assert (result.exhaustive, result.failures) == (45190, 0)
+
+
+@pytest.mark.parametrize("pids,workers,message", [
+    (("P-sat", "P-sat"), 1, "selected more than once"),
+    (("P-sat",), 0, "workers must be positive"),
+    (("P-sat",), -1, "workers must be positive"),
+    (("P-nope",), 1, "unknown property"),
+    ((), 1, "one kind"),
+    (("P-sat", "P-hoc"), 1, "one kind"),
+])
+def test_check_instances_refuses_a_bad_selection(pids, workers, message):
+    maps = list(properties._exhaustive_maps(SuiteConfig(max_points=2)))
+    with pytest.raises(ValueError, match=message):
+        properties.check_instances(pids, maps, workers=workers)
+
+
 def _gcd_one_vectors(n, bound=2):
     out = set()
     for vec in itertools.product(range(-bound, bound + 1), repeat=n):

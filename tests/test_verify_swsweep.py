@@ -1,5 +1,6 @@
 """Family sweep: symmetry quotient soundness, caching, and report shape."""
 
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 import hashlib
 import json
@@ -205,7 +206,7 @@ def pool_sizes(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, mp_context=mp_context)
 
-    monkeypatch.setattr(properties, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
