@@ -352,9 +352,9 @@ def wo_ii(m):
 
 
 def wo_iii(m):
-    dom, cod = m.domain, m.codomain
-    for v in cod.opens:
-        if cod.is_dense(v) and not dom.is_dense(preimage(m, v)):
+    dom = m.domain
+    for v in m.codomain.dense_opens:
+        if not dom.is_dense(preimage(m, v)):
             return False
     return True
 

@@ -43,7 +43,7 @@ class FinSpace:
 
     __slots__ = ("n", "stars", "full", "_opens", "_closure", "_interior",
                  "_nonempty_opens", "_proper_closed_sets", "_dense_sets",
-                 "_nowhere_dense_sets", "_canonically_closed_sets")
+                 "_dense_opens", "_nowhere_dense_sets", "_canonically_closed_sets")
 
     def __init__(self, n, stars):
         self.n = n
@@ -55,6 +55,7 @@ class FinSpace:
         self._nonempty_opens = None
         self._proper_closed_sets = None
         self._dense_sets = None
+        self._dense_opens = None
         self._nowhere_dense_sets = None
         self._canonically_closed_sets = None
 
@@ -95,6 +96,12 @@ class FinSpace:
         if self._dense_sets is None:
             self._dense_sets = self._scan(self.is_dense)
         return self._dense_sets
+
+    @property
+    def dense_opens(self):
+        if self._dense_opens is None:
+            self._dense_opens = tuple(u for u in self.opens if self.is_dense(u))
+        return self._dense_opens
 
     @property
     def nowhere_dense_sets(self):

@@ -23,23 +23,27 @@ their ratios along the paths of a union-find forest before they reach
 canonical_form.  Floating point is never used.  A ConstraintSystem hashes
 every field but its ratios: equal systems agree on the others, so the hash
 stays valid without hashing a Fraction, and two systems that differ only in
-their ratios are unequal and stay apart as dict keys.
+their ratios are unequal and stay apart as dict keys.  It is a tuple of
+its five fields, so it is cheap to build and compare, and immutable.
 
 The library takes numbers by one rule, _exact: an int or a Fraction passes
 through unchanged, and anything else (a bool, a float, a numeric string) is
 converted by Fraction(v), so 0.5 reads as 1/2 and True as 1, and a
 non-finite float (an infinity or a NaN) raises ValueError.  funclat,
 comphom.HomMatrix, the latclosure oracle and the record parser all read
-their entries this way; canonical_form and latclosure.closure_subspace
-apply the rule once per generator, at the boundary, and work on int tuples
-from there on.  The vectors the library builds are int tuples: a
-Fraction appears only where a value is a ratio, a tie ratio or a
-non-integral operator weight.  Where integer arithmetic is wanted, a vector
-is scaled by the lcm of its denominators (_integral; solution_basis does
-the same per tie group), a positive factor that keeps its direction, and
-a primitive vector is divided by math.gcd of its entries.
+their entries this way.  canonical_form and latclosure.closure_subspace
+read each generator once, at the boundary, through _int_tuple: an all-int
+vector is taken as it is, any other goes through the rule and _integral,
+and from there on they work on int tuples.  The vectors the library builds
+are int tuples: a Fraction appears only where a value is a ratio, a tie
+ratio or a non-integral operator weight.  Where integer arithmetic is
+wanted, a vector is scaled by the lcm of its denominators (_integral;
+solution_basis does the same per tie group), a positive factor that keeps
+its direction, and a primitive vector is divided by math.gcd of its
+entries.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -93,8 +97,7 @@ class _RatioForest:
         self.dead[root] = True
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(namedtuple("ConstraintSystem", "n zero_mask rep ratio groups")):
     """Canonical description of one sublattice of rational n-space.
 
     rep[x] is the least coordinate of x's proportionality group and
@@ -104,11 +107,7 @@ class ConstraintSystem:
     solution-space dimension is len(groups).
     """
 
-    n: int
-    zero_mask: int
-    rep: tuple
-    ratio: tuple
-    groups: tuple
+    __slots__ = ()
 
     def __hash__(self):
         # the ratios are left out (module docstring)
@@ -200,16 +199,19 @@ def _integral(vec):
     return tuple([v.numerator * (scale // v.denominator) for v in vec])
 
 
-def _direction(col):
-    """The gcd-normalised direction of an int column, sign kept; None when
-    the column is zero.  Two nonzero columns are positive multiples of each
-    other exactly when their directions are equal."""
-    g = math.gcd(*col)
-    if g == 0:
-        return None
-    if g == 1:
-        return col
-    return tuple([v // g for v in col])
+_INT_TYPE = frozenset((int,))
+
+
+def _int_tuple(vec, exact):
+    """A generator read once, as a tuple of ints: an all-int vector as it
+    is, any other through exact (the number rule, _exact) and _integral.
+
+    exact is the caller's module-level name for the rule, looked up at the
+    call, so a test that wraps it sees every read."""
+    vec = tuple(vec)
+    if _INT_TYPE.issuperset(map(type, vec)):
+        return vec
+    return _integral(exact(vec))
 
 
 def canonical_form(n, generators):
@@ -221,17 +223,19 @@ def canonical_form(n, generators):
     multiples of each other.  Both conditions are linear, so checking the
     generators settles them for the whole generated sublattice.
 
-    Each generator is scaled to ints once (_integral).  A positive factor
-    on one generator scales one row of every column, so it keeps which
-    columns vanish, which are positive multiples of each other, and every
-    ratio of two entries in one row.
+    Each generator is read and scaled to ints once (_int_tuple).  A
+    positive factor on one generator scales one row of every column, so it
+    keeps which columns vanish, which are positive multiples of each other,
+    and every ratio of two entries in one row.  Columns are grouped by
+    their gcd-normalised direction, sign kept, which two nonzero columns
+    share exactly when they are positive multiples of each other.
     """
     gens = []
     for g in generators:
-        vec = _exact(g)
+        vec = _int_tuple(g, _exact)
         if len(vec) != n:
             raise ValueError("generator dimension mismatch")
-        gens.append(_integral(vec))
+        gens.append(vec)
     if n < 0:
         raise ValueError("coordinate count must be nonnegative")
     rep = list(range(n))
@@ -241,30 +245,35 @@ def canonical_form(n, generators):
     leads = {}
     masks = {}
     for x, col in enumerate(cols):
-        key = _direction(col)
-        if key is None:
+        g = math.gcd(*col)
+        if not g:
             zero |= 1 << x
             continue
-        lead = leads.setdefault(key, x)
-        masks[lead] = masks.get(lead, 0) | 1 << x
-        if lead != x:
-            lead_col = cols[lead]
-            j = next(j for j, v in enumerate(lead_col) if v)
-            rep[x] = lead
-            ratio[x] = _tie_ratio(col[j], lead_col[j])
+        lead = leads.setdefault(col if g == 1 else tuple([v // g for v in col]), x)
+        if lead == x:
+            masks[x] = 1 << x
+            continue
+        masks[lead] |= 1 << x
+        lead_col = cols[lead]
+        j = 0
+        while not lead_col[j]:
+            j += 1
+        rep[x] = lead
+        ratio[x] = _tie_ratio(col[j], lead_col[j])
     return ConstraintSystem(n, zero, tuple(rep), tuple(ratio), tuple(masks.values()))
 
 
 def member(cs, f):
+    n, zero_mask, rep, ratio, groups = cs
     vec = _exact(f)
-    if len(vec) != cs.n:
+    if len(vec) != n:
         raise ValueError("vector dimension mismatch")
-    for x in bits(cs.zero_mask):
+    for x in bits(zero_mask):
         if vec[x]:
             return False
-    if cs.n - cs.zero_mask.bit_count() == len(cs.groups):
+    if n - zero_mask.bit_count() == len(groups):
         return True  # every live coordinate leads its own group: no ties
-    for x, (r, q) in enumerate(zip(cs.rep, cs.ratio)):
+    for x, (r, q) in enumerate(zip(rep, ratio)):
         if r != x and vec[x] * q.denominator != q.numerator * vec[r]:
             return False
     return True

@@ -5,12 +5,13 @@ cross-check the tie/ratio derivation in funclat.canonical_form: the
 caller passes the system it already holds to lattice_closure_matches,
 which grows the generators' span in one elimination pass.  All
 arithmetic is exact, and after the boundary it is integer arithmetic:
-closure_subspace reads each generator once by funclat's number rule and
-scales it by the lcm of its denominators (_exact, _integral); from there
-on every vector is an int tuple.  Spans are pivot-keyed integer rows, the
-kernel of a slice comes from fraction-free elimination, and feasibility of
-a sign pattern is decided by Fourier-Motzkin elimination on strict
-homogeneous inequalities.  No Fraction is built here.
+closure_subspace reads each generator once, through funclat._int_tuple:
+an all-int generator is taken as it is, any other is read by funclat's
+number rule and scaled by the lcm of its denominators (_exact, _integral);
+from there on every vector is an int tuple.  Spans are pivot-keyed integer
+rows, the kernel of a slice comes from fraction-free elimination, and
+feasibility of a sign pattern is decided by Fourier-Motzkin elimination on
+strict homogeneous inequalities.  No Fraction is built here.
 
 The growth step: for a sign pattern s in {+1,-1,0}^n realized strictly
 by some member v of the current span V (v positive where s=+1, negative
@@ -27,7 +28,7 @@ sign(w), witnessed by w itself), hence lattice closed.
 from itertools import product
 from math import gcd, lcm
 
-from .funclat import _exact, _integral, dim
+from .funclat import _exact, _int_tuple, dim
 
 
 def _reduce(vec):
@@ -37,20 +38,15 @@ def _reduce(vec):
     return tuple(vec)
 
 
-def _pivot(vec):
-    for j, c in enumerate(vec):
-        if c:
-            return j
-    return None
-
-
 def _insert(basis, vec):
     """Add an int tuple to the span of the pivot-keyed integer rows; returns
     True if the dimension grew.  A vector reduced on the way is
     gcd-normalized."""
     while True:
-        j = _pivot(vec)
-        if j is None:
+        for j, entry in enumerate(vec):
+            if entry:
+                break
+        else:
             return False
         row = basis.get(j)
         if row is None:
@@ -162,7 +158,7 @@ def closure_subspace(n, gens, *, stop_dim=None):
     for g in gens:
         if len(g) != n:
             raise ValueError("vector length mismatch")
-        _insert(basis, _integral(_exact(g)))
+        _insert(basis, _int_tuple(g, _exact))
     # n rows span the whole space: no later insert can grow it
     limit = n if stop_dim is None else min(n, stop_dim)
 
@@ -172,10 +168,14 @@ def closure_subspace(n, gens, *, stop_dim=None):
     changed = True
     while changed and not done():
         changed = False
-        # cheap pass: positive parts of current basis vectors
+        # cheap pass: positive and negative parts of current basis vectors;
+        # a nonnegative v is its own positive part, already in the span
         for v in list(basis.values()):
-            for w in (v, [-c for c in v]):
-                if _insert(basis, tuple([c if c > 0 else 0 for c in w])):
+            pos = tuple([c if c > 0 else 0 for c in v])
+            if pos == v:
+                continue
+            for part in (pos, tuple([-c if c < 0 else 0 for c in v])):
+                if _insert(basis, part):
                     changed = True
                     if done():
                         break

@@ -574,8 +574,13 @@ def _row_breaks_some_sign_vector(r):
 
 def _breaks_absolute_value(rows, f):
     """|Tf| != T|f| for the dense rows and the vector f."""
+    return _scaled_breaks(_scaled_rows(rows), f)
+
+
+def _scaled_breaks(scaled, f):
+    """_breaks_absolute_value on rows already scaled by _scaled_rows."""
     pairs = ((f, tuple(map(abs, f))),)
-    return any(_breaks_on(r, pairs) for r in _scaled_rows(rows))
+    return any(_breaks_on(r, pairs) for r in scaled)
 
 
 def _definitional_homomorphism(rows):
@@ -585,7 +590,12 @@ def _definitional_homomorphism(rows):
     3^n vectors with entries in {-1, 0, 1}, and it does so exactly when
     each of its rows does.
     """
-    return not any(map(_row_breaks_some_sign_vector, _scaled_rows(rows)))
+    return _scaled_keep_signs(_scaled_rows(rows))
+
+
+def _scaled_keep_signs(scaled):
+    """_definitional_homomorphism on rows already scaled by _scaled_rows."""
+    return not any(map(_row_breaks_some_sign_vector, scaled))
 
 
 def _check_operator_conditions(rows):
@@ -608,7 +618,9 @@ def _check_operator_conditions(rows):
 def _check_homomorphism_test(rows):
     failures = []
     verdict = comphom.is_homomorphism(rows)
-    if verdict != _definitional_homomorphism(rows):
+    # scaled once, for the sign sweep and for the witness below
+    scaled = _scaled_rows(rows)
+    if verdict != _scaled_keep_signs(scaled):
         return [{"check": "structural-vs-definitional"}], 0
     try:
         t = comphom.HomMatrix(rows)
@@ -618,7 +630,7 @@ def _check_homomorphism_test(rows):
             failures.append({"check": "constructor-rejects-homomorphism"})
         elif exc.witness is None:
             failures.append({"check": "missing-witness"})
-        elif not _breaks_absolute_value(rows, exc.witness):
+        elif not _scaled_breaks(scaled, exc.witness):
             failures.append({"check": "witness-does-not-witness",
                              "witness": [str(v) for v in exc.witness]})
     if t is not None:

@@ -27,6 +27,7 @@ SUBSET_FAMILIES = (
     "nonempty_opens",
     "proper_closed_sets",
     "dense_sets",
+    "dense_opens",
     "nowhere_dense_sets",
     "canonically_closed_sets",
 )

@@ -237,6 +237,7 @@ def _oracle_families(space):
             "nonempty_opens": sub in family and bool(sub),
             "proper_closed_sets": pts - sub in family and sub != pts,
             "dense_sets": cl == pts,
+            "dense_opens": sub in family and cl == pts,
             "nowhere_dense_sets": not oracles.interior(family, cl),
             "canonically_closed_sets": sub == oracles.closure(
                 space.n, family, oracles.interior(family, sub)
@@ -264,6 +265,7 @@ def test_families_match_the_subset_flags(space):
         "nonempty_opens": lambda a, p: a != 0 and space.is_open(a),
         "proper_closed_sets": lambda a, p: p.closed and a != space.full,
         "dense_sets": lambda a, p: p.dense,
+        "dense_opens": lambda a, p: space.is_open(a) and p.dense,
         "nowhere_dense_sets": lambda a, p: p.nowhere_dense,
         "canonically_closed_sets": lambda a, p: p.canonically_closed,
     }

@@ -1,7 +1,10 @@
+from dataclasses import make_dataclass
 from fractions import Fraction
 import hashlib
 import math
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +28,15 @@ from finlat import (
 from finlat.bitset import bits
 from finlat.funclat import (
     _exact,
+    _int_tuple,
+    _integral,
     band_complement,
     dim,
     double_complement,
     from_constraints,
 )
 from finlat.latclosure import closure_subspace
+from finlat.records import RecordError, load_record
 from finlat.verify import family_representatives
 from finlat.verify.mutations import apply_mutation
 
@@ -489,6 +495,98 @@ def test_equal_systems_hash_equal_and_a_ratio_keeps_its_own_key():
     table = {plain: "plain", flipped: "flipped"}
     assert len(table) == 2
     assert table[plain] == "plain" and table[flipped] == "flipped"
+
+
+# the frozen dataclass ConstraintSystem was before it became a tuple
+_DATACLASS_SYSTEM = make_dataclass(
+    "ConstraintSystem", ["n", "zero_mask", "rep", "ratio", "groups"], frozen=True)
+
+
+def test_constraint_system_keeps_the_dataclass_value_contract():
+    fields = (3, 0b100, (0, 0, 2), (F(1), F(2), F(1)), (0b011,))
+    built = ConstraintSystem(*fields)
+    assert (built.n, built.zero_mask, built.rep, built.ratio, built.groups) == fields
+    assert repr(built) == repr(_DATACLASS_SYSTEM(*fields)) == (
+        "ConstraintSystem(n=3, zero_mask=4, rep=(0, 0, 2), "
+        "ratio=(Fraction(1, 1), Fraction(2, 1), Fraction(1, 1)), groups=(3,))")
+    for n in (1, 2, 3):
+        for gens in family_representatives(n)[::7]:
+            system = canonical_form(n, gens)
+            old = _DATACLASS_SYSTEM(system.n, system.zero_mask, system.rep,
+                                    system.ratio, system.groups)
+            assert repr(system) == repr(old)
+            again = pickle.loads(pickle.dumps(system))
+            assert type(again) is ConstraintSystem
+            assert again == system and hash(again) == hash(system)
+            assert repr(again) == repr(system)
+
+    # equality counts the ratios; the hash leaves them out
+    other_ratio = ConstraintSystem(3, 0b100, (0, 0, 2), (F(1), F(3), F(1)), (0b011,))
+    assert ConstraintSystem(*fields) == built
+    assert other_ratio != built and hash(other_ratio) == hash(built)
+    assert len({built, other_ratio}) == 2
+
+    for name in ("n", "zero_mask", "rep", "ratio", "groups", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, 0)
+    assert (built.n, built.ratio) == (3, fields[3])
+
+
+def test_sublattice_records_keep_their_kind():
+    text = "sublattice { n = 2; generators = [[1, 2]] }\nhom { rows = [[1, 0]] }"
+    assert load_record(text, "sublattice") == canonical_form(2, [(1, 2)])
+    assert load_record(text, "hom") != load_record(text, "sublattice")
+    with pytest.raises(RecordError, match="no sublattice record in the file"):
+        load_record("hom { rows = [[1, 0], [0, 1]] }", "sublattice")
+    with pytest.raises(RecordError, match="no hom record in the file"):
+        load_record("sublattice { n = 2; zeros = [1] }", "hom")
+
+
+def test_each_generator_is_read_as_the_number_rule_then_integral_read_it():
+    big = 10 ** 4999 + 7  # 5000 digits
+    vectors = [
+        (1, -2, 0, big),
+        (0, 0, 0, 0),
+        (),
+        (True, False, 3, -1),
+        (F(1, 2), -1, F(-4, 6), 0),
+        (0.5, -1.25, 3, True),
+        ("3/4", "-2", 1, 0.5),
+        (big, F(1, 3), -big, "7"),
+    ]
+    for vec in vectors:
+        want = _integral(_exact(vec))
+        for given_as in (vec, list(vec)):
+            got = _int_tuple(given_as, _exact)
+            assert got == want
+            assert type(got) is tuple and all(type(v) is int for v in got)
+    # an all-int tuple is taken as it is
+    assert _int_tuple(vectors[0], _exact) is vectors[0]
+
+
+NAN, INF = float("nan"), float("inf")
+# (vector in 2-space, message from canonical_form, member, closure_subspace)
+BAD_GENERATORS = [
+    ((NAN, 1), ("cannot convert NaN to integer ratio",) * 3),
+    ((INF, 1), ("cannot convert Infinity to integer ratio",) * 3),
+    ((1, -INF), ("cannot convert Infinity to integer ratio",) * 3),
+    ((1, 2, 3), ("generator dimension mismatch", "vector dimension mismatch",
+                 "vector length mismatch")),
+    # canonical_form and member read the entries first, closure_subspace
+    # checks the length first
+    ((NAN, 1, 1), ("cannot convert NaN to integer ratio",) * 2
+                  + ("vector length mismatch",)),
+]
+
+
+@pytest.mark.parametrize("vec,messages", BAD_GENERATORS)
+def test_bad_generators_raise_the_same_value_error_everywhere(vec, messages):
+    routines = (lambda v: canonical_form(2, [(1, 1), v]),
+                lambda v: member(full_space(2), v),
+                lambda v: closure_subspace(2, [(1, 1), v]))
+    for routine, message in zip(routines, messages):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            routine(vec)
 
 
 def test_double_complement_is_the_zero_ideal_off_the_first_complement():
