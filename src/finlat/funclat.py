@@ -268,9 +268,10 @@ def member(cs, f):
     vec = _exact(f)
     if len(vec) != n:
         raise ValueError("vector dimension mismatch")
-    for x in bits(zero_mask):
-        if vec[x]:
-            return False
+    if zero_mask:
+        for x in bits(zero_mask):
+            if vec[x]:
+                return False
     if n - zero_mask.bit_count() == len(groups):
         return True  # every live coordinate leads its own group: no ties
     for x, (r, q) in enumerate(zip(rep, ratio)):
