@@ -497,7 +497,7 @@ def test_equal_systems_hash_equal_and_a_ratio_keeps_its_own_key():
     assert table[plain] == "plain" and table[flipped] == "flipped"
 
 
-# the frozen dataclass ConstraintSystem was before it became a tuple
+# the repr reference: a frozen dataclass with ConstraintSystem's fields
 _DATACLASS_SYSTEM = make_dataclass(
     "ConstraintSystem", ["n", "zero_mask", "rep", "ratio", "groups"], frozen=True)
 
@@ -534,15 +534,16 @@ def test_constraint_system_keeps_the_dataclass_value_contract():
 
 def test_sublattice_records_keep_their_kind():
     text = "sublattice { n = 2; generators = [[1, 2]] }\nhom { rows = [[1, 0]] }"
-    assert load_record(text, "sublattice") == canonical_form(2, [(1, 2)])
-    assert load_record(text, "hom") != load_record(text, "sublattice")
+    system = load_record(text, "sublattice")
+    assert type(system) is ConstraintSystem and system == canonical_form(2, [(1, 2)])
+    assert type(load_record(text, "hom")) is HomMatrix
     with pytest.raises(RecordError, match="no sublattice record in the file"):
         load_record("hom { rows = [[1, 0], [0, 1]] }", "sublattice")
     with pytest.raises(RecordError, match="no hom record in the file"):
         load_record("sublattice { n = 2; zeros = [1] }", "hom")
 
 
-def test_each_generator_is_read_as_the_number_rule_then_integral_read_it():
+def test_int_tuple_agrees_with_the_number_rule_and_integral():
     big = 10 ** 4999 + 7  # 5000 digits
     vectors = [
         (1, -2, 0, big),
