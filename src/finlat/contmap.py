@@ -15,20 +15,27 @@ domain) are decided on the parent spaces, a mask standing for its subspace.
 
 Every quantifier is a plain loop over its family in iteration order that
 returns at the first witness (`for ... else` where an inner search runs
-dry), so a verdict stops where its first counterexample is.  Verdicts are
-not memoized per map; only image and preimage are, and they read nothing
-a verification mutation wraps.  A mutation installed after a map was
-classified (say, a wrapped `saturation`) must still change that map's
-answers, or the suite would re-check stale values.
+dry), so a verdict stops where its first counterexample is.
+
+Image and preimage read one lookup per map object, from finspace.lookup:
+within LITERAL_POINT_LIMIT points a flat table over every mask of the
+domain (codomain), built in one pass as a union of point images (fibers);
+above it a dict filled on each miss.  `image` and `preimage` refuse a mask
+outside their space; the routines here bind a map's lookup once and index
+it with masks of the spaces' own families.  Verdicts are not memoized per
+map, and the lookups read nothing a verification mutation wraps: a
+mutation installed after a map was classified (say, a wrapped
+`saturation`, which every routine still calls through this module) must
+still change that map's answers, or the suite would re-check stale values.
 """
 
 from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .bitset import bit, bits
-from .finspace import SpaceTooLarge
+from .finspace import (LITERAL_POINT_LIMIT, SpaceTooLarge, lookup, mask_error,
+                       union_table)
 
-LITERAL_POINT_LIMIT = 12
 TABLE_BUDGET = 1 << 20
 
 
@@ -43,8 +50,8 @@ class NotContinuous(ValueError):
 class ContMap:
     """A validated continuous map; table[x] is the image point of x.
 
-    `image` and `preimage` memoize their answers per map object, keyed by
-    mask; the memos take no part in equality or hashing.
+    The image and preimage lookups are built on first use and take no
+    part in equality or hashing.
     """
 
     __slots__ = ("domain", "codomain", "table", "fibers", "_image_bit",
@@ -71,8 +78,8 @@ class ContMap:
             fibers[y] |= bit(x)
         self.fibers = tuple(fibers)
         self._image_bit = tuple(bit(y) for y in table)
-        self._image = {}
-        self._preimage = {}
+        self._image = None
+        self._preimage = None
 
     def __eq__(self, other):
         return (
@@ -104,29 +111,56 @@ def _discontinuity(domain, codomain, table):
     return None
 
 
-def image(m, a):
-    out = m._image.get(a)
-    if out is None:
+def _union_of(parts):
+    def union(a):
         out = 0
         for x in bits(a):
-            out |= m._image_bit[x]
-        m._image[a] = out
-    return out
+            out |= parts[x]
+        return out
+
+    return union
+
+
+def image_lookup(m):
+    """t[a] is the image of a, for every mask of the domain."""
+    t = m._image
+    if t is None:
+        parts = m._image_bit
+        t = m._image = lookup(m.domain.n, lambda: union_table(parts),
+                              _union_of(parts))
+    return t
+
+
+def preimage_lookup(m):
+    """t[b] is the preimage of b, for every mask of the codomain."""
+    t = m._preimage
+    if t is None:
+        parts = m.fibers
+        t = m._preimage = lookup(m.codomain.n, lambda: union_table(parts),
+                                 _union_of(parts))
+    return t
+
+
+def image(m, a):
+    if not 0 <= a <= m.domain.full:
+        raise mask_error(m.domain.n, a)
+    return image_lookup(m)[a]
 
 
 def preimage(m, b):
-    out = m._preimage.get(b)
-    if out is None:
-        out = 0
-        for y in bits(b):
-            out |= m.fibers[y]
-        m._preimage[b] = out
-    return out
+    if not 0 <= b <= m.codomain.full:
+        raise mask_error(m.codomain.n, b)
+    return preimage_lookup(m)[b]
 
 
 def saturation(m, a):
     """Smallest fiber-union containing a, i.e. preimage(image(a))."""
-    return preimage(m, image(m, a))
+    if not 0 <= a <= m.domain.full:
+        raise mask_error(m.domain.n, a)
+    img, pre = m._image, m._preimage
+    if img is None or pre is None:
+        img, pre = image_lookup(m), preimage_lookup(m)
+    return pre[img[a]]
 
 
 def is_saturated(m, a):
@@ -175,9 +209,9 @@ def final_star(domain, fibers, table, y):
 
 def _weakly_open_onto(m, s):
     """Weakly open as a map onto the subspace on s (s holds the image)."""
-    cod = m.codomain
+    cod, img = m.codomain, image_lookup(m)
     for star in m.domain.stars:
-        if not _interior_in(cod, s, image(m, star)):
+        if not _interior_in(cod, s, img[star]):
             return False
     return True
 
@@ -185,9 +219,9 @@ def _weakly_open_onto(m, s):
 def _almost_open_onto(m, d, s):
     """Almost open as the restriction to the subspace on d, onto the
     subspace on s (s holds the image of d)."""
-    cod, stars = m.codomain, m.domain.stars
+    cod, stars, img = m.codomain, m.domain.stars, image_lookup(m)
     for x in bits(d):
-        if not _interior_in(cod, s, cod.closure(image(m, stars[x] & d)) & s):
+        if not _interior_in(cod, s, cod.closure(img[stars[x] & d]) & s):
             return False
     return True
 
@@ -209,11 +243,11 @@ def strongly_skeletal_stars(m):
 
 
 def irreducible_stars(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
     for x in range(dom.n):
         star = dom.stars[x]
         for y in range(cod.n):
-            if m.fibers[y] and preimage(m, cod.stars[y]) & ~star == 0:
+            if m.fibers[y] and pre[cod.stars[y]] & ~star == 0:
                 break
         else:
             return False
@@ -236,17 +270,17 @@ def almost_injective_stars(m):
 
 
 def open_map_stars(m):
-    cod = m.codomain
+    cod, img = m.codomain, image_lookup(m)
     for star in m.domain.stars:
-        if not cod.is_open(image(m, star)):
+        if not cod.is_open(img[star]):
             return False
     return True
 
 
 def closed_map_stars(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, img = m.domain, m.codomain, image_lookup(m)
     for x in range(dom.n):
-        if not cod.is_closed(image(m, dom.closure(bit(x)))):
+        if not cod.is_closed(img[dom.closure(bit(x))]):
             return False
     return True
 
@@ -263,9 +297,10 @@ def embedding_stars(m):
     """Injective, and each star's image is open in the image subspace."""
     if not is_injective(m):
         return False
-    cod, img = m.codomain, image(m, m.domain.full)
+    cod, t = m.codomain, image_lookup(m)
+    img = t[m.domain.full]
     for star in m.domain.stars:
-        a = image(m, star)
+        a = t[star]
         if _interior_in(cod, img, a) != a:
             return False
     return True
@@ -296,18 +331,18 @@ def _family_guard():
 
 
 def ao_i(m):
-    cod = m.codomain
+    cod, img = m.codomain, image_lookup(m)
     for u in m.domain.nonempty_opens:
-        if not cod.interior(image(m, u)):
+        if not cod.interior(img[u]):
             return False
     return True
 
 
 def ao_ii_nonempty(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, img = m.domain, m.codomain, image_lookup(m)
     for u in dom.nonempty_opens:
         for w in dom.opens:
-            if w and w & ~u == 0 and cod.is_open(image(m, w)):
+            if w and w & ~u == 0 and cod.is_open(img[w]):
                 break
         else:
             return False
@@ -315,11 +350,11 @@ def ao_ii_nonempty(m):
 
 
 def ao_ii_dense(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, img = m.domain, m.codomain, image_lookup(m)
     for u in dom.nonempty_opens:
         for w in dom.opens:
             if (w & ~u == 0 and u & ~dom.closure(w) == 0
-                    and cod.is_open(image(m, w))):
+                    and cod.is_open(img[w])):
                 break
         else:
             return False
@@ -327,42 +362,42 @@ def ao_ii_dense(m):
 
 
 def ao_iii(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
     for a in cod.dense_sets:
-        if not dom.is_dense(preimage(m, a)):
+        if not dom.is_dense(pre[a]):
             return False
     return True
 
 
 def wo_i(m):
-    cod = m.codomain
+    cod, img = m.codomain, image_lookup(m)
     for u in m.domain.nonempty_opens:
-        if not cod.interior(cod.closure(image(m, u))):
+        if not cod.interior(cod.closure(img[u])):
             return False
     return True
 
 
 def wo_ii(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
     for v in cod.opens:
-        inner = dom.interior(preimage(m, cod.closure(v)))
-        if inner & ~dom.closure(preimage(m, v)):
+        inner = dom.interior(pre[cod.closure(v)])
+        if inner & ~dom.closure(pre[v]):
             return False
     return True
 
 
 def wo_iii(m):
-    dom = m.domain
+    dom, pre = m.domain, preimage_lookup(m)
     for v in m.codomain.dense_opens:
-        if not dom.is_dense(preimage(m, v)):
+        if not dom.is_dense(pre[v]):
             return False
     return True
 
 
 def wo_iv(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
     for a in cod.nowhere_dense_sets:
-        if not dom.is_nowhere_dense(preimage(m, a)):
+        if not dom.is_nowhere_dense(pre[a]):
             return False
     return True
 
@@ -372,17 +407,17 @@ def _canonically_closed(space, a):
 
 
 def wo_v(m):
-    cod = m.codomain
+    cod, img = m.codomain, image_lookup(m)
     for u in m.domain.opens:
-        if not _canonically_closed(cod, cod.closure(image(m, u))):
+        if not _canonically_closed(cod, cod.closure(img[u])):
             return False
     return True
 
 
 def wo_v_canon(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, img = m.domain, m.codomain, image_lookup(m)
     for c in dom.canonically_closed_sets:
-        if not _canonically_closed(cod, cod.closure(image(m, c))):
+        if not _canonically_closed(cod, cod.closure(img[c])):
             return False
     return True
 
@@ -407,17 +442,18 @@ def wo_vi_some(m):
 
 def _open_preimage_inside(m, cap):
     """Some open set has a nonempty preimage inside cap."""
+    pre = preimage_lookup(m)
     for v in m.codomain.opens:
-        p = preimage(m, v)
+        p = pre[v]
         if p and p & ~cap == 0:
             return True
     return False
 
 
 def sk_sat(m):
-    cod = m.codomain
+    cod, img, pre = m.codomain, image_lookup(m), preimage_lookup(m)
     for u in m.domain.nonempty_opens:
-        if not _open_preimage_inside(m, preimage(m, cod.closure(image(m, u)))):
+        if not _open_preimage_inside(m, pre[cod.closure(img[u])]):
             return False
     return True
 
@@ -430,10 +466,10 @@ def ssk_sat(m):
 
 
 def irr_i(m):
-    dom, cod = m.domain, m.codomain
-    img = image(m, dom.full)
+    dom, cod, t = m.domain, m.codomain, image_lookup(m)
+    img = t[dom.full]
     for a in dom.proper_closed_sets:
-        if img & ~cod.closure(image(m, a)) == 0:
+        if img & ~cod.closure(t[a]) == 0:
             return False
     return True
 
@@ -446,11 +482,11 @@ def irr_ii(m):
 
 
 def irr_ii_dense(m):
-    dom, cod = m.domain, m.codomain
+    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
     for u in dom.nonempty_opens:
         ok = False
         for v in cod.opens:
-            p = preimage(m, v)
+            p = pre[v]
             if p and p & ~u == 0 and u & ~dom.closure(p) == 0:
                 ok = True
                 break
@@ -502,10 +538,10 @@ def wi_ii(m):
 
 
 def wi_iii(m):
-    dom, cod = m.domain, m.codomain
-    img = image(m, dom.full)
+    dom, cod, t = m.domain, m.codomain, image_lookup(m)
+    img = t[dom.full]
     for a in dom.nowhere_dense_sets:
-        if _interior_in(cod, img, image(m, a)) != 0:
+        if _interior_in(cod, img, t[a]) != 0:
             return False
     return True
 

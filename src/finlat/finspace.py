@@ -4,17 +4,25 @@ A space is determined by the minimal open neighbourhood of each point
 (its "star"); the family of all opens is exactly the family of unions
 of stars and is materialised lazily, on first use of `opens`.
 
-Closure and interior are computed from the stars and memoized per space
-object, one dict per operator keyed by the mask asked about.  The memos
-fill only with the masks callers ask about, at any number of points.
+Closure and interior read one lookup per space object, built on first use
+by `lookup`, the one place that picks the store from LITERAL_POINT_LIMIT.
+Within the limit the lookup is a flat sequence over all 2^n masks, built
+in one pass: closure is a union of point closures, t[a | bit(x)] =
+t[a] | cl(x) (`union_table`), and interior is the complement of closure,
+full ^ cl[full ^ a].  The literal procedures enumerate all 2^n masks up to
+that limit anyway, so a table there costs no more than they do.  Above it
+2^n entries would not fit (the grid spaces have 81 and 97 points), and the
+lookup is a dict that computes each mask from the stars on its first
+request.  `closure` and `interior` refuse a mask outside the space; loops
+over masks of the space's own families may index the lookups directly.
 
 The subset families that contmap's literal procedures quantify over (the
 nonempty opens, proper closed, dense, nowhere-dense and canonically closed
 sets) are held per space as ascending tuples, each built on first use from
-the opens family or from a scan of all 2^n masks through the memoized
-closure and interior.  Only the literal procedures read them, behind their
-point limit; the star-based routines and the verify references never do,
-so a space that only they touch builds none.
+the opens family or from a scan of all 2^n masks through closure and
+interior.  Only the literal procedures read them, behind their point
+limit; the star-based routines and the verify references never do, so a
+space that only they touch builds none.
 """
 
 from dataclasses import dataclass
@@ -23,6 +31,7 @@ from .bitset import bit, bits, full_mask, mask_to_list
 
 DEFAULT_MAX_POINTS = 16
 ENUMERATION_MAX_POINTS = 5
+LITERAL_POINT_LIMIT = 12
 OPENS_FAMILY_BUDGET = 1 << 20
 
 
@@ -38,6 +47,46 @@ class SpaceTooLarge(ValueError):
     pass
 
 
+def mask_error(n, a):
+    return ValueError("mask %r is not a subset of the points 0..%d" % (a, n - 1))
+
+
+class _Memo(dict):
+    """A lookup above the literal limit: computes each mask on first request."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, a):
+        out = self[a] = self._compute(a)
+        return out
+
+
+def lookup(n, flat, compute):
+    """The store of one mask operator of an n-point object, indexed t[a].
+
+    Within LITERAL_POINT_LIMIT points it is flat(), a sequence over all
+    2^n masks; above it, a dict that runs compute(a) on a miss.
+    """
+    if n <= LITERAL_POINT_LIMIT:
+        return flat()
+    return _Memo(compute)
+
+
+def union_table(parts):
+    """t[a] is the union of parts[x] over the points x of a, for every mask
+    a of len(parts) points: each point x doubles the table, t[a | bit(x)] =
+    t[a] | parts[x] for the masks a below bit(x)."""
+    t = [0]
+    for p in parts:
+        for v in t[:]:
+            t.append(v | p)
+    return t
+
+
 class FinSpace:
     """Immutable finite space; equality and hashing go through the stars."""
 
@@ -50,8 +99,8 @@ class FinSpace:
         self.stars = stars
         self.full = full_mask(n)
         self._opens = None
-        self._closure = {}
-        self._interior = {}
+        self._closure = None
+        self._interior = None
         self._nonempty_opens = None
         self._proper_closed_sets = None
         self._dense_sets = None
@@ -127,23 +176,47 @@ class FinSpace:
     def is_closed(self, a):
         return self.closure(a) == a
 
+    @property
+    def closure_lookup(self):
+        """t[a] is the closure of a, for every mask of the space."""
+        if self._closure is None:
+            n, stars = self.n, self.stars
+
+            def closure_of(a):
+                return sum(bit(x) for x in range(n) if stars[x] & a)
+
+            self._closure = lookup(
+                n, lambda: union_table([closure_of(bit(y)) for y in range(n)]),
+                closure_of)
+        return self._closure
+
+    @property
+    def interior_lookup(self):
+        """t[a] is the interior of a, for every mask of the space."""
+        if self._interior is None:
+            full, stars = self.full, self.stars
+            self._interior = lookup(
+                self.n, lambda: [full ^ c for c in reversed(self.closure_lookup)],
+                lambda a: sum(bit(x) for x in bits(a) if stars[x] & ~a == 0))
+        return self._interior
+
     def closure(self, a):
         """Smallest closed superset: points whose every neighbourhood meets a."""
-        cl = self._closure.get(a)
-        if cl is None:
-            cl = self._closure[a] = sum(
-                bit(x) for x in range(self.n) if self.stars[x] & a
-            )
-        return cl
+        if not 0 <= a <= self.full:
+            raise mask_error(self.n, a)
+        t = self._closure
+        if t is None:
+            t = self.closure_lookup
+        return t[a]
 
     def interior(self, a):
         """Largest open subset: points whose star stays inside a."""
-        inside = self._interior.get(a)
-        if inside is None:
-            inside = self._interior[a] = sum(
-                bit(x) for x in bits(a) if self.stars[x] & ~a == 0
-            )
-        return inside
+        if not 0 <= a <= self.full:
+            raise mask_error(self.n, a)
+        t = self._interior
+        if t is None:
+            t = self.interior_lookup
+        return t[a]
 
     def is_dense(self, a):
         return self.closure(a) == self.full

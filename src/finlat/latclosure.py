@@ -116,11 +116,10 @@ def _strict_feasible(rows):
     return True
 
 
-def _slice_basis(basis_rows, sigma, n):
-    """Basis of the span members vanishing on the zero set of sigma."""
+def _slice_basis(basis_rows, zero_cols, n):
+    """Basis of the span members vanishing on the columns zero_cols."""
     if not basis_rows:
         return []
-    zero_cols = [j for j, s in enumerate(sigma) if s == 0]
     constraint = [[b[j] for b in basis_rows] for j in zero_cols]
     out = []
     for coeff in _kernel_basis(constraint, len(basis_rows)):
@@ -183,15 +182,22 @@ def closure_subspace(n, gens, *, stop_dim=None):
                 break
         if done():
             break
+        # patterns with one zero set share its slice until the span grows
+        slices = {}
         for sigma in product((1, -1, 0), repeat=n):
-            if all(s == 0 for s in sigma):
+            zero_cols = tuple([j for j, s in enumerate(sigma) if s == 0])
+            if len(zero_cols) == n:
                 continue
-            rows = _slice_basis(list(basis.values()), sigma, n)
+            rows = slices.get(zero_cols)
+            if rows is None:
+                rows = slices[zero_cols] = _slice_basis(
+                    list(basis.values()), zero_cols, n)
             if not rows or not _pattern_feasible(rows, sigma):
                 continue
             for b in rows:
                 if _insert(basis, _pos_projection(b, sigma)):
                     changed = True
+                    slices = {}
             if done():
                 break
     return sorted(basis.values())

@@ -745,14 +745,15 @@ def _space(stars):
     """The one stream space with this star tuple, built on first request.
 
     Every space the instance streams hand out comes from here, so its
-    closure, interior and opens memos stay warm across maps, runs and
-    stages.  The cache is bounded: streams have at most MAX_POINTS_LIMIT = 4
-    points, so it holds at most the 389 labelled topologies on 1-4 points
-    (1 + 4 + 29 + 355).  Sharing is safe: a FinSpace is immutable and its
-    memos are pure functions of the stars, and no mutation wraps anything a
-    FinSpace memoizes (they wrap contmap.saturation, contmap.PROCEDURES and
-    funclat._tie_ratio).  Witnesses still replay through records.load_record,
-    which builds fresh spaces.
+    closure and interior lookups, opens and subset families are built once
+    and shared across maps, runs and stages.  The cache is bounded: streams
+    have at most MAX_POINTS_LIMIT = 4 points, so it holds at most the 389
+    labelled topologies on 1-4 points (1 + 4 + 29 + 355), each with lookup
+    tables of at most 16 entries.  Sharing is safe: a FinSpace is immutable
+    and its lookups are pure functions of the stars, and no mutation wraps
+    anything a FinSpace keeps (they wrap contmap.saturation,
+    contmap.PROCEDURES and funclat._tie_ratio).  Witnesses still replay
+    through records.load_record, which builds fresh spaces.
     """
     return from_stars(len(stars), stars)
 

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import chain, product
+import random
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_saturation_operator_laws():
                 assert sat & a == a
                 assert saturation(m, sat) == sat
                 assert is_saturated(m, a) == (sat == a)
-                # the second answer for each mask comes from the map's memo
+                # the second answer for each mask reads the built lookup
                 for _ in range(2):
                     assert set_from(image(m, a)) == oracles.image_of(
                         m.table, set_from(a)
@@ -101,6 +102,109 @@ def test_saturation_operator_laws():
                 inner = largest_open_saturated(m, a)
                 assert inner & ~a == 0
                 assert dom.is_open(inner) and is_saturated(m, inner)
+
+
+# --- the lookups against the star definitions, across the literal limit -----
+
+def _star_closure(space, a):
+    return sum(1 << x for x in range(space.n) if space.stars[x] & a)
+
+
+def _star_interior(space, a):
+    return sum(1 << x for x in range(space.n)
+               if a >> x & 1 and space.stars[x] & ~a == 0)
+
+
+def _star_image(m, a):
+    return sum(1 << y for y in {m.table[x] for x in range(m.domain.n) if a >> x & 1})
+
+
+def _star_preimage(m, b):
+    return sum(1 << x for x, y in enumerate(m.table) if b >> y & 1)
+
+
+def _random_stars(rng, n):
+    stars = [1 << x | rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+             for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            reach = stars[x]
+            for y in range(n):
+                if stars[x] >> y & 1:
+                    reach |= stars[y]
+            if reach != stars[x]:
+                stars[x] = reach
+                changed = True
+    return stars
+
+
+def _random_map(rng, dom_n, cod_n):
+    """A continuous map: the domain topology refines the one pulled back
+    along a random table (the intersection of two topologies' stars is one)."""
+    cod = from_stars(cod_n, _random_stars(rng, cod_n))
+    table = [rng.randrange(cod_n) for _ in range(dom_n)]
+    pulled = [sum(1 << x2 for x2 in range(dom_n) if cod.stars[table[x]] >> table[x2] & 1)
+              for x in range(dom_n)]
+    stars = [p & s for p, s in zip(pulled, _random_stars(rng, dom_n))]
+    return ContMap(from_stars(dom_n, stars), cod, table)
+
+
+def _agrees_with_star_definitions(m, dom_masks, cod_masks):
+    for space, masks in ((m.domain, dom_masks), (m.codomain, cod_masks)):
+        for a in masks:
+            cl = _star_closure(space, a)
+            inside = _star_interior(space, a)
+            assert space.closure(a) == space.closure_lookup[a] == cl
+            assert space.interior(a) == space.interior_lookup[a] == inside
+    for a in dom_masks:
+        assert image(m, a) == contmap.image_lookup(m)[a] == _star_image(m, a)
+    for b in cod_masks:
+        assert preimage(m, b) == contmap.preimage_lookup(m)[b] == _star_preimage(m, b)
+
+
+def test_lookups_match_star_definitions_on_every_small_mask():
+    for dom, cod in all_pairs(3):
+        for m in enumerate_continuous_maps(dom, cod):
+            _agrees_with_star_definitions(
+                m, range(dom.full + 1), range(cod.full + 1))
+
+
+@pytest.mark.parametrize("dom_n,cod_n", [(12, 13), (13, 12)])
+def test_lookups_match_star_definitions_across_the_limit(dom_n, cod_n):
+    # a flat table at LITERAL_POINT_LIMIT = 12 points, a memo at 13
+    rng = random.Random(dom_n)
+    for _ in range(3):
+        m = _random_map(rng, dom_n, cod_n)
+        dom_masks = [0, m.domain.full] + [rng.getrandbits(dom_n) for _ in range(200)]
+        cod_masks = [0, m.codomain.full] + [rng.getrandbits(cod_n) for _ in range(200)]
+        _agrees_with_star_definitions(m, dom_masks, cod_masks)
+    stores = {n: (list if n <= finspace.LITERAL_POINT_LIMIT else dict)
+              for n in (dom_n, cod_n)}
+    assert isinstance(m.domain.closure_lookup, stores[dom_n])
+    assert isinstance(m.domain.interior_lookup, stores[dom_n])
+    assert isinstance(contmap.image_lookup(m), stores[dom_n])
+    assert isinstance(m.codomain.closure_lookup, stores[cod_n])
+    assert isinstance(contmap.preimage_lookup(m), stores[cod_n])
+
+
+@pytest.mark.parametrize("dom_n,cod_n", [(12, 13), (13, 12)])
+def test_operators_refuse_masks_outside_the_object(dom_n, cod_n):
+    m = _random_map(random.Random(7), dom_n, cod_n)
+    dom, cod = m.domain, m.codomain
+    operators = [(dom.closure, dom.n), (dom.interior, dom.n),
+                 (cod.closure, cod.n), (cod.interior, cod.n),
+                 (lambda a: image(m, a), dom.n), (lambda b: preimage(m, b), cod.n)]
+    # before and after each lookup is built
+    for _ in range(2):
+        for op, n in operators:
+            for bad in (-1, -(1 << n), 1 << n, (1 << n) | 1, 1 << (n + 5)):
+                with pytest.raises(ValueError, match="not a subset of the points"):
+                    op(bad)
+            op(0)
+    with pytest.raises(ValueError):
+        saturation(m, -1)
 
 
 # --- classification against the frozenset oracles ---------------------------

@@ -812,8 +812,8 @@ def test_quotient_stand_ins_trip_final_topology_and_p_hier(monkeypatch):
 
 
 def test_map_references_read_no_memoized_operator(monkeypatch):
-    # the references must not share the memoized closure, interior, image
-    # and preimage they audit
+    # the references must not share the closure, interior, image and
+    # preimage they audit, nor the lookups behind them
     targets = sorted({p.target for p in contmap.PROCEDURES.values()})
     assert len(targets) == 7
     spaces = [s for n in (1, 2) for s in enumerate_topologies(n)]
@@ -822,12 +822,16 @@ def test_map_references_read_no_memoized_operator(monkeypatch):
             for m in contmap.enumerate_continuous_maps(d, c)]
 
     def refuse(*args):
-        raise AssertionError("a reference read a memoized operator")
+        raise AssertionError("a reference read an audited operator")
 
     monkeypatch.setattr(finlat.FinSpace, "closure", refuse)
     monkeypatch.setattr(finlat.FinSpace, "interior", refuse)
+    monkeypatch.setattr(finlat.FinSpace, "closure_lookup", property(refuse))
+    monkeypatch.setattr(finlat.FinSpace, "interior_lookup", property(refuse))
     monkeypatch.setattr(contmap, "image", refuse)
     monkeypatch.setattr(contmap, "preimage", refuse)
+    monkeypatch.setattr(contmap, "image_lookup", refuse)
+    monkeypatch.setattr(contmap, "preimage_lookup", refuse)
     for m, flags in maps:
         refs = _MapRefs(m)
         assert {t: refs.get(t) for t in targets} == {t: flags[t] for t in targets}
