@@ -144,13 +144,19 @@ def preimage_lookup(m):
 def image(m, a):
     if not 0 <= a <= m.domain.full:
         raise mask_error(m.domain.n, a)
-    return image_lookup(m)[a]
+    t = m._image
+    if t is None:
+        t = image_lookup(m)
+    return t[a]
 
 
 def preimage(m, b):
     if not 0 <= b <= m.codomain.full:
         raise mask_error(m.codomain.n, b)
-    return preimage_lookup(m)[b]
+    t = m._preimage
+    if t is None:
+        t = preimage_lookup(m)
+    return t[b]
 
 
 def saturation(m, a):
