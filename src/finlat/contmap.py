@@ -17,25 +17,28 @@ Every quantifier is a plain loop over its family in iteration order that
 returns at the first witness (`for ... else` where an inner search runs
 dry), so a verdict stops where its first counterexample is.
 
-Image and preimage read one lookup per map object, from finspace.lookup:
-within LITERAL_POINT_LIMIT points a flat table over every mask of the
-domain (codomain), built in one pass as a union of point images (fibers);
-above it a dict filled on each miss.  `image` and `preimage` refuse a mask
-outside their space; the routines here bind a map's lookup once and index
-it with masks of the spaces' own families.  Verdicts are not memoized per
-map, and the lookups read nothing a verification mutation wraps: a
-mutation installed after a map was classified (say, a wrapped
-`saturation`, which every routine still calls through this module) must
-still change that map's answers, or the suite would re-check stale values.
+Image and preimage read one lookup per map object, built on first use and
+indexed t[a]: a memo that computes a mask as a union of point images
+(fibers) on its first request.  When `decide_by` runs a literal procedure,
+within LITERAL_POINT_LIMIT points, `_tabulate` replaces the map's lookups
+and its spaces' closure and interior lookups by flat tables over all 2^n
+masks (see finspace); the star-based routines and `classify_map` keep the
+memos.  `image` and `preimage` refuse a mask outside their space; the
+routines here bind a map's lookup once and index it with masks of the
+spaces' own families.  Verdicts are not memoized per map, and the lookups
+read nothing a verification mutation wraps: a mutation installed after a
+map was classified (say, a wrapped `saturation`, which every routine still
+calls through this module) must still change that map's answers, or the
+suite would re-check stale values.
 """
 
 from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .bitset import bit, bits
-from .finspace import (LITERAL_POINT_LIMIT, SpaceTooLarge, lookup, mask_error,
-                       union_table)
+from .finspace import SpaceTooLarge, mask_error, union_table
 
+LITERAL_POINT_LIMIT = 12
 TABLE_BUDGET = 1 << 20
 
 
@@ -111,23 +114,27 @@ def _discontinuity(domain, codomain, table):
     return None
 
 
-def _union_of(parts):
-    def union(a):
+class _UnionMemo(dict):
+    """The union of parts[x] over the points x of a, computed on the first
+    request for a."""
+
+    __slots__ = ("parts",)
+
+    def __missing__(self, a):
+        parts = self.parts
         out = 0
         for x in bits(a):
             out |= parts[x]
+        self[a] = out
         return out
-
-    return union
 
 
 def image_lookup(m):
     """t[a] is the image of a, for every mask of the domain."""
     t = m._image
     if t is None:
-        parts = m._image_bit
-        t = m._image = lookup(m.domain.n, lambda: union_table(parts),
-                              _union_of(parts))
+        t = m._image = _UnionMemo()
+        t.parts = m._image_bit
     return t
 
 
@@ -135,10 +142,18 @@ def preimage_lookup(m):
     """t[b] is the preimage of b, for every mask of the codomain."""
     t = m._preimage
     if t is None:
-        parts = m.fibers
-        t = m._preimage = lookup(m.codomain.n, lambda: union_table(parts),
-                                 _union_of(parts))
+        t = m._preimage = _UnionMemo()
+        t.parts = m.fibers
     return t
+
+
+def _tabulate(m):
+    """Flat image, preimage, closure and interior tables for a map that a
+    literal procedure decides."""
+    m._image = union_table(m._image_bit)
+    m._preimage = union_table(m.fibers)
+    m.domain.tabulate()
+    m.codomain.tabulate()
 
 
 def image(m, a):
@@ -636,9 +651,11 @@ def decide_by(m, class_name, procedure_id):
         raise ValueError(
             "procedure %s decides %s, not %s" % (procedure_id, proc.target, class_name)
         )
-    if proc.needs_family and (m.domain.n > LITERAL_POINT_LIMIT
-                              or m.codomain.n > LITERAL_POINT_LIMIT):
-        _family_guard()
+    if proc.needs_family:
+        if m.domain.n > LITERAL_POINT_LIMIT or m.codomain.n > LITERAL_POINT_LIMIT:
+            _family_guard()
+        if type(m._image) is not list:
+            _tabulate(m)
     if proc.hypothesis is not None and not proc.hypothesis(m):
         return NOT_APPLICABLE
     return proc.evaluate(m)

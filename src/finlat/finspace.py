@@ -4,25 +4,29 @@ A space is determined by the minimal open neighbourhood of each point
 (its "star"); the family of all opens is exactly the family of unions
 of stars and is materialised lazily, on first use of `opens`.
 
-Closure and interior read one lookup per space object, built on first use
-by `lookup`, the one place that picks the store from LITERAL_POINT_LIMIT.
-Within the limit the lookup is a flat sequence over all 2^n masks, built
-in one pass: closure is a union of point closures, t[a | bit(x)] =
-t[a] | cl(x) (`union_table`), and interior is the complement of closure,
-full ^ cl[full ^ a].  The literal procedures enumerate all 2^n masks up to
-that limit anyway, so a table there costs no more than they do.  Above it
-2^n entries would not fit (the grid spaces have 81 and 97 points), and the
-lookup is a dict that computes each mask from the stars on its first
-request.  `closure` and `interior` refuse a mask outside the space; loops
-over masks of the space's own families may index the lookups directly.
+Closure and interior read one lookup per space object, built on first
+use and indexed t[a].  It starts as a memo: a dict that computes a mask
+from the stars on its first request, so it fills only with the masks
+callers ask about, at any number of points.  `tabulate` replaces both
+lookups by flat sequences over all 2^n masks, built in one pass: closure
+is a union of point closures, t[a | bit(x)] = t[a] | cl(x)
+(`union_table`), and interior is the complement of closure,
+full ^ cl[full ^ a].  contmap tabulates the spaces of a map that a literal
+procedure decides, within its point limit: those procedures quantify over
+families of up to 2^n masks, so a table costs no more than they do and
+turns every later request into a list index.  A space that only the
+star-based routines touch keeps its memo (a fresh 12-point map's
+`classify_map` asks about a few dozen masks), and so do the 81- and
+97-point scenario spaces.  `closure` and `interior` refuse a mask outside
+the space.
 
 The subset families that contmap's literal procedures quantify over (the
 nonempty opens, proper closed, dense, nowhere-dense and canonically closed
 sets) are held per space as ascending tuples, each built on first use from
-the opens family or from a scan of all 2^n masks through closure and
-interior.  Only the literal procedures read them, behind their point
-limit; the star-based routines and the verify references never do, so a
-space that only they touch builds none.
+the opens family or from a scan of all 2^n masks through the memoized
+closure and interior.  Only the literal procedures read them, behind their
+point limit; the star-based routines and the verify references never do,
+so a space that only they touch builds none.
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,6 @@ from .bitset import bit, bits, full_mask, mask_to_list
 
 DEFAULT_MAX_POINTS = 16
 ENUMERATION_MAX_POINTS = 5
-LITERAL_POINT_LIMIT = 12
 OPENS_FAMILY_BUDGET = 1 << 20
 
 
@@ -51,29 +54,25 @@ def mask_error(n, a):
     return ValueError("mask %r is not a subset of the points 0..%d" % (a, n - 1))
 
 
-class _Memo(dict):
-    """A lookup above the literal limit: computes each mask on first request."""
+class _ClosureMemo(dict):
+    """Points whose star meets a, computed on the first request for a."""
 
-    __slots__ = ("_compute",)
-
-    def __init__(self, compute):
-        super().__init__()
-        self._compute = compute
+    __slots__ = ("stars",)
 
     def __missing__(self, a):
-        out = self[a] = self._compute(a)
+        out = self[a] = sum(bit(x) for x, star in enumerate(self.stars) if star & a)
         return out
 
 
-def lookup(n, flat, compute):
-    """The store of one mask operator of an n-point object, indexed t[a].
+class _InteriorMemo(dict):
+    """Points of a whose star stays inside a, computed on the first request."""
 
-    Within LITERAL_POINT_LIMIT points it is flat(), a sequence over all
-    2^n masks; above it, a dict that runs compute(a) on a miss.
-    """
-    if n <= LITERAL_POINT_LIMIT:
-        return flat()
-    return _Memo(compute)
+    __slots__ = ("stars",)
+
+    def __missing__(self, a):
+        stars = self.stars
+        out = self[a] = sum(bit(x) for x in bits(a) if stars[x] & ~a == 0)
+        return out
 
 
 def union_table(parts):
@@ -176,29 +175,18 @@ class FinSpace:
     def is_closed(self, a):
         return self.closure(a) == a
 
-    @property
-    def closure_lookup(self):
-        """t[a] is the closure of a, for every mask of the space."""
-        if self._closure is None:
-            n, stars = self.n, self.stars
-
-            def closure_of(a):
-                return sum(bit(x) for x in range(n) if stars[x] & a)
-
-            self._closure = lookup(
-                n, lambda: union_table([closure_of(bit(y)) for y in range(n)]),
-                closure_of)
-        return self._closure
-
-    @property
-    def interior_lookup(self):
-        """t[a] is the interior of a, for every mask of the space."""
-        if self._interior is None:
-            full, stars = self.full, self.stars
-            self._interior = lookup(
-                self.n, lambda: [full ^ c for c in reversed(self.closure_lookup)],
-                lambda a: sum(bit(x) for x in bits(a) if stars[x] & ~a == 0))
-        return self._interior
+    def tabulate(self):
+        """Replace the closure and interior lookups by flat tables over all
+        2^n masks."""
+        if 1 << self.n > OPENS_FAMILY_BUDGET:
+            raise SpaceTooLarge("a table over the masks of %d points exceeds %d entries"
+                                % (self.n, OPENS_FAMILY_BUDGET))
+        if type(self._closure) is not list:
+            stars, full = self.stars, self.full
+            cl = self._closure = union_table(
+                [sum(bit(x) for x, star in enumerate(stars) if star & bit(y))
+                 for y in range(self.n)])
+            self._interior = [full ^ c for c in reversed(cl)]
 
     def closure(self, a):
         """Smallest closed superset: points whose every neighbourhood meets a."""
@@ -206,7 +194,8 @@ class FinSpace:
             raise mask_error(self.n, a)
         t = self._closure
         if t is None:
-            t = self.closure_lookup
+            t = self._closure = _ClosureMemo()
+            t.stars = self.stars
         return t[a]
 
     def interior(self, a):
@@ -215,7 +204,8 @@ class FinSpace:
             raise mask_error(self.n, a)
         t = self._interior
         if t is None:
-            t = self.interior_lookup
+            t = self._interior = _InteriorMemo()
+            t.stars = self.stars
         return t[a]
 
     def is_dense(self, a):

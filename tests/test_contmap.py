@@ -104,7 +104,7 @@ def test_saturation_operator_laws():
                 assert dom.is_open(inner) and is_saturated(m, inner)
 
 
-# --- the lookups against the star definitions, across the literal limit -----
+# --- the lookups against the star definitions, as memos and as tables ------
 
 def _star_closure(space, a):
     return sum(1 << x for x in range(space.n) if space.stars[x] & a)
@@ -156,37 +156,62 @@ def _agrees_with_star_definitions(m, dom_masks, cod_masks):
         for a in masks:
             cl = _star_closure(space, a)
             inside = _star_interior(space, a)
-            assert space.closure(a) == space.closure_lookup[a] == cl
-            assert space.interior(a) == space.interior_lookup[a] == inside
+            assert space.closure(a) == cl
+            assert space.interior(a) == inside
     for a in dom_masks:
         assert image(m, a) == contmap.image_lookup(m)[a] == _star_image(m, a)
     for b in cod_masks:
         assert preimage(m, b) == contmap.preimage_lookup(m)[b] == _star_preimage(m, b)
 
 
+def _fresh(m):
+    return ContMap(from_stars(m.domain.n, m.domain.stars),
+                   from_stars(m.codomain.n, m.codomain.stars), m.table)
+
+
 def test_lookups_match_star_definitions_on_every_small_mask():
     for dom, cod in all_pairs(3):
         for m in enumerate_continuous_maps(dom, cod):
-            _agrees_with_star_definitions(
-                m, range(dom.full + 1), range(cod.full + 1))
+            m = _fresh(m)
+            masks = range(dom.full + 1), range(cod.full + 1)
+            _agrees_with_star_definitions(m, *masks)
+            contmap._tabulate(m)
+            _agrees_with_star_definitions(m, *masks)
 
 
-@pytest.mark.parametrize("dom_n,cod_n", [(12, 13), (13, 12)])
-def test_lookups_match_star_definitions_across_the_limit(dom_n, cod_n):
-    # a flat table at LITERAL_POINT_LIMIT = 12 points, a memo at 13
-    rng = random.Random(dom_n)
+@pytest.mark.parametrize("dom_n,cod_n", [(12, 12), (12, 13), (13, 12)])
+def test_lookups_match_star_definitions_on_sampled_masks(dom_n, cod_n):
+    rng = random.Random(dom_n + cod_n)
     for _ in range(3):
         m = _random_map(rng, dom_n, cod_n)
         dom_masks = [0, m.domain.full] + [rng.getrandbits(dom_n) for _ in range(200)]
         cod_masks = [0, m.codomain.full] + [rng.getrandbits(cod_n) for _ in range(200)]
         _agrees_with_star_definitions(m, dom_masks, cod_masks)
-    stores = {n: (list if n <= finspace.LITERAL_POINT_LIMIT else dict)
-              for n in (dom_n, cod_n)}
-    assert isinstance(m.domain.closure_lookup, stores[dom_n])
-    assert isinstance(m.domain.interior_lookup, stores[dom_n])
-    assert isinstance(contmap.image_lookup(m), stores[dom_n])
-    assert isinstance(m.codomain.closure_lookup, stores[cod_n])
-    assert isinstance(contmap.preimage_lookup(m), stores[cod_n])
+        contmap._tabulate(m)
+        _agrees_with_star_definitions(m, dom_masks, cod_masks)
+
+
+def test_only_literal_procedures_tabulate_a_map():
+    # a star-based routine asks about a few masks, so it keeps the memos;
+    # a literal procedure quantifies over families of up to 2^n masks
+    def stores(m):
+        return {type(t) is list for t in (m._image, m._preimage, m.domain._closure,
+                                          m.domain._interior, m.codomain._closure,
+                                          m.codomain._interior)}
+
+    m = _random_map(random.Random(3), 12, 12)
+    classify_map(m)
+    decide_by(m, "almost_open", "wo-stars")
+    assert stores(m) == {False}
+    decide_by(m, "almost_open", "wo-i")
+    assert stores(m) == {True}
+    wide = _random_map(random.Random(3), 13, 12)
+    with pytest.raises(SpaceTooLarge):
+        decide_by(wide, "almost_open", "wo-i")
+    classify_map(wide)
+    assert type(wide._image) is not list
+    with pytest.raises(SpaceTooLarge):
+        discrete_space(21).tabulate()
 
 
 @pytest.mark.parametrize("dom_n,cod_n", [(12, 13), (13, 12)])
@@ -195,16 +220,17 @@ def test_operators_refuse_masks_outside_the_object(dom_n, cod_n):
     dom, cod = m.domain, m.codomain
     operators = [(dom.closure, dom.n), (dom.interior, dom.n),
                  (cod.closure, cod.n), (cod.interior, cod.n),
-                 (lambda a: image(m, a), dom.n), (lambda b: preimage(m, b), cod.n)]
-    # before and after each lookup is built
-    for _ in range(2):
+                 (lambda a: image(m, a), dom.n), (lambda b: preimage(m, b), cod.n),
+                 (lambda a: saturation(m, a), dom.n)]
+    # before each memo is built, after, and on the tables
+    for k in range(3):
+        if k == 2:
+            contmap._tabulate(m)
         for op, n in operators:
             for bad in (-1, -(1 << n), 1 << n, (1 << n) | 1, 1 << (n + 5)):
                 with pytest.raises(ValueError, match="not a subset of the points"):
                     op(bad)
             op(0)
-    with pytest.raises(ValueError):
-        saturation(m, -1)
 
 
 # --- classification against the frozenset oracles ---------------------------

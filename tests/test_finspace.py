@@ -211,8 +211,8 @@ def star_tables(draw, min_n=1, max_n=5):
 @settings(max_examples=120, deadline=None)
 @given(star_tables(), star_tables(min_n=17, max_n=24))
 def test_operator_laws(space, wide):
-    # space reads flat lookup tables; wide has 17 to 24 points, past the
-    # 16-point record limit, where the operators fill a memo per mask
+    # wide has 17 to 24 points, past the 16-point record limit: the operators
+    # and their lookups have no size cutoff
     for sp in (space, wide):
         full = sp.full
         for a in (0, full, sp.stars[0], full ^ sp.stars[0] & ~1):

