@@ -60,7 +60,13 @@ class _ClosureMemo(dict):
     __slots__ = ("stars",)
 
     def __missing__(self, a):
-        out = self[a] = sum(bit(x) for x, star in enumerate(self.stars) if star & a)
+        out = 0
+        x = 1
+        for star in self.stars:
+            if star & a:
+                out |= x
+            x <<= 1
+        self[a] = out
         return out
 
 
@@ -71,7 +77,11 @@ class _InteriorMemo(dict):
 
     def __missing__(self, a):
         stars = self.stars
-        out = self[a] = sum(bit(x) for x in bits(a) if stars[x] & ~a == 0)
+        out = 0
+        for x in bits(a):
+            if stars[x] & ~a == 0:
+                out |= 1 << x
+        self[a] = out
         return out
 
 
