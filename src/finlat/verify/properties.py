@@ -748,8 +748,8 @@ def _space(stars):
     closure and interior lookups, opens and subset families are built once
     and shared across maps, runs and stages.  The cache is bounded: streams
     have at most MAX_POINTS_LIMIT = 4 points, so it holds at most the 389
-    labelled topologies on 1-4 points (1 + 4 + 29 + 355), each with lookup
-    tables of at most 16 entries.  Sharing is safe: a FinSpace is immutable
+    labelled topologies on 1-4 points (1 + 4 + 29 + 355), each with lookups
+    of at most 16 entries.  Sharing is safe: a FinSpace is immutable
     and its lookups are pure functions of the stars, and no mutation wraps
     anything a FinSpace keeps (they wrap contmap.saturation,
     contmap.PROCEDURES and funclat._tie_ratio).  Witnesses still replay
