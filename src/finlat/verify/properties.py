@@ -3,13 +3,18 @@
 The suite never trusts the star-based machinery it is auditing.  Each map
 class is recomputed here straight from the opens family (interior = union of
 open subsets, closure by complement), each relation condition from the block
-masks, each lattice identity from a second computation path.  Instances come
-from two streams per input kind: an exhaustive stream over all small cases in
-a fixed order, then a seeded sampled stream; the first failing instance in
-stream order becomes the witness and can be replayed from its record text.
-The map, relation and discrete-map streams build each finite space once per
-process and star table (at most 389 on up to 4 points) and share it, and
-the exhaustive streams enumerate the topologies of each size once.
+masks, each lattice identity from a second computation path.  The map
+references read every image and preimage from two flat tables per map,
+built here with their own loop (`_unions`) and shared by the seven map
+suites.  They reuse none of finspace's or contmap's tables and lookups:
+those are what the suites audit, and a reference built from them would
+agree with a defect in them.  Instances come from two streams per input
+kind: an exhaustive stream over all small cases in a fixed order, then a
+seeded sampled stream; the first failing instance in stream order becomes
+the witness and can be replayed from its record text.  The map, relation
+and discrete-map streams build each finite space once per process and star
+table (at most 389 on up to 4 points) and share it, and the exhaustive
+streams enumerate the topologies of each size once.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -35,6 +40,9 @@ from .report import PropertyResult, SuiteReport
 
 MAX_POINTS_LIMIT = 4
 MAX_LATTICE_DIM = 5
+# a fixed cap rather than the host's core count, so a config is accepted or
+# refused alike on every machine
+MAX_WORKERS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -52,99 +60,103 @@ def _cl_in(opens, universe, a):
     return universe & ~_int_in(opens, universe & ~a)
 
 
-def _image_of(table, a):
-    out = 0
-    for x in bits(a):
-        out |= bit(table[x])
-    return out
+def _unions(parts):
+    """t[a] = the union of parts[x] over the points x of a, for every mask a.
+
+    The masks that hold point x are the masks below bit(x) with parts[x]
+    added, so the table doubles once per point.
+    """
+    t = [0]
+    for part in parts:
+        t += [v | part for v in t]
+    return t
 
 
-def _preimage_of(table, b):
-    out = 0
-    for x, y in enumerate(table):
-        if b & bit(y):
-            out |= bit(x)
-    return out
+class _MapRefs(dict):
+    """The reference value of each map class of one map: refs[target]
+    computes the target on first lookup and keeps it.
 
-
-def _fiber_sat(table, a):
-    """The union of the fibers that meet a."""
-    return _preimage_of(table, _image_of(table, a))
-
-
-class _MapRefs:
-    """Lazy per-map reference values, all derived from the opens families.
-
-    Each reference keeps its opens-family definition (interior as a union
-    of open subsets, closure by complement) rather than the star
-    shortcuts that contmap's procedures take.
+    Two flat tables, built once per map, give every image and preimage the
+    references read: image[a] for each domain mask a and preimage[b] for
+    each codomain mask b.  The seven targets, P-sat's fiber scan
+    (preimage[image[a]]) and P-hier's plain references all read them.  Each
+    target keeps its opens-family definition (interior as a union of open
+    subsets, closure by complement) rather than the star shortcuts that
+    contmap's procedures take.  The opens families are read with the first
+    target, so P-sat, which needs none, reads none.
     """
 
     def __init__(self, m):
+        super().__init__()
         self.m = m
-        self.dom_opens = m.domain.opens
-        self.cod_opens = m.codomain.opens
-        self.img = _image_of(m.table, m.domain.full)
-        self.rel_opens = tuple(sorted({o & self.img for o in self.cod_opens}))
-        self._cache = {}
+        fibers = [0] * m.codomain.n
+        for x, y in enumerate(m.table):
+            fibers[y] |= bit(x)
+        self.image = _unions([bit(y) for y in m.table])
+        self.preimage = _unions(fibers)
+        self.img = self.image[m.domain.full]
 
-    def get(self, name):
-        if name not in self._cache:
-            self._cache[name] = getattr(self, "_" + name)()
-        return self._cache[name]
+    def __missing__(self, target):
+        if not self:  # the first target reads the opens families
+            self.dom_opens = self.m.domain.opens
+            self.cod_opens = self.m.codomain.opens
+            self.rel_opens = tuple(sorted({o & self.img for o in self.cod_opens}))
+        value = self[target] = getattr(self, "_" + target)()
+        return value
 
     def _weakly_open(self):
-        t = self.m.table
+        image = self.image
+        cod_opens = self.cod_opens
         for u in self.dom_opens:
-            if u and not _int_in(self.cod_opens, _image_of(t, u)):
+            if u and not _int_in(cod_opens, image[u]):
                 return False
         return True
 
     def _almost_open(self):
-        t = self.m.table
+        image = self.image
         cod_opens = self.cod_opens
         cod_full = self.m.codomain.full
         for u in self.dom_opens:
-            if u and not _int_in(cod_opens,
-                                 _cl_in(cod_opens, cod_full, _image_of(t, u))):
+            if u and not _int_in(cod_opens, _cl_in(cod_opens, cod_full, image[u])):
                 return False
         return True
 
     def _strongly_skeletal(self):
-        t = self.m.table
+        image = self.image
+        rel_opens = self.rel_opens
         for u in self.dom_opens:
-            if u and not _int_in(self.rel_opens, _image_of(t, u)):
+            if u and not _int_in(rel_opens, image[u]):
                 return False
         return True
 
     def _skeletal(self):
-        t = self.m.table
+        image = self.image
         rel_opens = self.rel_opens
         for u in self.dom_opens:
-            if u and not _int_in(rel_opens,
-                                 _cl_in(rel_opens, self.img, _image_of(t, u))):
+            if u and not _int_in(rel_opens, _cl_in(rel_opens, self.img, image[u])):
                 return False
         return True
 
     def _irreducible(self):
         # no proper closed subset of the domain has a dense image in the image
-        m = self.m
-        dom_full = m.domain.full
+        image = self.image
+        dom_full = self.m.domain.full
         open_set = frozenset(self.dom_opens)
         for a in range(dom_full + 1):
             if a == dom_full or (dom_full & ~a) not in open_set:
                 continue
-            if _cl_in(self.rel_opens, self.img, _image_of(m.table, a)) == self.img:
+            if _cl_in(self.rel_opens, self.img, image[a]) == self.img:
                 return False
         return True
 
     def _weakly_injective(self):
-        t = self.m.table
+        image = self.image
+        preimage = self.preimage
         for u in self.dom_opens:
             if not u:
                 continue
             for w in self.dom_opens:
-                if w and not w & ~u and _fiber_sat(t, w) == w:
+                if w and not w & ~u and preimage[image[w]] == w:
                     break
             else:
                 return False
@@ -185,14 +197,6 @@ def _suite_of(proc):
     return "P-mirr" if proc.hypothesis is not None else _SUITE_OF_TARGET[proc.target]
 
 
-# procedure kind -> is its verdict sound against the reference value
-_SOUND = {
-    "iff": lambda got, ref: got == ref,
-    "necessary": lambda got, ref: got or not ref,
-    "sufficient": lambda got, ref: ref or not got,
-}
-
-
 def _procedure_spec(prop_id, description):
     """The map suite prop_id: every procedure _suite_of routes to it,
     checked against the reference of its target; each procedure id is the
@@ -202,19 +206,25 @@ def _procedure_spec(prop_id, description):
 
     def check(m):
         refs = _derived(_MapRefs, m)
+        # read per check, so mutations and tracers of contmap reach them
+        procedures = contmap.PROCEDURES
+        decide_by = contmap.decide_by
         failures = []
         na = 0
         for pid in pids:
-            proc = contmap.PROCEDURES[pid]
-            got = contmap.decide_by(m, proc.target, pid)
+            proc = procedures[pid]
+            target = proc.target
+            got = decide_by(m, target, pid)
             if got is None:
                 na += 1
                 continue
-            ref = refs.get(proc.target)
-            if not _SOUND[proc.kind](got, ref):
+            ref = refs[target]
+            # an "iff" verdict must equal the reference; a "necessary" one
+            # may be True off the class, a "sufficient" one False on it
+            if got != ref and proc.kind != ("necessary" if got else "sufficient"):
                 failures.append({
                     "check": pid,
-                    "target": proc.target,
+                    "target": target,
                     "kind": proc.kind,
                     "procedure_value": got,
                     "reference_value": ref,
@@ -225,11 +235,15 @@ def _procedure_spec(prop_id, description):
 
 
 def _check_saturation(m):
+    refs = _derived(_MapRefs, m)
+    image = refs.image
+    preimage = refs.preimage
     full = m.domain.full
     sat_full = contmap.saturation(m, full)
     for a in range(full + 1):
         s = contmap.saturation(m, a)
-        ref = _fiber_sat(m.table, a)
+        # the union of the fibers that meet a
+        ref = preimage[image[a]]
         if s != ref:
             return [{"check": "fiber-scan", "subset": a, "got": s, "expected": ref}], 0
         if contmap.saturation(m, s) != s:
@@ -265,35 +279,38 @@ def _check_hierarchy(m):
     if broken:
         return [{"check": "classification-consistency", "implication": b}
                 for b in broken], 0
-    t = m.table
+    refs = _derived(_MapRefs, m)
+    image = refs.image
+    preimage = refs.preimage
     dom_opens = m.domain.opens
     cod_opens = m.codomain.opens
     open_set = frozenset(cod_opens)
     dom_open_set = frozenset(dom_opens)
+    dom_full = m.domain.full
     cod_full = m.codomain.full
     ref_open = True
     for u in dom_opens:
-        if _image_of(t, u) not in open_set:
+        if image[u] not in open_set:
             ref_open = False
             break
     ref_closed = True
     for u in dom_opens:
-        img = _image_of(t, m.domain.full & ~u)
+        img = image[dom_full & ~u]
         if _cl_in(cod_opens, cod_full, img) != img:
             ref_closed = False
             break
-    ref_injective = len(set(t)) == m.domain.n
-    ref_surjective = _image_of(t, m.domain.full) == cod_full
+    ref_injective = len(set(m.table)) == m.domain.n
+    ref_surjective = refs.img == cod_full
     ref_embedding = ref_injective and dom_open_set == {
-        _preimage_of(t, o) for o in cod_opens
+        preimage[o] for o in cod_opens
     }
     ref_quotient = ref_surjective and open_set == {
-        v for v in range(cod_full + 1) if _preimage_of(t, v) in dom_open_set
+        v for v in range(cod_full + 1) if preimage[v] in dom_open_set
     }
     failures = []
-    refs = (ref_open, ref_closed, ref_injective, ref_surjective,
-            ref_embedding, ref_quotient)
-    for name, ref in zip(_HIER_FLAGS, refs):
+    expected = (ref_open, ref_closed, ref_injective, ref_surjective,
+                ref_embedding, ref_quotient)
+    for name, ref in zip(_HIER_FLAGS, expected):
         if flags[name] != ref:
             failures.append({"check": name, "flag": flags[name], "reference_value": ref})
     return failures, 0
@@ -416,9 +433,10 @@ _SUBLATTICE_IMPLICATIONS = (
 )
 
 
-# The checks of one kind share work per instance: the map suites one
-# _MapRefs, and P-sw, P-dis and P-menag canonical_form(n, gens), which P-sw
-# hands to the closure oracle and on which P-dis and P-menag alone depend.
+# The checks of one kind share work per instance: the seven map suites one
+# _MapRefs, whose image and preimage tables the first of them builds, and
+# P-sw, P-dis and P-menag canonical_form(n, gens), which P-sw hands to the
+# closure oracle and on which P-dis and P-menag alone depend.
 # _check_stage sets this to a fresh _StageCache after it installs the
 # mutation and back to None when the stage ends, so a check called outside
 # a stage computes everything afresh.
@@ -1046,6 +1064,8 @@ def _validate(cfg):
         raise ValueError("sample_budget must be nonnegative")
     if cfg.workers < 1:
         raise ValueError("workers must be positive")
+    if cfg.workers > MAX_WORKERS:
+        raise ValueError("workers must be at most %d" % MAX_WORKERS)
     selected = cfg.selected()
     for pid in selected:
         if pid not in PROPERTIES:

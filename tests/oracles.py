@@ -99,6 +99,31 @@ def saturation_of(table, dom_n, a):
     return preimage_of(table, dom_n, image_of(table, a))
 
 
+# the same three on bitmasks, point by point: the first formulations of the
+# map suites' image, preimage and fiber-scan references
+
+
+def _image_of(table, a):
+    out = 0
+    for x, y in enumerate(table):
+        if a >> x & 1:
+            out |= 1 << y
+    return out
+
+
+def _preimage_of(table, b):
+    out = 0
+    for x, y in enumerate(table):
+        if b >> y & 1:
+            out |= 1 << x
+    return out
+
+
+def _fiber_sat(table, a):
+    """The union of the fibers that meet a."""
+    return _preimage_of(table, _image_of(table, a))
+
+
 def relative_family(family, img):
     return frozenset(u & img for u in family)
 

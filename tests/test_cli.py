@@ -463,6 +463,15 @@ def test_verify_unknown_inputs_are_usage_errors(capsys):
     assert err.startswith("error:") and "P-sat" in err
 
 
+def test_verify_workers_above_the_cap_is_usage_error(capsys, inline_pool):
+    # refused before any pool opens; never start that many processes
+    code, _, err = run_cli(capsys, "verify", "--workers", "5000",
+                           "--sample-budget", "100000")
+    assert code == 2
+    assert err == "error: workers must be at most 64\n"
+    assert inline_pool == []
+
+
 # ---------------------------------------------------------------------------
 # examples
 

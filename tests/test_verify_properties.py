@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finlat
-from finlat import comphom, contmap, discrete_space, enumerate_topologies, funclat
+from finlat import (
+    comphom, contmap, discrete_space, enumerate_topologies, finspace, funclat,
+)
 from finlat.finspace import from_stars
 from finlat.verify.mutations import MUTATIONS, apply_mutation
 from finlat.verify import properties
@@ -577,11 +579,30 @@ def test_mutation_runs_in_worker_processes(start_method):
 def test_pool_is_sized_to_its_spans(inline_pool):
     kw = dict(properties=("P-wo",), max_points=2, sample_budget=200)
     serial = run_suite(workers=1, **kw)
-    split = run_suite(workers=500, **kw)
+    split = run_suite(workers=properties.MAX_WORKERS, **kw)
     # 200 sampled maps in spans of 64 make four units of work
     assert inline_pool == [4]
     assert multiprocessing.active_children() == []
     assert split.to_structured()["results"] == serial.to_structured()["results"]
+
+
+def test_workers_above_the_cap_are_refused_before_a_pool_opens(inline_pool):
+    # refused by the config check alone: no pool is asked for, let alone
+    # the thousands of processes such a count would start
+    from finlat.verify import run_family_sweep
+
+    too_many = properties.MAX_WORKERS + 1
+    message = "workers must be at most %d" % properties.MAX_WORKERS
+    with pytest.raises(ValueError, match=message):
+        run_suite(properties=("P-wo",), max_points=2, sample_budget=100_000,
+                  workers=too_many)
+    maps = list(properties._exhaustive_maps(SuiteConfig(max_points=2)))
+    with pytest.raises(ValueError, match=message):
+        properties.check_instances(("P-sat",), maps, workers=too_many)
+    with pytest.raises(ValueError, match=message):
+        run_family_sweep(2, workers=too_many)
+    assert inline_pool == []
+    assert multiprocessing.active_children() == []
 
 
 def test_a_mutation_is_installed_once_and_alone():
@@ -830,9 +851,67 @@ def test_map_references_read_no_memoized_operator(monkeypatch):
     monkeypatch.setattr(contmap, "preimage", refuse)
     monkeypatch.setattr(contmap, "image_lookup", refuse)
     monkeypatch.setattr(contmap, "preimage_lookup", refuse)
+    # nor the table builders behind the lookups: contmap binds union_table
+    # by name
+    monkeypatch.setattr(finspace, "union_table", refuse)
+    monkeypatch.setattr(contmap, "union_table", refuse)
+    monkeypatch.setattr(finlat.FinSpace, "tabulate", refuse)
     for m, flags in maps:
         refs = _MapRefs(m)
-        assert {t: refs.get(t) for t in targets} == {t: flags[t] for t in targets}
+        assert {t: refs[t] for t in targets} == {t: flags[t] for t in targets}
+        # the tables and opens families P-sat and P-hier read
+        full = m.domain.full
+        assert refs.img == refs.image[full] == oracles._image_of(m.table, full)
+        assert refs.preimage[refs.img] == full
+        assert refs.dom_opens == m.domain.opens
+        assert refs.cod_opens == m.codomain.opens
+
+
+def test_map_tables_equal_the_pointwise_definitions():
+    # every entry of both tables on all 11,310 maps on <= 3 points and on
+    # the first 2,000 sampled 4-point maps of seed 0
+    cfg = SuiteConfig(max_points=3, sample_points=4, seed=0)
+    maps = list(properties._exhaustive_maps(cfg))
+    assert len(maps) == 11310
+    maps += [properties._sample_map(cfg, i) for i in range(2000)]
+    for m in maps:
+        refs = _MapRefs(m)
+        t = m.table
+        dom_masks = range(m.domain.full + 1)
+        assert refs.image == [oracles._image_of(t, a) for a in dom_masks]
+        assert refs.preimage == [oracles._preimage_of(t, b)
+                                 for b in range(m.codomain.full + 1)]
+        assert ([refs.preimage[refs.image[a]] for a in dom_masks]
+                == [oracles._fiber_sat(t, a) for a in dom_masks])
+
+
+# the (verdict, reference) pairs each procedure kind forbids
+FORBIDDEN_PAIRS = {
+    "iff": {(True, False), (False, True)},
+    "necessary": {(False, True)},
+    "sufficient": {(True, False)},
+}
+
+
+@pytest.mark.parametrize("pid,kind", [
+    ("ao-stars", "iff"), ("wi-i", "necessary"), ("mirr-iii", "sufficient"),
+])
+def test_soundness_rule_is_a_truth_table(monkeypatch, pid, kind):
+    proc = contmap.PROCEDURES[pid]
+    assert proc.kind == kind
+    suite = PROPERTIES[properties._suite_of(proc)]
+    # the discrete identity on one point meets every hypothesis
+    point = discrete_space(1)
+    m = contmap.ContMap(point, point, (0,))
+    for got, ref in itertools.product((True, False), repeat=2):
+        monkeypatch.setitem(contmap.PROCEDURES, pid,
+                            replace(proc, evaluate=lambda m, got=got: got))
+        monkeypatch.setattr(_MapRefs, "_" + proc.target, lambda self, ref=ref: ref)
+        failures, _ = suite.check(m)
+        expected = [{"check": pid, "target": proc.target, "kind": kind,
+                     "procedure_value": got, "reference_value": ref}]
+        assert [f for f in failures if f["check"] == pid] == (
+            expected if (got, ref) in FORBIDDEN_PAIRS[kind] else [])
 
 
 def test_dense_family_missing_its_least_member_trips_p_ao_and_p_wo(monkeypatch):
@@ -873,7 +952,7 @@ def test_map_references_read_no_subset_family(monkeypatch):
     for m in maps:
         refs = _MapRefs(m)
         for t in targets:
-            refs.get(t)
+            refs[t]
         assert properties._check_saturation(m) == ([], 0)
         assert properties._check_hierarchy(m) == ([], 0)
 

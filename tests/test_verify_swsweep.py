@@ -20,7 +20,7 @@ from finlat.verify import (
     replay_witness,
     swsweep,
 )
-from finlat.verify.properties import _lattice_alphabet
+from finlat.verify.properties import MAX_WORKERS, _lattice_alphabet
 from finlat.verify.swsweep import family_representatives, run_family_sweep
 from oracles import normalize_generators
 
@@ -251,7 +251,7 @@ def test_sweep_worker_split_agrees(pool_sizes):
 
 def test_sweep_pool_is_sized_to_its_chunks(inline_pool):
     serial = run_family_sweep(2)
-    split = run_family_sweep(2, workers=500)
+    split = run_family_sweep(2, workers=MAX_WORKERS)
     # 165 representatives make three spans of at least 64
     assert inline_pool == [3]
     assert multiprocessing.active_children() == []
