@@ -17,26 +17,28 @@ Every quantifier is a plain loop over its family in iteration order that
 returns at the first witness (`for ... else` where an inner search runs
 dry), so a verdict stops where its first counterexample is.
 
-Image and preimage read one lookup per map object, built on first use and
+Image and preimage read one lookup per map object, built with the map and
 indexed t[a]: a memo that computes a mask as a union of point images
-(fibers) on its first request.  When `decide_by` runs a literal procedure,
-within LITERAL_POINT_LIMIT points, `_tabulate` replaces the map's lookups
-and its spaces' closure and interior lookups by flat tables over all 2^n
-masks (see finspace); the star-based routines and `classify_map` keep the
-memos.  `image` and `preimage` refuse a mask outside their space; the
-routines here bind a map's lookup once and index it with masks of the
-spaces' own families.  Verdicts are not memoized per map, and the lookups
-read nothing a verification mutation wraps: a mutation installed after a
-map was classified (say, a wrapped `saturation`, which every routine still
-calls through this module) must still change that map's answers, or the
-suite would re-check stale values.
+(fibers) on its first request (finspace's `UnionMemo`).  When `decide_by`
+runs a literal procedure, within LITERAL_POINT_LIMIT points, `_tabulate`
+replaces the map's lookups and its spaces' closure and interior lookups by
+flat tables over all 2^n masks (see finspace); the star-based routines and
+`classify_map` keep the memos, and past the limit `decide_by` refuses a
+literal procedure.  `image` and `preimage` refuse a mask outside their
+space; the routines here bind a map's lookup (`m._image`, `m._preimage`)
+once and index it with masks of the spaces' own families.  Verdicts are
+not memoized per map, and the lookups read nothing a verification
+mutation wraps: a mutation installed after a map was classified (say, a
+wrapped `saturation`, which every routine still calls through this
+module) must still change that map's answers, or the suite would re-check
+stale values.
 """
 
 from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .bitset import bit, bits
-from .finspace import SpaceTooLarge, mask_error, union_table
+from .finspace import SpaceTooLarge, UnionMemo, mask_error, union_table
 
 LITERAL_POINT_LIMIT = 12
 TABLE_BUDGET = 1 << 20
@@ -53,12 +55,11 @@ class NotContinuous(ValueError):
 class ContMap:
     """A validated continuous map; table[x] is the image point of x.
 
-    The image and preimage lookups are built on first use and take no
+    The image and preimage lookups are built with the map and take no
     part in equality or hashing.
     """
 
-    __slots__ = ("domain", "codomain", "table", "fibers", "_image_bit",
-                 "_image", "_preimage")
+    __slots__ = ("domain", "codomain", "table", "fibers", "_image", "_preimage")
 
     def __init__(self, domain, codomain, table):
         table = tuple(table)
@@ -80,9 +81,8 @@ class ContMap:
         for x, y in enumerate(table):
             fibers[y] |= bit(x)
         self.fibers = tuple(fibers)
-        self._image_bit = tuple(bit(y) for y in table)
-        self._image = None
-        self._preimage = None
+        self._image = UnionMemo(tuple(bit(y) for y in table))
+        self._preimage = UnionMemo(self.fibers)
 
     def __eq__(self, other):
         return (
@@ -114,43 +114,10 @@ def _discontinuity(domain, codomain, table):
     return None
 
 
-class _UnionMemo(dict):
-    """The union of parts[x] over the points x of a, computed on the first
-    request for a."""
-
-    __slots__ = ("parts",)
-
-    def __missing__(self, a):
-        parts = self.parts
-        out = 0
-        for x in bits(a):
-            out |= parts[x]
-        self[a] = out
-        return out
-
-
-def image_lookup(m):
-    """t[a] is the image of a, for every mask of the domain."""
-    t = m._image
-    if t is None:
-        t = m._image = _UnionMemo()
-        t.parts = m._image_bit
-    return t
-
-
-def preimage_lookup(m):
-    """t[b] is the preimage of b, for every mask of the codomain."""
-    t = m._preimage
-    if t is None:
-        t = m._preimage = _UnionMemo()
-        t.parts = m.fibers
-    return t
-
-
 def _tabulate(m):
     """Flat image, preimage, closure and interior tables for a map that a
     literal procedure decides."""
-    m._image = union_table(m._image_bit)
+    m._image = union_table([bit(y) for y in m.table])
     m._preimage = union_table(m.fibers)
     m.domain.tabulate()
     m.codomain.tabulate()
@@ -159,29 +126,20 @@ def _tabulate(m):
 def image(m, a):
     if not 0 <= a <= m.domain.full:
         raise mask_error(m.domain.n, a)
-    t = m._image
-    if t is None:
-        t = image_lookup(m)
-    return t[a]
+    return m._image[a]
 
 
 def preimage(m, b):
     if not 0 <= b <= m.codomain.full:
         raise mask_error(m.codomain.n, b)
-    t = m._preimage
-    if t is None:
-        t = preimage_lookup(m)
-    return t[b]
+    return m._preimage[b]
 
 
 def saturation(m, a):
     """Smallest fiber-union containing a, i.e. preimage(image(a))."""
     if not 0 <= a <= m.domain.full:
         raise mask_error(m.domain.n, a)
-    img, pre = m._image, m._preimage
-    if img is None or pre is None:
-        img, pre = image_lookup(m), preimage_lookup(m)
-    return pre[img[a]]
+    return m._preimage[m._image[a]]
 
 
 def is_saturated(m, a):
@@ -230,7 +188,7 @@ def final_star(domain, fibers, table, y):
 
 def _weakly_open_onto(m, s):
     """Weakly open as a map onto the subspace on s (s holds the image)."""
-    cod, img = m.codomain, image_lookup(m)
+    cod, img = m.codomain, m._image
     for star in m.domain.stars:
         if not _interior_in(cod, s, img[star]):
             return False
@@ -240,7 +198,7 @@ def _weakly_open_onto(m, s):
 def _almost_open_onto(m, d, s):
     """Almost open as the restriction to the subspace on d, onto the
     subspace on s (s holds the image of d)."""
-    cod, stars, img = m.codomain, m.domain.stars, image_lookup(m)
+    cod, stars, img = m.codomain, m.domain.stars, m._image
     for x in bits(d):
         if not _interior_in(cod, s, cod.closure(img[stars[x] & d]) & s):
             return False
@@ -264,7 +222,7 @@ def strongly_skeletal_stars(m):
 
 
 def irreducible_stars(m):
-    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
+    dom, cod, pre = m.domain, m.codomain, m._preimage
     for x in range(dom.n):
         star = dom.stars[x]
         for y in range(cod.n):
@@ -291,7 +249,7 @@ def almost_injective_stars(m):
 
 
 def open_map_stars(m):
-    cod, img = m.codomain, image_lookup(m)
+    cod, img = m.codomain, m._image
     for star in m.domain.stars:
         if not cod.is_open(img[star]):
             return False
@@ -299,7 +257,7 @@ def open_map_stars(m):
 
 
 def closed_map_stars(m):
-    dom, cod, img = m.domain, m.codomain, image_lookup(m)
+    dom, cod, img = m.domain, m.codomain, m._image
     for x in range(dom.n):
         if not cod.is_closed(img[dom.closure(bit(x))]):
             return False
@@ -318,7 +276,7 @@ def embedding_stars(m):
     """Injective, and each star's image is open in the image subspace."""
     if not is_injective(m):
         return False
-    cod, t = m.codomain, image_lookup(m)
+    cod, t = m.codomain, m._image
     img = t[m.domain.full]
     for star in m.domain.stars:
         a = t[star]
@@ -344,15 +302,8 @@ def domain_is_discrete(m):
 # literal procedures: full subset quantifiers, one routine per characterisation
 
 
-def _family_guard():
-    raise SpaceTooLarge(
-        "literal procedures enumerate subsets; limited to %d points"
-        % LITERAL_POINT_LIMIT
-    )
-
-
 def ao_i(m):
-    cod, img = m.codomain, image_lookup(m)
+    cod, img = m.codomain, m._image
     for u in m.domain.nonempty_opens:
         if not cod.interior(img[u]):
             return False
@@ -360,7 +311,7 @@ def ao_i(m):
 
 
 def ao_ii_nonempty(m):
-    dom, cod, img = m.domain, m.codomain, image_lookup(m)
+    dom, cod, img = m.domain, m.codomain, m._image
     for u in dom.nonempty_opens:
         for w in dom.opens:
             if w and w & ~u == 0 and cod.is_open(img[w]):
@@ -371,7 +322,7 @@ def ao_ii_nonempty(m):
 
 
 def ao_ii_dense(m):
-    dom, cod, img = m.domain, m.codomain, image_lookup(m)
+    dom, cod, img = m.domain, m.codomain, m._image
     for u in dom.nonempty_opens:
         for w in dom.opens:
             if (w & ~u == 0 and u & ~dom.closure(w) == 0
@@ -383,7 +334,7 @@ def ao_ii_dense(m):
 
 
 def ao_iii(m):
-    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
+    dom, cod, pre = m.domain, m.codomain, m._preimage
     for a in cod.dense_sets:
         if not dom.is_dense(pre[a]):
             return False
@@ -391,7 +342,7 @@ def ao_iii(m):
 
 
 def wo_i(m):
-    cod, img = m.codomain, image_lookup(m)
+    cod, img = m.codomain, m._image
     for u in m.domain.nonempty_opens:
         if not cod.interior(cod.closure(img[u])):
             return False
@@ -399,7 +350,7 @@ def wo_i(m):
 
 
 def wo_ii(m):
-    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
+    dom, cod, pre = m.domain, m.codomain, m._preimage
     for v in cod.opens:
         inner = dom.interior(pre[cod.closure(v)])
         if inner & ~dom.closure(pre[v]):
@@ -408,7 +359,7 @@ def wo_ii(m):
 
 
 def wo_iii(m):
-    dom, pre = m.domain, preimage_lookup(m)
+    dom, pre = m.domain, m._preimage
     for v in m.codomain.dense_opens:
         if not dom.is_dense(pre[v]):
             return False
@@ -416,7 +367,7 @@ def wo_iii(m):
 
 
 def wo_iv(m):
-    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
+    dom, cod, pre = m.domain, m.codomain, m._preimage
     for a in cod.nowhere_dense_sets:
         if not dom.is_nowhere_dense(pre[a]):
             return False
@@ -428,7 +379,7 @@ def _canonically_closed(space, a):
 
 
 def wo_v(m):
-    cod, img = m.codomain, image_lookup(m)
+    cod, img = m.codomain, m._image
     for u in m.domain.opens:
         if not _canonically_closed(cod, cod.closure(img[u])):
             return False
@@ -436,7 +387,7 @@ def wo_v(m):
 
 
 def wo_v_canon(m):
-    dom, cod, img = m.domain, m.codomain, image_lookup(m)
+    dom, cod, img = m.domain, m.codomain, m._image
     for c in dom.canonically_closed_sets:
         if not _canonically_closed(cod, cod.closure(img[c])):
             return False
@@ -463,7 +414,7 @@ def wo_vi_some(m):
 
 def _open_preimage_inside(m, cap):
     """Some open set has a nonempty preimage inside cap."""
-    pre = preimage_lookup(m)
+    pre = m._preimage
     for v in m.codomain.opens:
         p = pre[v]
         if p and p & ~cap == 0:
@@ -472,7 +423,7 @@ def _open_preimage_inside(m, cap):
 
 
 def sk_sat(m):
-    cod, img, pre = m.codomain, image_lookup(m), preimage_lookup(m)
+    cod, img, pre = m.codomain, m._image, m._preimage
     for u in m.domain.nonempty_opens:
         if not _open_preimage_inside(m, pre[cod.closure(img[u])]):
             return False
@@ -487,7 +438,7 @@ def ssk_sat(m):
 
 
 def irr_i(m):
-    dom, cod, t = m.domain, m.codomain, image_lookup(m)
+    dom, cod, t = m.domain, m.codomain, m._image
     img = t[dom.full]
     for a in dom.proper_closed_sets:
         if img & ~cod.closure(t[a]) == 0:
@@ -503,7 +454,7 @@ def irr_ii(m):
 
 
 def irr_ii_dense(m):
-    dom, cod, pre = m.domain, m.codomain, preimage_lookup(m)
+    dom, cod, pre = m.domain, m.codomain, m._preimage
     for u in dom.nonempty_opens:
         ok = False
         for v in cod.opens:
@@ -559,7 +510,7 @@ def wi_ii(m):
 
 
 def wi_iii(m):
-    dom, cod, t = m.domain, m.codomain, image_lookup(m)
+    dom, cod, t = m.domain, m.codomain, m._image
     img = t[dom.full]
     for a in dom.nowhere_dense_sets:
         if _interior_in(cod, img, t[a]) != 0:
@@ -653,7 +604,10 @@ def decide_by(m, class_name, procedure_id):
         )
     if proc.needs_family:
         if m.domain.n > LITERAL_POINT_LIMIT or m.codomain.n > LITERAL_POINT_LIMIT:
-            _family_guard()
+            raise SpaceTooLarge(
+                "literal procedures enumerate subsets; limited to %d points"
+                % LITERAL_POINT_LIMIT
+            )
         if type(m._image) is not list:
             _tabulate(m)
     if proc.hypothesis is not None and not proc.hypothesis(m):

@@ -16,7 +16,7 @@ is the largest closed set missing that star, and saturation is monotone.
 
 from .bitset import bit, bits
 from .contmap import ContMap, final_star, weakly_open_stars
-from .finspace import from_stars
+from .finspace import from_stars, mask_error
 
 
 class PartitionError(ValueError):
@@ -99,6 +99,9 @@ def identity_relation(space):
 
 def saturate(rel, a):
     """Union of the blocks meeting a (smallest block-union superset)."""
+    space = rel.space
+    if not 0 <= a <= space.full:
+        raise mask_error(space.n, a)
     out = 0
     for b in rel.blocks:
         if b & a:

@@ -4,14 +4,16 @@ A space is determined by the minimal open neighbourhood of each point
 (its "star"); the family of all opens is exactly the family of unions
 of stars and is materialised lazily, on first use of `opens`.
 
-Closure and interior read one lookup per space object, built on first
-use and indexed t[a].  It starts as a memo: a dict that computes a mask
+Closure and interior read one lookup per space object, built with the
+space and indexed t[a].  It starts as a memo: a dict that computes a mask
 from the stars on its first request, so it fills only with the masks
 callers ask about, at any number of points.  `tabulate` replaces both
 lookups by flat sequences over all 2^n masks, built in one pass: closure
 is a union of point closures, t[a | bit(x)] = t[a] | cl(x)
 (`union_table`), and interior is the complement of closure,
-full ^ cl[full ^ a].  contmap tabulates the spaces of a map that a literal
+full ^ cl[full ^ a].  The union rule has one home here: `union_table` is
+its table and `UnionMemo` its memo, which contmap's image and preimage
+lookups start as.  contmap tabulates the spaces of a map that a literal
 procedure decides, within its point limit: those procedures quantify over
 families of up to 2^n masks, so a table costs no more than they do and
 turns every later request into a list index.  A space that only the
@@ -59,6 +61,9 @@ class _ClosureMemo(dict):
 
     __slots__ = ("stars",)
 
+    def __init__(self, stars):
+        self.stars = stars
+
     def __missing__(self, a):
         out = 0
         x = 1
@@ -75,12 +80,33 @@ class _InteriorMemo(dict):
 
     __slots__ = ("stars",)
 
+    def __init__(self, stars):
+        self.stars = stars
+
     def __missing__(self, a):
         stars = self.stars
         out = 0
         for x in bits(a):
             if stars[x] & ~a == 0:
                 out |= 1 << x
+        self[a] = out
+        return out
+
+
+class UnionMemo(dict):
+    """The union of parts[x] over the points x of a, computed on the first
+    request for a: the memo form of `union_table`."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def __missing__(self, a):
+        parts = self.parts
+        out = 0
+        for x in bits(a):
+            out |= parts[x]
         self[a] = out
         return out
 
@@ -108,8 +134,8 @@ class FinSpace:
         self.stars = stars
         self.full = full_mask(n)
         self._opens = None
-        self._closure = None
-        self._interior = None
+        self._closure = _ClosureMemo(stars)
+        self._interior = _InteriorMemo(stars)
         self._nonempty_opens = None
         self._proper_closed_sets = None
         self._dense_sets = None
@@ -202,21 +228,13 @@ class FinSpace:
         """Smallest closed superset: points whose every neighbourhood meets a."""
         if not 0 <= a <= self.full:
             raise mask_error(self.n, a)
-        t = self._closure
-        if t is None:
-            t = self._closure = _ClosureMemo()
-            t.stars = self.stars
-        return t[a]
+        return self._closure[a]
 
     def interior(self, a):
         """Largest open subset: points whose star stays inside a."""
         if not 0 <= a <= self.full:
             raise mask_error(self.n, a)
-        t = self._interior
-        if t is None:
-            t = self._interior = _InteriorMemo()
-            t.stars = self.stars
-        return t[a]
+        return self._interior[a]
 
     def is_dense(self, a):
         return self.closure(a) == self.full
@@ -342,6 +360,8 @@ def subspace(space, a):
     Returns (space, mapping) where mapping[i] is the original point of
     new point i.
     """
+    if not 0 <= a <= space.full:
+        raise mask_error(space.n, a)
     if a == 0:
         raise InvalidTopology("subspace needs a nonempty carrier")
     mapping = tuple(mask_to_list(a))

@@ -159,9 +159,9 @@ def _agrees_with_star_definitions(m, dom_masks, cod_masks):
             assert space.closure(a) == cl
             assert space.interior(a) == inside
     for a in dom_masks:
-        assert image(m, a) == contmap.image_lookup(m)[a] == _star_image(m, a)
+        assert image(m, a) == m._image[a] == _star_image(m, a)
     for b in cod_masks:
-        assert preimage(m, b) == contmap.preimage_lookup(m)[b] == _star_preimage(m, b)
+        assert preimage(m, b) == m._preimage[b] == _star_preimage(m, b)
 
 
 def _fresh(m):
@@ -194,17 +194,24 @@ def test_lookups_match_star_definitions_on_sampled_masks(dom_n, cod_n):
 def test_only_literal_procedures_tabulate_a_map():
     # a star-based routine asks about a few masks, so it keeps the memos;
     # a literal procedure quantifies over families of up to 2^n masks
+    def lookups(m):
+        return (m._image, m._preimage, m.domain._closure, m.domain._interior,
+                m.codomain._closure, m.codomain._interior)
+
     def stores(m):
-        return {type(t) is list for t in (m._image, m._preimage, m.domain._closure,
-                                          m.domain._interior, m.codomain._closure,
-                                          m.codomain._interior)}
+        return {type(t) is list for t in lookups(m)}
 
     m = _random_map(random.Random(3), 12, 12)
+    # each object builds its empty memos with itself: no lookup slot is None
+    assert all(isinstance(t, dict) and not t for t in lookups(m))
     classify_map(m)
     decide_by(m, "almost_open", "wo-stars")
     assert stores(m) == {False}
     decide_by(m, "almost_open", "wo-i")
     assert stores(m) == {True}
+    tables = lookups(m)
+    contmap._tabulate(m)  # safe to repeat: the tables are rebuilt equal
+    assert lookups(m) == tables
     wide = _random_map(random.Random(3), 13, 12)
     with pytest.raises(SpaceTooLarge):
         decide_by(wide, "almost_open", "wo-i")

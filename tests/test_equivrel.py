@@ -75,6 +75,16 @@ def test_saturate_is_union_of_touched_blocks():
                 assert set_from(saturate(rel, a)) == want
 
 
+def test_saturate_refuses_masks_outside_the_space():
+    # before the check, 0b100 saturated to 0 and -1 to 3 on two points
+    for space in spaces_upto(2):
+        n = space.n
+        for rel in relations_on(space):
+            for bad in (-1, -(1 << n), 1 << n, (1 << n) | 1):
+                with pytest.raises(ValueError, match="not a subset of the points"):
+                    saturate(rel, bad)
+
+
 # --- quotient topology ---------------------------------------------------------
 
 def test_quotient_carries_the_final_topology():

@@ -185,6 +185,16 @@ def test_subspace_carries_relative_topology():
             assert got == relative
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subspace_refuses_masks_outside_the_space(n):
+    space = discrete_space(n)
+    for bad in (-1, -(1 << n), 1 << n, (1 << n) | 1):
+        with pytest.raises(ValueError, match="not a subset of the points"):
+            subspace(space, bad)
+    with pytest.raises(InvalidTopology):
+        subspace(space, 0)
+
+
 # --- structural invariants under random stars ------------------------------
 
 @st.composite

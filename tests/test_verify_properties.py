@@ -834,11 +834,15 @@ def test_quotient_stand_ins_trip_final_topology_and_p_hier(monkeypatch):
 
 def test_map_references_read_no_memoized_operator(monkeypatch):
     # the references must not share the closure, interior, image and
-    # preimage they audit, nor the image and preimage lookups behind them
+    # preimage they audit, nor the lookups behind them; each reference
+    # reads a fresh copy of its map, whose memos are empty, so every memo
+    # read would be a miss
     targets = sorted({p.target for p in contmap.PROCEDURES.values()})
     assert len(targets) == 7
     spaces = [s for n in (1, 2) for s in enumerate_topologies(n)]
-    maps = [(m, contmap.classify_map(m).flags())
+    maps = [(contmap.ContMap(from_stars(d.n, d.stars), from_stars(c.n, c.stars),
+                             m.table),
+             contmap.classify_map(m).flags())
             for d in spaces for c in spaces
             for m in contmap.enumerate_continuous_maps(d, c)]
 
@@ -849,8 +853,9 @@ def test_map_references_read_no_memoized_operator(monkeypatch):
     monkeypatch.setattr(finlat.FinSpace, "interior", refuse)
     monkeypatch.setattr(contmap, "image", refuse)
     monkeypatch.setattr(contmap, "preimage", refuse)
-    monkeypatch.setattr(contmap, "image_lookup", refuse)
-    monkeypatch.setattr(contmap, "preimage_lookup", refuse)
+    for memo in (finspace._ClosureMemo, finspace._InteriorMemo,
+                 finspace.UnionMemo):
+        monkeypatch.setattr(memo, "__missing__", refuse)
     # nor the table builders behind the lookups: contmap binds union_table
     # by name
     monkeypatch.setattr(finspace, "union_table", refuse)
