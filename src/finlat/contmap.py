@@ -5,10 +5,11 @@ minimal open neighbourhoods (sound for finite spaces, where every open
 set is a union of stars), plus literal procedures that spell out each
 characterisation with full subset quantifiers.  A literal procedure
 iterates the space's subset family it quantifies over (the dense sets of
-the codomain, the proper closed sets of the domain, ...), which the space
-builds on first use.  The literal procedures form a registry keyed by
-stable string IDs so equivalence suites can compare them pairwise and
-report which routine produced a verdict.
+the codomain, the proper closed sets of the domain, ...), which exists only
+on a tabulated space: `decide_by` tabulates both spaces before it runs
+one, so a literal procedure is called through it.  The literal procedures
+form a registry keyed by stable string IDs so equivalence suites can
+compare them pairwise and report which routine produced a verdict.
 
 Classes defined through a subspace (the image, a dense subset of the
 domain) are decided on the parent spaces, a mask standing for its subspace.
@@ -115,8 +116,8 @@ def _discontinuity(domain, codomain, table):
 
 
 def _tabulate(m):
-    """Flat image, preimage, closure and interior tables for a map that a
-    literal procedure decides."""
+    """Flat image, preimage, closure and interior tables, and the spaces'
+    subset families, for a map that a literal procedure decides."""
     m._image = union_table([bit(y) for y in m.table])
     m._preimage = union_table(m.fibers)
     m.domain.tabulate()

@@ -22,13 +22,14 @@ star-based routines touch keeps its memo (a fresh 12-point map's
 97-point scenario spaces.  `closure` and `interior` refuse a mask outside
 the space.
 
-The subset families that contmap's literal procedures quantify over (the
-nonempty opens, proper closed, dense, nowhere-dense and canonically closed
-sets) are held per space as ascending tuples, each built on first use from
-the opens family or from a scan of all 2^n masks through the memoized
-closure and interior.  Only the literal procedures read them, behind their
-point limit; the star-based routines and the verify references never do,
-so a space that only they touch builds none.
+`tabulate` also sets the subset families that contmap's literal procedures
+quantify over (the nonempty opens, proper closed, dense, dense open,
+nowhere-dense and canonically closed sets), each an ascending tuple read
+off the opens and the two tables in the same pass.  So a space is either
+fresh (memos, lazy opens, no families) or tabulated (tables and all six
+families).  Only the literal procedures read the families, and `decide_by`
+tabulates both spaces before it runs one; the star-based routines and the
+verify references never do, so a space that only they touch builds none.
 """
 
 from dataclasses import dataclass
@@ -123,11 +124,17 @@ def union_table(parts):
 
 
 class FinSpace:
-    """Immutable finite space; equality and hashing go through the stars."""
+    """Immutable finite space; equality and hashing go through the stars.
+
+    The six subset families (`nonempty_opens`, `proper_closed_sets`,
+    `dense_sets`, `dense_opens`, `nowhere_dense_sets`,
+    `canonically_closed_sets`) exist only once `tabulate` has run: reading
+    one on a space that was never tabulated raises AttributeError.
+    """
 
     __slots__ = ("n", "stars", "full", "_opens", "_closure", "_interior",
-                 "_nonempty_opens", "_proper_closed_sets", "_dense_sets",
-                 "_dense_opens", "_nowhere_dense_sets", "_canonically_closed_sets")
+                 "nonempty_opens", "proper_closed_sets", "dense_sets",
+                 "dense_opens", "nowhere_dense_sets", "canonically_closed_sets")
 
     def __init__(self, n, stars):
         self.n = n
@@ -136,12 +143,6 @@ class FinSpace:
         self._opens = None
         self._closure = _ClosureMemo(stars)
         self._interior = _InteriorMemo(stars)
-        self._nonempty_opens = None
-        self._proper_closed_sets = None
-        self._dense_sets = None
-        self._dense_opens = None
-        self._nowhere_dense_sets = None
-        self._canonically_closed_sets = None
 
     @property
     def opens(self):
@@ -158,53 +159,6 @@ class FinSpace:
             self._opens = tuple(sorted(family))
         return self._opens
 
-    # the families below are ascending tuples of masks, built on first use
-
-    @property
-    def nonempty_opens(self):
-        if self._nonempty_opens is None:
-            self._nonempty_opens = self.opens[1:]
-        return self._nonempty_opens
-
-    @property
-    def proper_closed_sets(self):
-        """Closed sets other than X: the complements of the nonempty opens."""
-        if self._proper_closed_sets is None:
-            self._proper_closed_sets = tuple(
-                sorted(self.full & ~u for u in self.nonempty_opens)
-            )
-        return self._proper_closed_sets
-
-    @property
-    def dense_sets(self):
-        if self._dense_sets is None:
-            self._dense_sets = self._scan(self.is_dense)
-        return self._dense_sets
-
-    @property
-    def dense_opens(self):
-        if self._dense_opens is None:
-            self._dense_opens = tuple(u for u in self.opens if self.is_dense(u))
-        return self._dense_opens
-
-    @property
-    def nowhere_dense_sets(self):
-        if self._nowhere_dense_sets is None:
-            self._nowhere_dense_sets = self._scan(self.is_nowhere_dense)
-        return self._nowhere_dense_sets
-
-    @property
-    def canonically_closed_sets(self):
-        """Sets equal to the closure of their interior: the closures of opens."""
-        if self._canonically_closed_sets is None:
-            self._canonically_closed_sets = tuple(
-                sorted({self.closure(u) for u in self.opens})
-            )
-        return self._canonically_closed_sets
-
-    def _scan(self, keep):
-        return tuple(a for a in range(self.full + 1) if keep(a))
-
     def is_open(self, a):
         return self.interior(a) == a
 
@@ -213,16 +167,23 @@ class FinSpace:
 
     def tabulate(self):
         """Replace the closure and interior lookups by flat tables over all
-        2^n masks."""
+        2^n masks and set the six subset families from them."""
         if 1 << self.n > OPENS_FAMILY_BUDGET:
             raise SpaceTooLarge("a table over the masks of %d points exceeds %d entries"
                                 % (self.n, OPENS_FAMILY_BUDGET))
-        if type(self._closure) is not list:
-            stars, full = self.stars, self.full
-            cl = self._closure = union_table(
-                [sum(bit(x) for x, star in enumerate(stars) if star & bit(y))
-                 for y in range(self.n)])
-            self._interior = [full ^ c for c in reversed(cl)]
+        if type(self._closure) is list:
+            return
+        stars, full, opens = self.stars, self.full, self.opens
+        cl = self._closure = union_table(
+            [sum(bit(x) for x, star in enumerate(stars) if star & bit(y))
+             for y in range(self.n)])
+        inner = self._interior = [full ^ c for c in reversed(cl)]
+        nonempty = self.nonempty_opens = opens[1:]
+        self.proper_closed_sets = tuple(sorted(full ^ u for u in nonempty))
+        self.dense_sets = tuple(a for a, c in enumerate(cl) if c == full)
+        self.dense_opens = tuple(u for u in opens if cl[u] == full)
+        self.nowhere_dense_sets = tuple(a for a, c in enumerate(cl) if not inner[c])
+        self.canonically_closed_sets = tuple(sorted({cl[u] for u in opens}))
 
     def closure(self, a):
         """Smallest closed superset: points whose every neighbourhood meets a."""

@@ -283,9 +283,11 @@ def member(cs, f):
 def zero_ideal(cs, a):
     """The members vanishing on the coordinate mask a.
 
-    Zeroing one coordinate of a tie group zeroes the whole group.
+    Zeroing one coordinate of a tie group zeroes the whole group.  A mask
+    outside the coordinates 0..n-1 raises ValueError.
     """
-    a &= (1 << cs.n) - 1
+    if not 0 <= a < 1 << cs.n:
+        raise ValueError("coordinate mask %r is not a subset of 0..%d" % (a, cs.n - 1))
     zero = cs.zero_mask | a
     rep = list(cs.rep)
     ratio = list(cs.ratio)

@@ -21,8 +21,7 @@ def set_from(mask):
     return frozenset(bits(mask))
 
 
-# the subset families a FinSpace builds on first use, each kept in the
-# slot named "_" + its name
+# the subset families FinSpace.tabulate sets; a fresh space has none
 SUBSET_FAMILIES = (
     "nonempty_opens",
     "proper_closed_sets",
@@ -34,8 +33,7 @@ SUBSET_FAMILIES = (
 
 
 def built_families(space):
-    return [name for name in SUBSET_FAMILIES
-            if getattr(space, "_" + name) is not None]
+    return [name for name in SUBSET_FAMILIES if hasattr(space, name)]
 
 
 _SPACES = {}

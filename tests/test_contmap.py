@@ -352,11 +352,16 @@ def _subspace_maps(points, samples):
 
 
 def test_subspace_procedures_match_rebuilt_maps():
+    # the literal ones run through decide_by, which tabulates their spaces
+    literal = {p.evaluate.__name__: p for p in PROCEDURES.values() if p.needs_family}
     seen = set()
     for m in _subspace_maps(3, 600):
         want = oracles.subspace_classes(m)
         for name, value in want.items():
-            assert getattr(contmap, name)(m) == value, (name, m)
+            proc = literal.get(name)
+            got = (decide_by(m, proc.target, proc.id) if proc
+                   else getattr(contmap, name)(m))
+            assert got == value, (name, m)
             seen.add((name, value))
     # every procedure meets both verdicts
     assert len(seen) == 2 * len(want)
@@ -383,6 +388,28 @@ def test_classify_map_builds_no_subset_family():
     space = discrete_space(16)
     classify_map(ContMap(space, space, range(16)))
     assert built_families(space) == []
+
+
+def test_star_routines_leave_fresh_spaces_untabulated():
+    # a star routine that read a family would raise AttributeError on a
+    # fresh space, so none may, on any of the 11,310 maps on <= 3 points
+    star_procs = [p for p in PROCEDURES.values() if not p.needs_family]
+    hypotheses = {p.hypothesis for p in PROCEDURES.values()} - {None}
+    count = 0
+    for m in _exhaustive_maps(SuiteConfig(max_points=3)):
+        dom = from_stars(m.domain.n, m.domain.stars)
+        cod = from_stars(m.codomain.n, m.codomain.stars)
+        fresh = ContMap(dom, cod, m.table)
+        classify_map(fresh)
+        for hypothesis in hypotheses:
+            hypothesis(fresh)
+        for proc in star_procs:
+            proc.evaluate(fresh)
+        for space in (dom, cod):
+            assert type(space._closure) is not list
+            assert built_families(space) == []
+        count += 1
+    assert count == 11310
 
 
 def test_literal_procedure_past_the_limit_builds_no_family():

@@ -264,6 +264,7 @@ def test_families_match_the_oracle_scan_up_to_four_points():
     assert len(spaces) == 389
     for space in spaces:
         want = _oracle_families(space)
+        space.tabulate()
         assert {name: getattr(space, name) for name in SUBSET_FAMILIES} == want
 
 
@@ -271,6 +272,7 @@ def test_families_match_the_oracle_scan_up_to_four_points():
 @given(star_tables(max_n=8))
 def test_families_match_the_subset_flags(space):
     props = [classify_subset(space, a) for a in range(space.full + 1)]
+    space.tabulate()
     keep = {
         "nonempty_opens": lambda a, p: a != 0 and space.is_open(a),
         "proper_closed_sets": lambda a, p: p.closed and a != space.full,
@@ -286,10 +288,15 @@ def test_families_match_the_subset_flags(space):
 
 @pytest.mark.parametrize("name", SUBSET_FAMILIES)
 def test_a_family_is_built_on_first_use_and_kept(name):
-    # a fresh space, so no earlier test has built anything on it
+    # a fresh space, so no earlier test has tabulated it: the family is
+    # absent until the first tabulate, which sets all six, and a second
+    # tabulate keeps the same tuple
     space = from_stars(3, (0b001, 0b011, 0b111))
     assert built_families(space) == []
+    with pytest.raises(AttributeError):
+        getattr(space, name)
+    space.tabulate()
+    assert built_families(space) == list(SUBSET_FAMILIES)
     family = getattr(space, name)
-    assert name in built_families(space)
-    assert getattr(space, "_" + name) is family
+    space.tabulate()
     assert getattr(space, name) is family

@@ -120,15 +120,18 @@ def test_member_checks_zeros_and_ratios():
 
 
 def test_zero_ideal_on_zeroed_coordinates_is_the_system_itself():
-    # a mask inside zero_mask meets no group: an equal system comes back,
-    # and bits above n are ignored as on every other mask
+    # a mask inside zero_mask meets no group: an equal system comes back;
+    # a mask with a bit above n - 1, or a negative one, is refused
     tied = canonical_form(4, [(1, 2, 0, 0), (0, 0, 3, 0)])
     systems = (tied, zero_ideal(tied, 0b0100), canonical_form(3, []), full_space(2))
     for system in systems:
         for a in range(1 << system.n):
             if not a & ~system.zero_mask:
                 assert zero_ideal(system, a) == system
-                assert zero_ideal(system, a | 1 << system.n) == system
+                with pytest.raises(ValueError):
+                    zero_ideal(system, a | 1 << system.n)
+        with pytest.raises(ValueError):
+            zero_ideal(system, -1)
 
 
 def test_zero_ideal_kills_whole_groups():
@@ -293,7 +296,7 @@ def test_band_complement_matches_the_band_flag_on_coordinate_ideals():
         for a in range(1 << n):
             e = zero_ideal(full, a)
             # a coordinate ideal is a band; its complement is the other one
-            assert band_complement(full, e) == zero_ideal(full, ~a)
+            assert band_complement(full, e) == zero_ideal(full, ((1 << n) - 1) & ~a)
             assert classify_sublattice(full, e).band
 
 

@@ -216,8 +216,13 @@ def test_relations_on_four_points_pass_exhaustively():
     results = properties.check_instances(("P-eqr", "P-quot", "P-eqq"), rels)
     assert [(r.property_id, r.exhaustive, r.failures) for r in results] == [
         ("P-eqr", 5479, 0), ("P-quot", 5479, 0), ("P-eqq", 5479, 0)]
-    # P-eqq's lattice bridge runs only on the 23 discrete-space relations
+    # P-eqq's lattice bridge runs only on the 23 discrete-space relations;
+    # condition (i) holds on each, as every quotient of a discrete space is
+    # discrete and its projection weakly open
     assert results[2].not_applicable == 5456
+    discrete = [rel for rel in rels if rel.space.is_discrete()]
+    assert len(discrete) == 23
+    assert all(finlat.equivrel.eqq_condition_i(rel) for rel in discrete)
 
 
 def test_sign_matrices_up_to_3x3_pass_exhaustively():
@@ -922,10 +927,22 @@ def test_soundness_rule_is_a_truth_table(monkeypatch, pid, kind):
 def test_dense_family_missing_its_least_member_trips_p_ao_and_p_wo(monkeypatch):
     # ao-iii and wo-vi-some quantify over the dense sets: one dense set
     # fewer lets ao-iii pass a map it should fail, and wo-vi-some fail one
-    # it should pass
-    dense_sets = finlat.FinSpace.dense_sets
-    monkeypatch.setattr(finlat.FinSpace, "dense_sets",
-                        property(lambda space: dense_sets.fget(space)[1:]))
+    # it should pass.  The stream spaces are rebuilt under the defect and
+    # again after it, so none keeps a family tabulated on the other side.
+    tabulate = finlat.FinSpace.tabulate
+
+    def tabulate_short(space):
+        fresh = not hasattr(space, "dense_sets")
+        tabulate(space)
+        if fresh:
+            space.dense_sets = space.dense_sets[1:]
+
+    def rebuild_stream_spaces():
+        properties._space.cache_clear()
+        properties._topologies.cache_clear()
+
+    rebuild_stream_spaces()
+    monkeypatch.setattr(finlat.FinSpace, "tabulate", tabulate_short)
     report = run_suite(properties=("P-ao", "P-wo"), max_points=3, sample_budget=0)
     results = {r.property_id: r for r in report.results}
     assert {pid: r.failures for pid, r in results.items()} == {
@@ -936,6 +953,7 @@ def test_dense_family_missing_its_least_member_trips_p_ao_and_p_wo(monkeypatch):
     for w in witnesses.values():
         assert replay_witness(w) == [w["detail"]]
     monkeypatch.undo()
+    rebuild_stream_spaces()
     for w in witnesses.values():
         assert replay_witness(w) == []
 
