@@ -33,10 +33,18 @@ mutation wraps: a mutation installed after a map was classified (say, a
 wrapped `saturation`, which every routine still calls through this
 module) must still change that map's answers, or the suite would re-check
 stale values.
+
+`classify_map` returns a `MapClassification`: a named tuple of the 13
+class flags, filled in one pass over `_CLASSIFY_ROUTINES` (read per call),
+whose `procedure_ids` is a fresh dict naming the routine behind each flag.
+A `ContMap` reads each table entry once with `operator.index`, so a bool
+is stored as the int it stands for and a float is refused.
 """
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 from .bitset import bit, bits
 from .finspace import SpaceTooLarge, UnionMemo, mask_error, union_table
@@ -63,7 +71,15 @@ class ContMap:
     __slots__ = ("domain", "codomain", "table", "fibers", "_image", "_preimage")
 
     def __init__(self, domain, codomain, table):
-        table = tuple(table)
+        # each entry is read once, as a plain int: True becomes 1, and a
+        # float is refused rather than kept where a record cannot hold it
+        points = []
+        for y in table:
+            try:
+                points.append(index(y))
+            except TypeError:
+                raise ValueError("table value %r is not an integer" % (y,)) from None
+        table = tuple(points)
         if len(table) != domain.n:
             raise ValueError("table length must match the domain size")
         for y in table:
@@ -616,34 +632,6 @@ def decide_by(m, class_name, procedure_id):
     return proc.evaluate(m)
 
 
-@dataclass(frozen=True)
-class MapClassification:
-    """Every class flag of one map; P-hier checks the implications."""
-
-    weakly_open: bool
-    almost_open: bool
-    skeletal: bool
-    strongly_skeletal: bool
-    irreducible: bool
-    weakly_injective: bool
-    almost_injective: bool
-    open_map: bool
-    closed_map: bool
-    embedding: bool
-    quotient_map: bool
-    injective: bool
-    surjective: bool
-    procedure_ids: dict = field(compare=False, default_factory=dict)
-
-    def flags(self):
-        return {name: getattr(self, name) for name in _FLAG_NAMES}
-
-
-_FLAG_NAMES = tuple(
-    f.name for f in fields(MapClassification) if f.name != "procedure_ids"
-)
-
-
 _CLASSIFY_ROUTINES = {
     "weakly_open": ("ao-stars", weakly_open_stars),
     "almost_open": ("wo-stars", almost_open_stars),
@@ -660,15 +648,30 @@ _CLASSIFY_ROUTINES = {
     "surjective": ("surjective", is_surjective),
 }
 
+_FLAG_NAMES = tuple(_CLASSIFY_ROUTINES)
+_PROCEDURE_IDS = {name: pid for name, (pid, _) in _CLASSIFY_ROUTINES.items()}
+
+
+class MapClassification(namedtuple("MapClassification", _FLAG_NAMES)):
+    """Every class flag of one map, a tuple in _FLAG_NAMES order; P-hier
+    checks the implications."""
+
+    __slots__ = ()
+
+    @property
+    def procedure_ids(self):
+        """The routine behind each flag, as a fresh dict in field order."""
+        return dict(_PROCEDURE_IDS)
+
+    def flags(self):
+        return dict(zip(_FLAG_NAMES, self))
+
 
 def classify_map(m):
     """All class flags for a map, each tagged with the routine that ran."""
-    values = {}
-    ids = {}
-    for name, (pid, fn) in _CLASSIFY_ROUTINES.items():
-        values[name] = fn(m)
-        ids[name] = pid
-    return MapClassification(procedure_ids=ids, **values)
+    # the routine table is read per call, so a swapped routine takes effect
+    return MapClassification._make(
+        [fn(m) for _, fn in _CLASSIFY_ROUTINES.values()])
 
 
 def enumerate_continuous_maps(domain, codomain):

@@ -881,17 +881,19 @@ def _rng(seed, label, index):
 
 
 def _random_space(rng, n):
+    """A seeded space: random stars closed under star inclusion.
+
+    The transitive closure is unique, so any closing order gives the same
+    space from the same draws: Warshall's pass here, a fixed-point loop in
+    the tests' reference sampler.
+    """
     stars = [bit(i) | (rng.getrandbits(n) & full_mask(n)) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
+        star_k = stars[k]
+        probe = bit(k)
         for i in range(n):
-            grown = stars[i]
-            for j in bits(stars[i]):
-                grown |= stars[j]
-            if grown != stars[i]:
-                stars[i] = grown
-                changed = True
+            if stars[i] & probe:
+                stars[i] |= star_k
     return _space(tuple(stars))
 
 
@@ -899,12 +901,24 @@ def _sample_map(cfg, index):
     rng = _rng(cfg.seed, "map", index)
     dom = _random_space(rng, cfg.sample_points)
     cod = _random_space(rng, cfg.sample_points)
+    # each value is drawn as rng.randrange(c) draws it: getrandbits of c's
+    # bit length, again while the value is c or more; so the stream is the
+    # randrange one, bit for bit
+    c = cod.n
+    k = c.bit_length()
+    draw = rng.getrandbits
+    n = dom.n
     # rejection sampling: only the table kept is built into a ContMap
     for _ in range(40):
-        table = tuple(rng.randrange(cod.n) for _ in range(dom.n))
+        table = []
+        for _ in range(n):
+            y = draw(k)
+            while y >= c:
+                y = draw(k)
+            table.append(y)
         if contmap._discontinuity(dom, cod, table) is None:
             return ContMap(dom, cod, table)
-    return ContMap(dom, cod, (rng.randrange(cod.n),) * dom.n)
+    return ContMap(dom, cod, (rng.randrange(c),) * n)
 
 
 def _sample_rel(cfg, index):

@@ -12,13 +12,15 @@ likewise keeps the first, longer formulations of a few constructions on top
 of the package's own constraint systems, and the record section at the end
 keeps the first record parser (one regex match and one token tuple per
 token) on top of the package's record builders, and the map-sampler section
-keeps the first rejection loop (a ContMap built for every drawn table) on
-top of the package's seeded spaces.
+keeps the first sampler (``randrange`` draws, stars closed by a fixed-point
+loop, a ContMap built for every drawn table) on top of the package's
+``from_stars`` and ``ContMap``.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd
+import random
 import re
 
 
@@ -537,18 +539,38 @@ def subspace_classes(m):
 
 
 # ---------------------------------------------------------------------------
-# map sampler: the first rejection loop
+# map sampler: the first draws, closure and rejection loop
+
+
+def reference_random_stars(rng, n):
+    """The stars of a seeded space: random stars grown to a fixed point of
+    star inclusion, one sweep after another."""
+    full = (1 << n) - 1
+    stars = [(1 << i) | (rng.getrandbits(n) & full) for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = stars[i]
+            for j in range(n):
+                if stars[i] >> j & 1:
+                    grown |= stars[j]
+            if grown != stars[i]:
+                stars[i] = grown
+                changed = True
+    return tuple(stars)
 
 
 def reference_sample_map(cfg, index):
-    """The suite's sampled map, drawn by building a ContMap for every table
-    and catching NotContinuous until one is continuous."""
-    from finlat import ContMap, NotContinuous
-    from finlat.verify.properties import _random_space, _rng
+    """The suite's sampled map: two seeded spaces, then tables drawn with
+    rng.randrange, building a ContMap for every table and catching
+    NotContinuous until one is continuous."""
+    from finlat import ContMap, NotContinuous, from_stars
 
-    rng = _rng(cfg.seed, "map", index)
-    dom = _random_space(rng, cfg.sample_points)
-    cod = _random_space(rng, cfg.sample_points)
+    rng = random.Random("%s:map:%d" % (cfg.seed, index))
+    n = cfg.sample_points
+    dom = from_stars(n, reference_random_stars(rng, n))
+    cod = from_stars(n, reference_random_stars(rng, n))
     for _ in range(40):
         table = tuple(rng.randrange(cod.n) for _ in range(dom.n))
         try:

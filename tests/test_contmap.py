@@ -62,6 +62,7 @@ def test_contmap_rejects_discontinuous_table():
 @pytest.mark.parametrize("table,message", [
     ([0, 1, 1], "table length must match the domain size"),
     ([0, 5], "table value 5 outside the codomain"),
+    ([0.5, 0], "table value 0.5 is not an integer"),
 ])
 def test_contmap_checks_shape_before_continuity(table, message):
     # both tables also break continuity at point 0, yet a wrong length or an
@@ -293,6 +294,39 @@ def test_identity_is_everything():
         assert cls.strongly_skeletal and cls.irreducible
         assert cls.embedding and cls.quotient_map
         assert cls.open_map and cls.closed_map
+
+
+_CLASSIFY_IDS = {
+    "weakly_open": "ao-stars", "almost_open": "wo-stars",
+    "skeletal": "sk-stars", "strongly_skeletal": "ssk-stars",
+    "irreducible": "irr-stars", "weakly_injective": "wi-stars",
+    "almost_injective": "ai-stars", "open_map": "open-map",
+    "closed_map": "closed-map", "embedding": "embedding",
+    "quotient_map": "quotient-map", "injective": "injective",
+    "surjective": "surjective",
+}
+
+
+def test_classification_record_contract():
+    routines = contmap._CLASSIFY_ROUTINES
+    assert tuple(routines) == contmap.MapClassification._fields
+    for dom, cod in all_pairs(3):
+        for m in enumerate_continuous_maps(dom, cod):
+            cls = classify_map(m)
+            want = {name: fn(m) for name, (_, fn) in routines.items()}
+            assert {name: getattr(cls, name) for name in want} == want
+            assert cls.flags() == want
+            assert list(cls.flags()) == list(want)
+    ids = cls.procedure_ids
+    assert type(ids) is dict
+    assert list(ids.items()) == list(_CLASSIFY_IDS.items())
+    ids["injective"] = "changed"
+    assert cls.procedure_ids == _CLASSIFY_IDS
+    assert hash(cls) == hash(classify_map(m))
+    with pytest.raises(AttributeError):
+        cls.injective = not cls.injective
+    with pytest.raises(AttributeError):
+        cls.extra = True
 
 
 # --- the procedure registry ---------------------------------------------------

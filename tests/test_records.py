@@ -19,6 +19,7 @@ from finlat import (
     enumerate_continuous_maps,
     from_blocks,
     load_record,
+    make_space,
     parse_records,
 )
 from finlat.equivrel import _partitions_of
@@ -215,6 +216,17 @@ def test_map_round_trip_exhaustive_two_points():
                 assert back.table == m.table
                 assert back.domain == m.domain
                 assert back.codomain == m.codomain
+
+
+def test_map_with_a_bool_entry_round_trips():
+    # a bool entry is kept as the int it stands for, so its record replays
+    dom = cod = make_space(2, [0, 0b01, 0b10, 0b11])
+    m = ContMap(dom, cod, [True, 0])
+    assert m.table == (1, 0)
+    assert all(type(y) is int for y in m.table)
+    assert emit_map(m).endswith("table = [1,0] }")
+    back = load_record(emit_map(m), "map")
+    assert (back.domain, back.codomain, back.table) == (dom, cod, (1, 0))
 
 
 def test_rel_round_trip():

@@ -455,14 +455,19 @@ def test_stream_topologies_are_enumerated_once_per_size(monkeypatch):
 
 
 def test_sampled_maps_match_the_rejection_loop_reference():
-    # the sampler tests each drawn table before building a ContMap; the rng
-    # draws, and so the whole sampled stream, stay those of the first loop
-    cfg = SuiteConfig(seed=0)
-    for index in range(2000):
-        got = properties._sample_map(cfg, index)
-        want = oracles.reference_sample_map(cfg, index)
-        assert (got.domain, got.codomain, got.table) == (
-            want.domain, want.codomain, want.table), index
+    # the sampler draws each table value with getrandbits, closes the stars
+    # with Warshall's pass and tests each drawn table before building a
+    # ContMap; the reference draws with randrange, closes by a fixed-point
+    # loop and builds a ContMap for every table, and the streams must agree
+    for points in (1, 2, 3, 4):
+        for seed in (0, 5):
+            cfg = SuiteConfig(sample_points=points, seed=seed)
+            for index in range(5000):
+                got = properties._sample_map(cfg, index)
+                want = oracles.reference_sample_map(cfg, index)
+                assert (got.domain.stars, got.codomain.stars, got.table) == (
+                    want.domain.stars, want.codomain.stars, want.table), (
+                    points, seed, index)
 
 
 def test_stream_space_cache_is_bounded_by_the_topology_count():
@@ -1014,7 +1019,7 @@ classify = contmap.classify_map
 
 def weakly_open_but_not_almost_open(m):
     cls = classify(m)
-    return replace(cls, almost_open=False) if cls.weakly_open else cls
+    return cls._replace(almost_open=False) if cls.weakly_open else cls
 
 contmap.classify_map = weakly_open_but_not_almost_open
 report = run_suite(properties=("P-hier",), max_points=1, sample_budget=0)
