@@ -11,8 +11,8 @@ follow funclat's rule: an integral weight is stored as an int and any
 other weight as its Fraction, and apply multiplies each entry it reads by
 its weight, so an image entry is an int exactly when the entry it reads is
 an int and its weight is integral.  The definitional |Tf| = T|f| sign
-sweep lives in verify (P-hom, P-hoc), which checks the structural test
-against it.
+sweep lives in verify (P-hom), which checks the structural test against
+it.
 
 Every certified HomMatrix passes all five hoc_conditions, as lattice
 homomorphisms of finite-dimensional lattices are order continuous; the

@@ -23,6 +23,10 @@ class PartitionError(ValueError):
     pass
 
 
+def _point_error(n, x):
+    return ValueError("point %r outside 0..%d" % (x, n - 1))
+
+
 class EquivRel:
     """A partition of the points of a finite space."""
 
@@ -49,6 +53,8 @@ class EquivRel:
         self.block_index = tuple(index)
 
     def block_of(self, x):
+        if not 0 <= x < self.space.n:
+            raise _point_error(self.space.n, x)
         return self.blocks[self.block_index[x]]
 
     def __eq__(self, other):
@@ -85,6 +91,9 @@ def from_pairs(space, pairs):
         return a
 
     for a, c in pairs:
+        for x in (a, c):
+            if not 0 <= x < space.n:
+                raise _point_error(space.n, x)
         parent[find(a)] = find(c)
     groups = {}
     for x in range(space.n):

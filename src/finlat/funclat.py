@@ -50,7 +50,7 @@ from functools import cache
 import math
 import operator
 
-from .bitset import bit, bits
+from .bitset import bits
 
 # the ratio of a group's lead and of a zeroed coordinate
 _ONE = Fraction(1)

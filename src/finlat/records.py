@@ -15,12 +15,13 @@ Record kinds and their fields:
     space      { n = 3; opens = [ [], [2], [1,2], [0,1,2] ] }
     map        { domain = <space>; codomain = <space>; table = [2,0,1] }
     rel        { space = <space>; blocks = [[0,2],[1]] }
-    sublattice { n = 3; zeros = [2]; ties = [ {x=1, z=0, ratio="2/1"} ] }
+    sublattice { n = 3; zeros = [2]; ties = [ {x=1; z=0; ratio="2/1"} ] }
     sublattice { n = 3; generators = [[1,2,0]] }
     hom        { rows = [["0","2","0"],["0","0","1"]] }
 
 A <space> is an inline space record or an @ref to a named record
-defined earlier in the same file.  Opens are sorted point lists.
+defined earlier in the same file.  A field not listed for its kind, in
+a record or in a tie, is an error.  Opens are sorted point lists.
 Rational entries (hom rows, tie ratios) are quoted "p/q" strings: a sign,
 digits and an optional "/" and digits, nothing else.  Generator entries
 are integers or such strings.
@@ -232,6 +233,13 @@ class _Parser:
             raise self.error(i, "bad %s record: %s" % (kind, exc)) from exc
 
 
+def _takes(fields, kind, keys):
+    for key in fields:
+        if key not in keys:
+            raise RecordError("%s record has no %r field; it takes %s"
+                              % (kind, key, ", ".join(keys)))
+
+
 def _need(fields, key, kind):
     if key not in fields:
         raise RecordError("%s record needs a %r field" % (kind, key))
@@ -255,6 +263,7 @@ def _points_below(value, n, what):
 
 
 def _build_space(fields):
+    _takes(fields, "space", ("n", "opens"))
     n = _need(fields, "n", "space")
     opens = _need(fields, "opens", "space")
     _check_n(n)
@@ -272,6 +281,7 @@ def _as_space(value, what):
 
 
 def _build_map(fields):
+    _takes(fields, "map", ("domain", "codomain", "table"))
     dom = _as_space(_need(fields, "domain", "map"), "domain")
     cod = _as_space(_need(fields, "codomain", "map"), "codomain")
     table = _point_list(_need(fields, "table", "map"), "table")
@@ -279,6 +289,7 @@ def _build_map(fields):
 
 
 def _build_rel(fields):
+    _takes(fields, "rel", ("space", "blocks"))
     space = _as_space(_need(fields, "space", "rel"), "space")
     blocks = _need(fields, "blocks", "rel")
     if not isinstance(blocks, list):
@@ -297,6 +308,7 @@ def _dimension(value, what):
 
 
 def _build_sublattice(fields):
+    _takes(fields, "sublattice", ("n", "zeros", "ties", "generators"))
     n = _dimension(_need(fields, "n", "sublattice"), "sublattice n")
     if "generators" in fields:
         if "zeros" in fields or "ties" in fields:
@@ -310,6 +322,7 @@ def _build_sublattice(fields):
     for t in fields.get("ties", []):
         if not isinstance(t, dict):
             raise RecordError("each tie must be {x=..; z=..; ratio=\"p/q\"}")
+        _takes(t, "tie", ("x", "z", "ratio"))
         ties.append((
             _need(t, "x", "tie"),
             _need(t, "z", "tie"),
@@ -342,6 +355,7 @@ def _rational_list(value):
 
 
 def _build_hom(fields):
+    _takes(fields, "hom", ("rows",))
     rows = _need(fields, "rows", "hom")
     if not isinstance(rows, list):
         raise RecordError("rows must be a list of lists")

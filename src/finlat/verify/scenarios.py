@@ -21,7 +21,7 @@ skeletal.  A variant also glues the segment onto the diagonal and reports the
 classification of the meet quotient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 import json
 
 from ..bitset import bit, bits
@@ -34,6 +34,17 @@ GRID_SCHEMA = "finlat-grid-report/1"
 # the largest sizes built; each +2 in depth or +8 in k costs about 5x the time
 MAX_INTERO_DEPTH = 16
 MAX_GRID_K = 16
+
+
+class _Report:
+    """A scenario report: it passes when no check failed."""
+
+    @property
+    def ok(self):
+        return not self.failures
+
+    def to_structured(self):
+        return {**asdict(self), "ok": self.ok}
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +147,7 @@ def _oracle_merge_sequence(points, edges):
 
 
 @dataclass(frozen=True)
-class InteroReport:
+class InteroReport(_Report):
     depth: int
     universe: int
     edge_counts: dict
@@ -149,27 +160,6 @@ class InteroReport:
     failures: tuple
     notes: tuple
     schema: str = INTERO_SCHEMA
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_structured(self):
-        return {
-            "schema": self.schema,
-            "depth": self.depth,
-            "universe": self.universe,
-            "edge_counts": dict(self.edge_counts),
-            "main_class_size": self.main_class_size,
-            "covered_depth": self.covered_depth,
-            "missing": list(self.missing),
-            "extras": self.extras,
-            "constant_degrees": list(self.constant_degrees),
-            "oracle_merges": self.oracle_merges,
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "notes": list(self.notes),
-        }
 
     def to_text(self):
         lines = [
@@ -366,7 +356,7 @@ def _flags_of(m):
 
 
 @dataclass(frozen=True)
-class GridReport:
+class GridReport(_Report):
     k: int
     faces: int
     quotients: dict
@@ -374,25 +364,6 @@ class GridReport:
     failures: tuple
     notes: tuple
     schema: str = GRID_SCHEMA
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_structured(self):
-        return {
-            "schema": self.schema,
-            "k": self.k,
-            "faces": self.faces,
-            "quotients": {
-                name: {"blocks": info["blocks"], "flags": dict(info["flags"])}
-                for name, info in self.quotients.items()
-            },
-            "assertions": [list(a) for a in self.assertions],
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "notes": list(self.notes),
-        }
 
     def to_text(self):
         lines = ["grid scenario, k = %d (%d faces)" % (self.k, self.faces)]
@@ -435,29 +406,22 @@ def grid_scenario(k=4):
 
     joined = chained((), vertical, horizontal)
 
-    quotients = {}
-    flag_sets = {}
-    for name, rel in (("vertical", vertical), ("horizontal", horizontal),
-                      ("join", joined)):
-        _, projection = equivrel.quotient(rel)
-        flags = _flags_of(projection)
-        quotients[name] = {"blocks": len(rel.blocks), "flags": flags}
-        flag_sets[name] = flags
-
     index = {name: i for i, name in enumerate(names)}
     diag_pairs = []
     for t in range(1, k + 1):
         diag_pairs.append((index["S(%d)" % t], index["V(%d,%d)" % (t, t)]))
         diag_pairs.append((index["E(%d)" % t], index["D(%d)" % (t - 1)]))
-
     vertical_d = chained(diag_pairs, vertical)
     horizontal_d = chained(diag_pairs, horizontal)
-    meet_d = equivrel.meet(vertical_d, horizontal_d)
-    for name, rel in (("vertical+diag", vertical_d),
+
+    quotients = {}
+    for name, rel in (("vertical", vertical), ("horizontal", horizontal),
+                      ("join", joined), ("vertical+diag", vertical_d),
                       ("horizontal+diag", horizontal_d),
-                      ("meet+diag", meet_d)):
+                      ("meet+diag", equivrel.meet(vertical_d, horizontal_d))):
         _, projection = equivrel.quotient(rel)
         quotients[name] = {"blocks": len(rel.blocks), "flags": _flags_of(projection)}
+    flag_sets = {name: q["flags"] for name, q in quotients.items()}
 
     notes = [
         "faces are ordered by vertex-token inclusion; opens are the coface "

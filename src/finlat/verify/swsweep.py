@@ -144,6 +144,13 @@ class FamilySweepReport:
 
 
 def run_family_sweep(n, *, workers=1):
+    """Check every dimension-n representative with P-sw, P-dis and P-menag
+    and return a FamilySweepReport.
+
+    With workers > 1 its workers are spawned and re-import the calling
+    script, so called from a script's top level without an
+    `if __name__ == "__main__":` guard it raises BrokenProcessPool.
+    """
     reps = family_representatives(n)
     results = check_instances(tuple(_SUITES), [(n, gens) for gens in reps],
                               workers=workers)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output, round-trips, and the 0/1/2 exit contract."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -494,6 +495,27 @@ def test_example_grid(capsys):
                            "--format", "structured")
     assert code == 0
     assert json.loads(out)["schema"] == "finlat-grid-report/1"
+
+
+# sha256 of the whole stdout of each example at the sizes of criteria 7 and 8
+EXAMPLE_SHA256 = {
+    ("intero", "--depth", "12", "text"):
+        "91e0cb5ee0f7671682cc5387a481beaf32550e41566daf910f78a51947bbc902",
+    ("intero", "--depth", "12", "structured"):
+        "7eb3d9ff3fd7095d722ff29be83fb8f475f992662082f1527389207894a61351",
+    ("grid", "--k", "4", "text"):
+        "7f06a030b480eb7246e01f26ad46da0d3bf7799e53f9f1912b05177f15b732ef",
+    ("grid", "--k", "4", "structured"):
+        "5f3885adc8caf6c07b474ae70c6e4f06a47f7a327acc937ced26d7d66a9f94af",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXAMPLE_SHA256), ids="-".join)
+def test_example_bytes_pinned(capsys, argv):
+    *size, fmt = argv
+    code, out, _ = run_cli(capsys, "example", *size, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXAMPLE_SHA256[argv]
 
 
 def test_example_bad_size_is_usage_error(capsys, monkeypatch):

@@ -55,6 +55,17 @@ def test_from_pairs_and_constants():
     assert from_pairs(space, [(0, 1), (1, 2)]).blocks == (0b111,)
 
 
+@pytest.mark.parametrize("point", (-1, 3))
+def test_points_outside_the_space_are_refused(point):
+    space = make_space(3, [0, 0b111])
+    with pytest.raises(ValueError, match="point %d outside 0..2" % point):
+        from_pairs(space, [(point, 0)])
+    with pytest.raises(ValueError, match="point %d outside 0..2" % point):
+        from_pairs(space, [(0, point)])
+    with pytest.raises(ValueError, match="point %d outside 0..2" % point):
+        identity_relation(space).block_of(point)
+
+
 def test_partition_generator_hits_bell_numbers():
     for k in range(5):
         assert len(list(_partitions_of(k))) == oracles.BELL[k]

@@ -174,6 +174,29 @@ def test_sublattice_rejects_mixed_forms():
         )
 
 
+_ONE = "space { n = 1; opens = [ [], [0] ] }"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("space { n = 1; opens = [ [], [0] ]; open = [] }",
+     "space record has no 'open' field; it takes n, opens"),
+    ("map { domain = %s; codomain = %s; table = [0]; tabel = [5] }" % (_ONE, _ONE),
+     "map record has no 'tabel' field; it takes domain, codomain, table"),
+    ("rel { space = %s; blocks = [ [0] ]; block = [] }" % _ONE,
+     "rel record has no 'block' field; it takes space, blocks"),
+    ("sublattice { n = 2; zero = [1] }",
+     "sublattice record has no 'zero' field; it takes n, zeros, ties, generators"),
+    ('sublattice { n = 3; ties = [ {x=1; z=0; ratio="2"; w=3} ] }',
+     "tie record has no 'w' field; it takes x, z, ratio"),
+    ('hom { rows = [ [1] ]; cols = 1 }',
+     "hom record has no 'cols' field; it takes rows"),
+])
+def test_unknown_fields_are_refused(text, message):
+    with pytest.raises(RecordError) as err:
+        parse_records(text)
+    assert str(err.value) == message
+
+
 def test_hom_record_parses_rationals():
     t = load_record('hom { rows = [ ["1/3", 0], [0, 2] ] }', "hom")
     assert isinstance(t, HomMatrix)

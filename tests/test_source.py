@@ -20,3 +20,33 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree):
+    """The names that the module's top-level imports bind and that nothing
+    in the module reads, `__all__` aside."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_package_imports_only_what_it_uses():
+    found = [
+        "%s:%d %s" % (path.relative_to(PACKAGE), line, name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -659,7 +659,7 @@ def test_registry_descriptions_present():
 
 
 # ---------------------------------------------------------------------------
-# the definitional sign sweep lives in P-hom and P-hoc, and the map-class
+# the definitional sign sweep lives in P-hom, and the map-class
 # hierarchy in P-hier, so a broken structural test or classifier must trip
 # them, also under python -O
 
@@ -705,14 +705,15 @@ def dense_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(dense_rows(), st.data())
 def test_scaled_sign_sweep_matches_the_fraction_sweep(rows, data):
-    assert properties._definitional_homomorphism(rows) == oracles.hom_by_signs(rows)
+    assert (properties._scaled_keep_signs(properties._scaled_rows(rows))
+            == oracles.hom_by_signs(rows))
     f = data.draw(st.lists(st.one_of(st.integers(-3, 3), signed_fraction),
                            min_size=len(rows[0]), max_size=len(rows[0])))
     breaks = any(
         abs(sum(c * v for c, v in zip(row, f))) != sum(c * abs(v) for c, v in zip(row, f))
         for row in rows
     )
-    assert properties._breaks_absolute_value(rows, f) == breaks
+    assert properties._scaled_breaks(properties._scaled_rows(rows), f) == breaks
 
 
 def test_sign_sweep_decides_without_the_structural_test(monkeypatch):
@@ -721,7 +722,7 @@ def test_sign_sweep_decides_without_the_structural_test(monkeypatch):
 
     for name in ("HomMatrix", "is_homomorphism", "_normal_form"):
         monkeypatch.setattr(comphom, name, refuse)
-    verdicts = [properties._definitional_homomorphism(rows)
+    verdicts = [properties._scaled_keep_signs(properties._scaled_rows(rows))
                 for rows in _KINDS["hom"].exhaustive(SuiteConfig())]
     assert (verdicts.count(True), verdicts.count(False)) == (18, 84)
 
@@ -734,7 +735,7 @@ def test_structural_test_builds_no_witness(monkeypatch):
     matrices = list(_KINDS["hom"].exhaustive(SuiteConfig()))
     verdicts = [comphom.is_homomorphism(rows) for rows in matrices]
     assert (verdicts.count(True), verdicts.count(False)) == (18, 84)
-    assert verdicts == [properties._definitional_homomorphism(rows)
+    assert verdicts == [properties._scaled_keep_signs(properties._scaled_rows(rows))
                         for rows in matrices]
 
 
@@ -749,7 +750,8 @@ def test_constructor_witnesses_every_rejected_matrix():
         with pytest.raises(comphom.NotHomomorphism) as err:
             comphom.HomMatrix(rows)
         assert err.value.witness == comphom._first_failing_probe(exact)
-        assert properties._breaks_absolute_value(rows, err.value.witness)
+        assert properties._scaled_breaks(properties._scaled_rows(rows),
+                                         err.value.witness)
     assert rejected == 84
 
 
