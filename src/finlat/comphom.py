@@ -24,16 +24,20 @@ the process.  funclat.full_space keeps the full lattice of each
 dimension the same way.  The probe vectors of chain-continuity are shared
 per n too, and so is the table of directed-sups: each distinct vector of
 its families (the probes, the joins of the probe pairs and, up to n = 12,
-the subset indicators) once, with the checks as index triples, so T is
-applied once per distinct vector.  They are int vectors, as are funclat's
-solution bases, so on a composition operator or an integer-weight operator
-every condition runs in int arithmetic.  The codomain side of image-dd is
-kept with the domain side: each (TG)^dd is closed once per distinct
-(m, set of nonzero images) and stored in the closed dict of the table
-_coordinate_ideals(n), so clearing that table clears them too, as
-verify.mutations does around every mutation.  T is applied to each domain
-basis vector once per call, and membership of T(G^dd) is tested on every
-call.
+the subset indicators) once, with the checks as index triples.  They are
+int vectors, as are funclat's solution bases, so on a composition operator
+or an integer-weight operator every condition runs in int arithmetic.
+Each of these three per-dimension vector tables (the probes, the
+directed-sups vectors and the distinct basis vectors of
+_coordinate_ideals(n)) is a _VectorTable that keeps its coordinate
+columns, and the conditions map a whole table through HomMatrix.images,
+one pass over its columns per call, where apply reads one vector.  The
+codomain side of image-dd is kept with the domain side: each (TG)^dd is
+closed once per distinct (m, set of nonzero images) and stored in the
+closed dict of the table _coordinate_ideals(n), so clearing that table
+clears them too, as verify.mutations does around every mutation.
+Membership of T(G^dd) in (TG)^dd is tested on every call, once per
+distinct (image set, image) pair.
 
 certify_composition reads the theorem table CONCLUSIONS: each conclusion
 about the lattice pulled back along a map is licensed by one map class and,
@@ -44,6 +48,7 @@ on discrete spaces, decided directly by one flag of the pulled-back lattice
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from operator import le
 
 from .bitset import bit
 from .contmap import classify_map
@@ -93,7 +98,8 @@ def _normal_form(rows):
     phi = []
     for row in rows:
         live = [j for j, v in enumerate(row) if v]
-        if len(live) > 1 or (live and row[live[0]] < 0):
+        # _exact leaves ints and Fractions, whose sign is their numerator's
+        if len(live) > 1 or (live and row[live[0]].numerator < 0):
             return None
         w = row[live[0]] if live else 0
         weights.append(w.numerator if w.denominator == 1 else w)
@@ -111,7 +117,8 @@ def _first_failing_probe(rows):
     nonzero-column pair over the rows.
     """
     n = len(rows[0])
-    negative = min((j for row in rows for j, v in enumerate(row) if v < 0),
+    negative = min((j for row in rows for j, v in enumerate(row)
+                    if v.numerator < 0),
                    default=None)
     if negative is not None:
         return tuple(int(j == negative) for j in range(n))
@@ -181,6 +188,28 @@ class HomMatrix:
             out.append(f[col] * w)
         return tuple(out)
 
+    def images(self, table):
+        """[self.apply(v) for v in table], in one pass over table's columns.
+
+        table is a _VectorTable of int n-vectors.  Row i of every image is
+        column phi[i] of the table times weights[i]: the column as it is for
+        the weight 1, the zero column for a zero row, and otherwise each
+        entry times the weight, in apply's operand order, so the values and
+        number types are apply's.
+        """
+        columns = table.columns
+        if len(columns) != self.n:
+            raise ValueError("vector dimension mismatch")
+        rows = []
+        for w, col in zip(self.weights, self.phi):
+            if col is None:
+                rows.append(table.zero)
+            elif w == 1:
+                rows.append(columns[col])
+            else:
+                rows.append([c * w for c in columns[col]])
+        return list(zip(*rows))
+
     def __eq__(self, other):
         return isinstance(other, HomMatrix) and (
             (self.n, self.weights, self.phi) == (other.n, other.weights, other.phi)
@@ -208,19 +237,36 @@ def _columns_read(t):
     return used
 
 
-class _IdealTable(tuple):
-    """A dimension's coordinate-ideal entries, with the (TG)^dd sets that
-    image-dd closed from them.
+class _VectorTable(tuple):
+    """Int n-vectors with their coordinate columns, for HomMatrix.images.
 
-    closed maps (m, the sorted tuple of the nonzero images of G's basis)
-    to (TG)^dd in m-dimensional space.  The sorted tuple names the set
-    whatever order the images came in, and holds less than a frozenset.
-    closed lives and dies with the table, so whatever clears
-    _coordinate_ideals clears it too.
+    columns[j] holds coordinate j of every vector, in table order, and zero
+    is the all-zero column, the image row of a zero row.  Every table holds
+    at least one vector, so it has n columns.
     """
 
-    def __new__(cls, entries):
+    def __new__(cls, vectors):
+        table = super().__new__(cls, vectors)
+        table.columns = tuple(zip(*table))
+        table.zero = (0,) * len(table)
+        return table
+
+
+class _IdealTable(tuple):
+    """A dimension's coordinate-ideal entries, with their distinct basis
+    vectors and the (TG)^dd sets that image-dd closed from them.
+
+    vectors is a _VectorTable holding each distinct basis vector of the
+    entries once.  closed maps (m, *the nonzero images of G's basis, sorted)
+    to (TG)^dd in m-dimensional space.  The sorted images name the set
+    whatever order they came in, and one flat tuple holds less than a
+    frozenset or a nested tuple.  closed lives and dies with the table, so
+    whatever clears _coordinate_ideals clears it too.
+    """
+
+    def __new__(cls, entries, vectors):
         table = super().__new__(cls, entries)
+        table.vectors = vectors
         table.closed = {}
         return table
 
@@ -235,8 +281,9 @@ def _coordinate_ideals(n):
     accepts exactly when it equals G_a, so a band shares G_a's basis, and
     G_a^dd is computed again only for a non-band.  Built on first use and
     kept for the process; its closed dict starts empty and fills as
-    image-dd runs.  Each distinct basis vector is stored once: the bases of
-    a dimension share its n unit vectors.
+    image-dd runs.  Each distinct basis vector is stored once, and listed
+    once in the table's vectors: the bases of a dimension share its n unit
+    vectors.
     """
     full = full_space(n)
     vectors = {}
@@ -252,17 +299,18 @@ def _coordinate_ideals(n):
             table.append((True, g_basis, g_basis))
         else:
             table.append((False, g_basis, basis(double_complement(full, g)[1])))
-    return _IdealTable(table)
+    return _IdealTable(table, _VectorTable(vectors))
 
 
 @cache
 def _probe_positives(n):
-    """A few nonnegative int n-vectors exercising every coordinate."""
+    """A few nonnegative int n-vectors exercising every coordinate, as a
+    _VectorTable."""
     vecs = [(1,) * n]
     for j in range(n):
         vecs.append(tuple(int(i == j) for i in range(n)))
         vecs.append(tuple(0 if i == j else i + 1 for i in range(n)))
-    return tuple(vecs)
+    return _VectorTable(vecs)
 
 
 @cache
@@ -280,13 +328,14 @@ def _probe_joins(n):
 def _directed_sup_table(n):
     """The vectors directed-sups applies T to, and its checks by index.
 
-    (vectors, joins, indicators, sup): vectors holds each distinct int
-    vector among the probes, their pairwise joins and, for n <= 12, the
-    2^n subset indicators, once, in order of first appearance.  joins holds
-    (i, j, k) for each pair of _probe_joins(n), with vectors[i] and
-    vectors[j] its probes and vectors[k] their join; indicators holds the
-    indices of the 2^n indicators and sup the index of their sup, the
-    all-ones vector.  Above n = 12 indicators is empty and sup None.
+    (vectors, joins, indicators, sup): vectors is a _VectorTable holding
+    each distinct int vector among the probes, their pairwise joins and,
+    for n <= 12, the 2^n subset indicators, once, in order of first
+    appearance.  joins holds (i, j, k) for each pair of _probe_joins(n),
+    with vectors[i] and vectors[j] its probes and vectors[k] their join;
+    indicators holds the indices of the 2^n indicators and sup the index of
+    their sup, the all-ones vector.  Above n = 12 indicators is empty and
+    sup None.
     """
     index = {}
 
@@ -301,7 +350,7 @@ def _directed_sup_table(n):
         indicators = tuple(at(tuple(a >> j & 1 for j in range(n)))
                            for a in range(1 << n))
         sup = at((1,) * n)
-    return tuple(index), joins, indicators, sup
+    return _VectorTable(index), joins, indicators, sup
 
 
 def _chain_continuity(t):
@@ -311,10 +360,7 @@ def _chain_continuity(t):
     Tv is nonnegative, so the test reduces to positivity on a probe
     family that spans the positive cone.
     """
-    for v in _probe_positives(t.n):
-        if any(c < 0 for c in t.apply(v)):
-            return False
-    return True
+    return min(map(min, t.images(_probe_positives(t.n)))) >= 0
 
 
 def _directed_sup_preservation(t):
@@ -326,14 +372,15 @@ def _directed_sup_preservation(t):
     For n <= 12 the 2^n subset indicators form one more upward-directed
     family, whose sup is the all-ones vector; above that it is skipped.
     The per-dimension _directed_sup_table lists every vector these
-    families hold once, so T is applied once per distinct vector, and the
-    checks read the images by index.
+    families hold once, T maps the whole list in one images pass, and the
+    checks read the images by index.  T(a v b) is the sup of the images of
+    {a, b, a v b} exactly when T(a) and T(b) lie below it.
     """
     vectors, joins, indicators, sup = _directed_sup_table(t.n)
-    images = [t.apply(v) for v in vectors]
+    images = t.images(vectors)
     for i, j, k in joins:
         top = images[k]
-        if tuple(map(max, images[i], images[j], top)) != top:
+        if not (all(map(le, images[i], top)) and all(map(le, images[j], top))):
             return False
     if indicators and tuple(map(max, *[images[k] for k in indicators])) != images[sup]:
         return False
@@ -368,41 +415,49 @@ def _image_double_complements(t):
 
     (TG)^dd is a sublattice, so it contains the sublattice generated by
     T(G^dd) exactly when it contains T of each basis vector of G^dd.  Both
-    bases come from the per-dimension table, and each distinct basis vector
-    is applied once per call.  TG is generated by the images of G's basis
-    whatever their order, repeats or zeros, so each ideal is keyed by its
-    set of nonzero images (a bit per distinct image).  (TG)^dd is read from
-    the table's closed dict under (m, that set), and canonical_form and
-    double_complement build it only when no earlier operator of the
-    dimension closed the same set.  When T reads fewer than n columns, many
-    ideals share a set.
+    bases come from the per-dimension table, whose distinct basis vectors T
+    maps in one images pass per call, and each distinct image gets one bit.
+    TG is generated by the images of G's basis whatever their order,
+    repeats or zeros, so each ideal is keyed by its set of nonzero images:
+    the OR of its basis vectors' bits without the zero image's.  (TG)^dd is
+    read from the table's closed dict under (m, *that set, sorted), and
+    canonical_form and double_complement build it only when no earlier
+    operator of the dimension closed the same set.  When T reads fewer than
+    n columns, many ideals share a set.  Membership in (TG)^dd depends only
+    on the key and the image, so each (key, image) pair is tested once per
+    call, and the images a key has passed are kept as a mask of their bits.
     """
     table = _coordinate_ideals(t.n)
     closed = table.closed
-    images = {}
     distinct = {}
+    bits = {}
+    for v, tv in zip(table.vectors, t.images(table.vectors)):
+        bits[v] = distinct.setdefault(tv, 1 << len(distinct))
+    image_of = {b: tv for tv, b in distinct.items()}
+    nonzero = ~distinct.get((0,) * t.m, 0)
     by_key = {}
-
-    def image(v):
-        if v not in images:
-            images[v] = t.apply(v)
-        return images[v]
-
+    passed_by_key = {}
     for _, g_basis, gdd_basis in table:
         key = 0
-        for tv in map(image, g_basis):
-            if any(tv):
-                key |= distinct.setdefault(tv, 1 << len(distinct))
+        for v in g_basis:
+            key |= bits[v]
+        key &= nonzero
         tgdd = by_key.get(key)
         if tgdd is None:
             gens = [tv for tv, b in distinct.items() if key & b]
-            slot = t.m, tuple(sorted(gens))
+            slot = (t.m, *sorted(gens))
             if slot not in closed:
                 tg = canonical_form(t.m, gens)
                 closed[slot] = double_complement(full_space(t.m), tg)[1]
             tgdd = by_key[key] = closed[slot]
-        if not all(member(tgdd, image(v)) for v in gdd_basis):
-            return False
+        passed = passed_by_key.get(key, 0)
+        for v in gdd_basis:
+            b = bits[v]
+            if not passed & b:
+                if not member(tgdd, image_of[b]):
+                    return False
+                passed |= b
+        passed_by_key[key] = passed
     return True
 
 

@@ -122,6 +122,25 @@ def sparse_homs(draw):
     return HomMatrix(rows)
 
 
+def _vector_tables(n):
+    """The three per-dimension tables the conditions map through images."""
+    return (comphom._probe_positives(n), comphom._directed_sup_table(n)[0],
+            comphom._coordinate_ideals(n).vectors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_homs())
+def test_images_match_apply_on_every_vector_table(t):
+    for table in _vector_tables(t.n):
+        got = t.images(table)
+        want = [t.apply(v) for v in table]
+        assert got == want
+        assert [tuple(map(type, image)) for image in got] == \
+            [tuple(map(type, image)) for image in want]
+    with pytest.raises(ValueError, match="dimension"):
+        t.images(comphom._probe_positives(t.n + 1))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_normal_form_matches_dense_rows(m, n, data):
@@ -268,6 +287,9 @@ class DenseOperator:
     def apply(self, f):
         self.applied += 1
         return oracles.matvec(self.rows, f)
+
+    def images(self, table):
+        return [self.apply(v) for v in table]
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])

@@ -36,6 +36,19 @@ def test_blocks_are_canonically_ordered():
     assert rel.block_of(1) == 0b011
 
 
+def test_relations_equal_exactly_on_one_space_with_one_partition():
+    space = make_space(3, [0, 0b111])
+    other = make_space(3, [0, 0b001, 0b111])
+    rel = from_blocks(space, [[0, 1], [2]])
+    assert rel == from_blocks(space, [[2], [1, 0]])
+    # same space, other blocks; same blocks, other space
+    assert rel != from_blocks(space, [[0], [1, 2]])
+    assert rel != from_blocks(other, [[0, 1], [2]])
+    assert rel != rel.blocks
+    assert len({rel, from_blocks(space, [[0], [1, 2]]),
+                from_blocks(other, [[0, 1], [2]])}) == 3
+
+
 def test_partition_validation():
     space = make_space(2, [0, 0b11])
     with pytest.raises(PartitionError):

@@ -259,7 +259,9 @@ def test_rel_round_trip():
             for i, g in enumerate(rgs):
                 groups.setdefault(g, []).append(i)
             rel = from_blocks(space, list(groups.values()))
-            assert load_record(emit_rel(rel), "rel") == rel
+            back = load_record(emit_rel(rel), "rel")
+            assert back == rel
+            assert (back.space, back.blocks) == (space, rel.blocks)
 
 
 small_vec = st.tuples(*([st.integers(-2, 2)] * 3))
@@ -291,6 +293,25 @@ def test_hom_round_trip(m, n, data):
         rows.append(row)
     t = HomMatrix(rows)
     assert load_record(emit_hom(t), "hom") == t
+
+
+_SPACE = make_space(3, [0, 0b001, 0b011, 0b111])
+
+
+@pytest.mark.parametrize("kind,obj,emit", [
+    ("space", _SPACE, emit_space),
+    ("map", ContMap(_SPACE, _SPACE, [0, 0, 2]), emit_map),
+    ("rel", from_blocks(_SPACE, [[0, 2], [1]]), emit_rel),
+    ("hom", HomMatrix([[0, "1/2", 0], [0, 0, 0], [3, 0, 0]]), emit_hom),
+], ids=["space", "map", "rel", "hom"])
+def test_round_trip_keeps_hash_and_repr(kind, obj, emit):
+    # the replayed object is a new one: equal, with the same hash, and
+    # printed the same way
+    back = load_record(emit(obj), kind)
+    assert back is not obj
+    assert back == obj and hash(back) == hash(obj)
+    assert repr(back) == repr(obj)
+    assert repr(obj).startswith(type(obj).__name__ + "(")
 
 
 # --- fuzzing: token streams drawn from the grammar --------------------------

@@ -1,9 +1,12 @@
 """Rules about the package source itself."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import finlat
+from finlat import comphom
 
 PACKAGE = Path(finlat.__file__).parent
 
@@ -48,5 +51,17 @@ def test_package_imports_only_what_it_uses():
         "%s:%d %s" % (path.relative_to(PACKAGE), line, name)
         for path in sorted(PACKAGE.rglob("*.py"))
         for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_order_continuity_conditions_never_apply_one_vector_at_a_time():
+    # the conditions map each per-dimension vector table through
+    # HomMatrix.images in one pass; HomMatrix.apply is for outside callers
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, check in comphom.HOC_CONDITIONS.items()
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(check))))
+        if isinstance(node, ast.Attribute) and node.attr == "apply"
     ]
     assert found == []

@@ -46,13 +46,13 @@ def test_tracer_installs_spans_and_restores():
     # operator goes through the constructor too
     assert metrics["comphom.hom_from_map.calls"] == discrete
     assert metrics["comphom.HomMatrix.init.calls"] == 2 * hoc.exhaustive + discrete
-    # on an n-column operator hoc_conditions applies T to the 2n + 1 chain
-    # probes, to each distinct directed-sups vector (2 at n = 1, 6 at n = 2)
-    # and to the n unit vectors of image-dd; certify_composition applies it
-    # to the n basis vectors of the full lattice too.  P-hoc's 76 operators
-    # (20 with n = 1, 56 with n = 2) and P-com's 8 (2 and 6) make 952 calls,
-    # all through HomMatrix.apply
-    assert metrics["comphom.HomMatrix.apply.calls"] == 952
+    # hoc_conditions maps each vector table through HomMatrix.images, so the
+    # only HomMatrix.apply calls are certify_composition's pullbacks: one per
+    # basis vector of the full lattice on the c codomain points, for each of
+    # the c^d maps from d discrete points (d, c <= 2)
+    pullbacks = sum(c * c ** d for d in (1, 2) for c in (1, 2))
+    assert pullbacks == 14
+    assert metrics["comphom.HomMatrix.apply.calls"] == pullbacks
     assert comphom.HOC_CONDITIONS == conditions
     assert all(comphom.HOC_CONDITIONS[k] is f for k, f in conditions.items())
     assert funclat.classify_sublattice is classify
