@@ -30,8 +30,12 @@ or an integer-weight operator every condition runs in int arithmetic.
 Each of these three per-dimension vector tables (the probes, the
 directed-sups vectors and the distinct basis vectors of
 _coordinate_ideals(n)) is a _VectorTable that keeps its coordinate
-columns, and the conditions map a whole table through HomMatrix.images,
-one pass over its columns per call, where apply reads one vector.  The
+columns, and the conditions map a whole table at once, one pass over its
+columns per call, where apply reads one vector.  HomMatrix.image_rows
+gives the image table row by row, each row a column of the table, scaled
+or zero; images is its transpose, one image per vector.  chain-continuity
+and directed-sups are coordinatewise, so they read image_rows, and
+directed-sups checks each distinct row once; image-dd reads images.  The
 codomain side of image-dd is kept with the domain side: each (TG)^dd is
 closed once per distinct (m, set of nonzero images) and stored in the
 closed dict of the table _coordinate_ideals(n), so clearing that table
@@ -48,7 +52,6 @@ on discrete spaces, decided directly by one flag of the pulled-back lattice
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from operator import le
 
 from .bitset import bit
 from .contmap import classify_map
@@ -78,11 +81,10 @@ class CertificateMismatch(ValueError):
 
 
 def _to_rows(matrix):
-    rows = tuple(_exact(row) for row in matrix)
+    rows = tuple(map(_exact, matrix))
     if not rows:
         raise ValueError("matrix needs at least one row")
-    n = len(rows[0])
-    if n == 0 or any(len(r) != n for r in rows):
+    if len(set(map(len, rows))) != 1 or not rows[0]:
         raise ValueError("matrix must be rectangular and nonempty")
     return rows
 
@@ -117,21 +119,19 @@ def _first_failing_probe(rows):
     nonzero-column pair over the rows.
     """
     n = len(rows[0])
-    negative = min((j for row in rows for j, v in enumerate(row)
-                    if v.numerator < 0),
-                   default=None)
-    if negative is not None:
-        return tuple(int(j == negative) for j in range(n))
-    pair = min(
-        (live[:2]
-         for live in ([j for j, v in enumerate(row) if v] for row in rows)
-         if len(live) > 1),
-        default=None,
-    )
+    for j in range(n):
+        for row in rows:
+            if row[j].numerator < 0:
+                return tuple([int(i == j) for i in range(n)])
+    pair = None
+    for row in rows:
+        live = [j for j, v in enumerate(row) if v]
+        if len(live) > 1 and (pair is None or live[:2] < pair):
+            pair = live[:2]
     if pair is None:
         return None
     a, b = pair
-    return tuple(1 if j == a else -1 if j == b else 0 for j in range(n))
+    return tuple([1 if j == a else -1 if j == b else 0 for j in range(n)])
 
 
 def is_homomorphism(matrix):
@@ -188,14 +188,15 @@ class HomMatrix:
             out.append(f[col] * w)
         return tuple(out)
 
-    def images(self, table):
-        """[self.apply(v) for v in table], in one pass over table's columns.
+    def image_rows(self, table):
+        """The m rows of the image table of table, as tuples.
 
-        table is a _VectorTable of int n-vectors.  Row i of every image is
-        column phi[i] of the table times weights[i]: the column as it is for
-        the weight 1, the zero column for a zero row, and otherwise each
-        entry times the weight, in apply's operand order, so the values and
-        number types are apply's.
+        table is a _VectorTable of int n-vectors, and entry v of row i is
+        self.apply(table[v])[i]: column phi[i] of the table times
+        weights[i].  That is the column as it is for the int weight 1, the
+        zero column for a zero row, and otherwise each entry times the
+        weight, in apply's operand order, so the values and number types
+        are apply's.
         """
         columns = table.columns
         if len(columns) != self.n:
@@ -207,8 +208,12 @@ class HomMatrix:
             elif w == 1:
                 rows.append(columns[col])
             else:
-                rows.append([c * w for c in columns[col]])
-        return list(zip(*rows))
+                rows.append(tuple([c * w for c in columns[col]]))
+        return rows
+
+    def images(self, table):
+        """[self.apply(v) for v in table]: the transpose of image_rows."""
+        return list(zip(*self.image_rows(table)))
 
     def __eq__(self, other):
         return isinstance(other, HomMatrix) and (
@@ -358,9 +363,11 @@ def _chain_continuity(t):
 
     The image chain (Tv)/2^k decreases with infimum zero exactly when
     Tv is nonnegative, so the test reduces to positivity on a probe
-    family that spans the positive cone.
+    family that spans the positive cone.  It reads the probes' image
+    table row by row: every image is nonnegative exactly when every row
+    is.
     """
-    return min(map(min, t.images(_probe_positives(t.n)))) >= 0
+    return min(map(min, t.image_rows(_probe_positives(t.n)))) >= 0
 
 
 def _directed_sup_preservation(t):
@@ -372,18 +379,21 @@ def _directed_sup_preservation(t):
     For n <= 12 the 2^n subset indicators form one more upward-directed
     family, whose sup is the all-ones vector; above that it is skipped.
     The per-dimension _directed_sup_table lists every vector these
-    families hold once, T maps the whole list in one images pass, and the
-    checks read the images by index.  T(a v b) is the sup of the images of
-    {a, b, a v b} exactly when T(a) and T(b) lie below it.
+    families hold once, and the checks read T's image table of that list
+    by index.  T(a v b) is the sup of the images of {a, b, a v b} exactly
+    when T(a) and T(b) lie below it.  Both checks are coordinatewise, so
+    they hold exactly when they hold on every row of the image table, and
+    each distinct row is checked once: a row-monomial T repeats a row for
+    every two rows that read one column with one weight.
     """
     vectors, joins, indicators, sup = _directed_sup_table(t.n)
-    images = t.images(vectors)
-    for i, j, k in joins:
-        top = images[k]
-        if not (all(map(le, images[i], top)) and all(map(le, images[j], top))):
+    for row in set(t.image_rows(vectors)):
+        for i, j, k in joins:
+            top = row[k]
+            if row[i] > top or row[j] > top:
+                return False
+        if indicators and max([row[k] for k in indicators]) != row[sup]:
             return False
-    if indicators and tuple(map(max, *[images[k] for k in indicators])) != images[sup]:
-        return False
     return True
 
 

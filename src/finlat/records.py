@@ -43,9 +43,7 @@ from .bitset import mask_of, mask_to_list
 from .comphom import HomMatrix
 from .contmap import ContMap
 from .equivrel import EquivRel, from_blocks
-from .finspace import (
-    DEFAULT_MAX_POINTS, FinSpace, SpaceTooLarge, _check_n, make_space,
-)
+from .finspace import DEFAULT_MAX_POINTS, FinSpace, make_space
 from .funclat import ConstraintSystem, _exact, canonical_form, from_constraints
 
 # the deepest "[" and "{" nesting parsed; a legal record uses at most four
@@ -262,14 +260,23 @@ def _points_below(value, n, what):
     return points
 
 
+def _int_in(value, lo, hi, what):
+    """value, checked to be an int in lo..hi before anything is built from
+    it.  The ValueError names the field; the builder's caller adds the
+    record kind and the line."""
+    if not isinstance(value, int):
+        raise ValueError("%s must be an integer, not %s" % (what, type(value).__name__))
+    if not lo <= value <= hi:
+        raise ValueError("%s %d is outside %d..%d" % (what, value, lo, hi))
+    return value
+
+
 def _build_space(fields):
     _takes(fields, "space", ("n", "opens"))
-    n = _need(fields, "n", "space")
+    n = _int_in(_need(fields, "n", "space"), 1, DEFAULT_MAX_POINTS, "n")
     opens = _need(fields, "opens", "space")
-    _check_n(n)
-    if n > DEFAULT_MAX_POINTS:
-        raise SpaceTooLarge("n=%d exceeds the configured limit %d"
-                            % (n, DEFAULT_MAX_POINTS))
+    if not isinstance(opens, list):
+        raise ValueError("opens must be a list of point lists")
     masks = [mask_of(_points_below(u, n, "each open set")) for u in opens]
     return make_space(n, masks)
 
@@ -298,18 +305,9 @@ def _build_rel(fields):
                                for b in blocks])
 
 
-def _dimension(value, what):
-    """value, checked against the spaces' point limit before anything of
-    that size is built."""
-    if value > DEFAULT_MAX_POINTS:
-        raise RecordError("%s %d exceeds the limit %d"
-                          % (what, value, DEFAULT_MAX_POINTS))
-    return value
-
-
 def _build_sublattice(fields):
     _takes(fields, "sublattice", ("n", "zeros", "ties", "generators"))
-    n = _dimension(_need(fields, "n", "sublattice"), "sublattice n")
+    n = _int_in(_need(fields, "n", "sublattice"), 0, DEFAULT_MAX_POINTS, "n")
     if "generators" in fields:
         if "zeros" in fields or "ties" in fields:
             raise RecordError(
@@ -324,8 +322,8 @@ def _build_sublattice(fields):
             raise RecordError("each tie must be {x=..; z=..; ratio=\"p/q\"}")
         _takes(t, "tie", ("x", "z", "ratio"))
         ties.append((
-            _need(t, "x", "tie"),
-            _need(t, "z", "tie"),
+            _int_in(_need(t, "x", "tie"), 0, n - 1, "tie x"),
+            _int_in(_need(t, "z", "tie"), 0, n - 1, "tie z"),
             _rational(_need(t, "ratio", "tie")),
         ))
     return from_constraints(n, zeros=zeros, ties=ties)
@@ -359,10 +357,10 @@ def _build_hom(fields):
     rows = _need(fields, "rows", "hom")
     if not isinstance(rows, list):
         raise RecordError("rows must be a list of lists")
-    _dimension(len(rows), "hom row count")
+    _int_in(len(rows), 0, DEFAULT_MAX_POINTS, "row count")
     rows = [_rational_list(r) for r in rows]
     for r in rows:
-        _dimension(len(r), "hom column count")
+        _int_in(len(r), 0, DEFAULT_MAX_POINTS, "column count")
     return HomMatrix(rows)
 
 

@@ -236,14 +236,33 @@ def matvec(rows, f):
     return tuple(sum(r[j] * f[j] for j in range(len(f))) for r in rows)
 
 
-def directed_sups_by_families(apply, n):
-    """The directed-sups condition as one family per check: each pair of
-    positive probes a, b with its join, then the subset-indicator chain
-    (n <= 12); T must carry every family's sup to the sup of its images."""
+def positive_probes(n):
+    """The all-ones vector, then for each j the unit e_j and the vector
+    holding i + 1 at every i != j, as Fractions."""
     probes = [tuple(Fraction(1) for _ in range(n))]
     for j in range(n):
         probes.append(tuple(Fraction(int(i == j)) for i in range(n)))
         probes.append(tuple(Fraction(0 if i == j else i + 1) for i in range(n)))
+    return probes
+
+
+def chain_continuity_by_chains(apply, n, steps=4):
+    """The chain-continuity condition as its chains: for each positive
+    probe v, the images of v, v/2, ..., v/2^steps must decrease.  They are
+    T(v)/2^k, so they then decrease to 0."""
+    for v in positive_probes(n):
+        chain = [apply(tuple(x / 2 ** k for x in v)) for k in range(steps + 1)]
+        for upper, lower in zip(chain, chain[1:]):
+            if any(a < b for a, b in zip(upper, lower)):
+                return False
+    return True
+
+
+def directed_sups_by_families(apply, n):
+    """The directed-sups condition as one family per check: each pair of
+    positive probes a, b with its join, then the subset-indicator chain
+    (n <= 12); T must carry every family's sup to the sup of its images."""
+    probes = positive_probes(n)
     families = [(a, b, tuple(max(x, y) for x, y in zip(a, b)))
                 for a in probes for b in probes]
     if n <= 12:

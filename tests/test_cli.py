@@ -582,6 +582,27 @@ def test_constraint_out_of_range_is_usage_error(capsys, tmp_path, text):
     assert "bad sublattice record" in err
 
 
+@pytest.mark.parametrize("argv,text,field", [
+    (("lattice", "canonical"), 'sublattice { n = "a"; generators = [] }',
+     "bad sublattice record: n must be an integer"),
+    (("space-props",), "space { n = 2; opens = 5 }",
+     "bad space record: opens must be a list"),
+    (("lattice", "canonical"),
+     'sublattice { n = 2; ties = [ {x="a"; z=0; ratio="1/1"} ] }',
+     "bad sublattice record: tie x must be an integer"),
+], ids=["sublattice-n-string", "space-opens-int", "tie-x-string"])
+def test_mistyped_field_is_named_in_the_usage_error(capsys, tmp_path, argv,
+                                                   text, field):
+    path = record_file(tmp_path, "bad.rec", text)
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+    assert field in err
+    assert "not supported between" not in err
+    assert "is not iterable" not in err
+
+
 FAR = 10 ** 12
 DEEP = 3000
 

@@ -56,6 +56,24 @@ def test_test_agrees_with_sign_oracle(m, n):
             assert err.value.witness == oracles.first_failing_probe(frac)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_witness_search_agrees_with_the_probe_oracle(m, n, nonnegative, data):
+    # without negative entries only the pair search can fail a matrix
+    entry = st.one_of(st.just(0), rational if nonnegative else signed_rational)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    want = oracles.first_failing_probe(oracles.frac_rows(rows))
+    assert is_homomorphism(rows) == (want is None)
+    if want is None:
+        HomMatrix(rows)
+        return
+    with pytest.raises(NotHomomorphism) as err:
+        HomMatrix(rows)
+    assert err.value.witness == want
+    assert all(type(v) is int for v in err.value.witness)
+
+
 def test_constructor_verdicts():
     t = HomMatrix([["2", 0, 0], [0, "1/3", 0]])
     assert (t.m, t.n) == (2, 3)
@@ -128,6 +146,10 @@ def _vector_tables(n):
             comphom._coordinate_ideals(n).vectors)
 
 
+def _types(vectors):
+    return [tuple(map(type, v)) for v in vectors]
+
+
 @settings(max_examples=120, deadline=None)
 @given(sparse_homs())
 def test_images_match_apply_on_every_vector_table(t):
@@ -135,10 +157,44 @@ def test_images_match_apply_on_every_vector_table(t):
         got = t.images(table)
         want = [t.apply(v) for v in table]
         assert got == want
-        assert [tuple(map(type, image)) for image in got] == \
-            [tuple(map(type, image)) for image in want]
+        assert _types(got) == _types(want)
+        rows = t.image_rows(table)
+        assert len(rows) == t.m
+        assert all(type(row) is tuple for row in rows)
+        assert list(zip(*rows)) == want
+        assert _types(zip(*rows)) == _types(want)
+    wrong = comphom._probe_positives(t.n + 1)
     with pytest.raises(ValueError, match="dimension"):
-        t.images(comphom._probe_positives(t.n + 1))
+        t.images(wrong)
+    with pytest.raises(ValueError, match="dimension"):
+        t.image_rows(wrong)
+
+
+@st.composite
+def repeating_homs(draw):
+    # every row comes from a pool of at most three, zero rows included, so
+    # most operators repeat a row; weights are ints and Fractions
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(
+        st.one_of(st.none(), st.tuples(st.integers(0, n - 1), rational.filter(bool))),
+        min_size=1, max_size=3))
+    rows = []
+    for pick in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)):
+        row = [0] * n
+        if pick is not None:
+            col, w = pick
+            row[col] = w
+        rows.append(row)
+    return HomMatrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeating_homs())
+def test_row_conditions_match_their_apply_references(t):
+    assert comphom._chain_continuity(t) == \
+        oracles.chain_continuity_by_chains(t.apply, t.n)
+    assert comphom._directed_sup_preservation(t) == \
+        oracles.directed_sups_by_families(t.apply, t.n)
 
 
 @settings(max_examples=120, deadline=None)
@@ -291,6 +347,9 @@ class DenseOperator:
     def images(self, table):
         return [self.apply(v) for v in table]
 
+    def image_rows(self, table):
+        return list(zip(*self.images(table)))
+
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_directed_sups_match_the_family_reference(m, n):
@@ -310,6 +369,8 @@ def test_directed_sups_match_the_family_reference_on_drawn_matrices(rows):
     t = DenseOperator(rows)
     assert comphom._directed_sup_preservation(t) == \
         oracles.directed_sups_by_families(t.apply, t.n)
+    assert comphom._chain_continuity(t) == \
+        oracles.chain_continuity_by_chains(t.apply, t.n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -56,8 +56,9 @@ def test_package_imports_only_what_it_uses():
 
 
 def test_order_continuity_conditions_never_apply_one_vector_at_a_time():
-    # the conditions map each per-dimension vector table through
-    # HomMatrix.images in one pass; HomMatrix.apply is for outside callers
+    # the conditions map each per-dimension vector table in one pass, through
+    # HomMatrix.image_rows (chain-continuity, directed-sups) or
+    # HomMatrix.images (image-dd); HomMatrix.apply is for outside callers
     found = [
         "%s:%d" % (name, node.lineno)
         for name, check in comphom.HOC_CONDITIONS.items()
