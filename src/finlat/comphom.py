@@ -33,9 +33,9 @@ _coordinate_ideals(n)) is a _VectorTable that keeps its coordinate
 columns, and the conditions map a whole table at once, one pass over its
 columns per call, where apply reads one vector.  HomMatrix.image_rows
 gives the image table row by row, each row a column of the table, scaled
-or zero; images is its transpose, one image per vector.  chain-continuity
-and directed-sups are coordinatewise, so they read image_rows, and
-directed-sups checks each distinct row once; image-dd reads images.  The
+or zero.  chain-continuity and directed-sups are coordinatewise, so they
+read the rows, and directed-sups checks each distinct row once; image-dd
+reads their transpose, one image per vector.  The
 codomain side of image-dd is kept with the domain side: each (TG)^dd is
 closed once per distinct (m, set of nonzero images) and stored in the
 closed dict of the table _coordinate_ideals(n), so clearing that table
@@ -211,10 +211,6 @@ class HomMatrix:
                 rows.append(tuple([c * w for c in columns[col]]))
         return rows
 
-    def images(self, table):
-        """[self.apply(v) for v in table]: the transpose of image_rows."""
-        return list(zip(*self.image_rows(table)))
-
     def __eq__(self, other):
         return isinstance(other, HomMatrix) and (
             (self.n, self.weights, self.phi) == (other.n, other.weights, other.phi)
@@ -243,7 +239,7 @@ def _columns_read(t):
 
 
 class _VectorTable(tuple):
-    """Int n-vectors with their coordinate columns, for HomMatrix.images.
+    """Int n-vectors with their coordinate columns, for HomMatrix.image_rows.
 
     columns[j] holds coordinate j of every vector, in table order, and zero
     is the all-zero column, the image row of a zero row.  Every table holds
@@ -319,25 +315,15 @@ def _probe_positives(n):
 
 
 @cache
-def _probe_joins(n):
-    """(i, j, join) for each pair i < j of the probes of dimension n: their
-    indices in _probe_positives(n) and their coordinatewise max."""
-    probes = _probe_positives(n)
-    return tuple(
-        (i, j, tuple(max(x, y) for x, y in zip(probes[i], probes[j])))
-        for i, j in combinations(range(len(probes)), 2)
-    )
-
-
-@cache
 def _directed_sup_table(n):
     """The vectors directed-sups applies T to, and its checks by index.
 
     (vectors, joins, indicators, sup): vectors is a _VectorTable holding
     each distinct int vector among the probes, their pairwise joins and,
     for n <= 12, the 2^n subset indicators, once, in order of first
-    appearance.  joins holds (i, j, k) for each pair of _probe_joins(n),
-    with vectors[i] and vectors[j] its probes and vectors[k] their join;
+    appearance.  joins holds (i, j, k) for each pair of probes, in the
+    order of their indices in _probe_positives(n), with vectors[i] and
+    vectors[j] the two probes and vectors[k] their coordinatewise max;
     indicators holds the indices of the 2^n indicators and sup the index of
     their sup, the all-ones vector.  Above n = 12 indicators is empty and
     sup None.
@@ -347,8 +333,11 @@ def _directed_sup_table(n):
     def at(v):
         return index.setdefault(v, len(index))
 
-    probes = [at(p) for p in _probe_positives(n)]
-    joins = tuple((probes[i], probes[j], at(join)) for i, j, join in _probe_joins(n))
+    probes = _probe_positives(n)
+    for v in probes:
+        at(v)
+    joins = tuple((index[a], index[b], at(tuple(map(max, a, b))))
+                  for a, b in combinations(probes, 2))
     indicators = ()
     sup = None
     if n <= 12:
@@ -426,7 +415,7 @@ def _image_double_complements(t):
     (TG)^dd is a sublattice, so it contains the sublattice generated by
     T(G^dd) exactly when it contains T of each basis vector of G^dd.  Both
     bases come from the per-dimension table, whose distinct basis vectors T
-    maps in one images pass per call, and each distinct image gets one bit.
+    maps in one image_rows pass per call, and each distinct image gets one bit.
     TG is generated by the images of G's basis whatever their order,
     repeats or zeros, so each ideal is keyed by its set of nonzero images:
     the OR of its basis vectors' bits without the zero image's.  (TG)^dd is
@@ -441,7 +430,7 @@ def _image_double_complements(t):
     closed = table.closed
     distinct = {}
     bits = {}
-    for v, tv in zip(table.vectors, t.images(table.vectors)):
+    for v, tv in zip(table.vectors, zip(*t.image_rows(table.vectors))):
         bits[v] = distinct.setdefault(tv, 1 << len(distinct))
     image_of = {b: tv for tv, b in distinct.items()}
     nonzero = ~distinct.get((0,) * t.m, 0)

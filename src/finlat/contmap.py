@@ -20,19 +20,21 @@ dry), so a verdict stops where its first counterexample is.
 
 Image and preimage read one lookup per map object, built with the map and
 indexed t[a]: a memo that computes a mask as a union of point images
-(fibers) on its first request (finspace's `UnionMemo`).  When `decide_by`
-runs a literal procedure, within LITERAL_POINT_LIMIT points, `_tabulate`
-replaces the map's lookups and its spaces' closure and interior lookups by
-flat tables over all 2^n masks (see finspace); the star-based routines and
-`classify_map` keep the memos, and past the limit `decide_by` refuses a
-literal procedure.  `image` and `preimage` refuse a mask outside their
-space; the routines here bind a map's lookup (`m._image`, `m._preimage`)
-once and index it with masks of the spaces' own families.  Verdicts are
-not memoized per map, and the lookups read nothing a verification
-mutation wraps: a mutation installed after a map was classified (say, a
-wrapped `saturation`, which every routine still calls through this
-module) must still change that map's answers, or the suite would re-check
-stale values.
+(fibers) on its first request, finspace's `UnionMemo`, the kind of lookup
+each space's closure (and through it interior) reads as well.  When
+`decide_by` runs a literal procedure, within LITERAL_POINT_LIMIT points,
+`_tabulate` replaces the map's lookups and its spaces' closure lookups by
+`union_table` over the parts the memos hold, flat tables over all 2^n
+masks (see finspace); the star-based routines and `classify_map` keep the
+memos, and past the limit `decide_by` refuses a literal procedure.
+`image` and `preimage` refuse a mask outside their space; the routines
+here bind a map's lookup (`m._image`, `m._preimage`) once and index it
+with masks of the spaces' own families.  Verdicts are not memoized per
+map, and the lookups read nothing a verification mutation wraps: a
+mutation installed after a map was classified (say, a wrapped
+`saturation`, which every routine still calls through this module) must
+still change that map's answers, or the suite would re-check stale
+values.
 
 `classify_map` returns a `MapClassification`: a named tuple of the 13
 class flags, filled in one pass over `_CLASSIFY_ROUTINES` (read per call),
@@ -132,10 +134,12 @@ def _discontinuity(domain, codomain, table):
 
 
 def _tabulate(m):
-    """Flat image, preimage, closure and interior tables, and the spaces'
-    subset families, for a map that a literal procedure decides."""
-    m._image = union_table([bit(y) for y in m.table])
-    m._preimage = union_table(m.fibers)
+    """Flat image, preimage and closure tables, and the spaces' subset
+    families, for a map that a literal procedure decides: each table is
+    `union_table` over the parts its memo holds."""
+    if type(m._image) is not list:
+        m._image = union_table(m._image.parts)
+        m._preimage = union_table(m._preimage.parts)
     m.domain.tabulate()
     m.codomain.tabulate()
 

@@ -4,20 +4,21 @@ A space is determined by the minimal open neighbourhood of each point
 (its "star"); the family of all opens is exactly the family of unions
 of stars and is materialised lazily, on first use of `opens`.
 
-Closure and interior read one lookup per space object, built with the
-space and indexed t[a].  It starts as a memo: a dict that computes a mask
-from the stars on its first request, so it fills only with the masks
-callers ask about, at any number of points.  `tabulate` replaces both
-lookups by flat sequences over all 2^n masks, built in one pass: closure
-is a union of point closures, t[a | bit(x)] = t[a] | cl(x)
-(`union_table`), and interior is the complement of closure,
-full ^ cl[full ^ a].  The union rule has one home here: `union_table` is
-its table and `UnionMemo` its memo, which contmap's image and preimage
-lookups start as.  contmap tabulates the spaces of a map that a literal
-procedure decides, within its point limit: those procedures quantify over
-families of up to 2^n masks, so a table costs no more than they do and
-turns every later request into a list index.  A space that only the
-star-based routines touch keeps its memo (a fresh 12-point map's
+Closure reads one lookup per space object, built with the space and
+indexed t[a], and interior reads it too, as the complement of the closure
+of the complement: int(a) = full ^ cl[full ^ a].  Closure is a union of
+point closures, cl(a | bit(x)) = cl(a) | cl(x), so the lookup starts as a
+`UnionMemo` over the point closures, read off the stars in `__init__`: a
+dict that computes a mask on its first request, so it fills only with the
+masks callers ask about, at any number of points.  `tabulate` replaces it
+by `union_table` over the same point closures, a flat sequence over all
+2^n masks built in one pass.  The union rule has one home here:
+`union_table` is its table and `UnionMemo` its memo, which contmap's image
+and preimage lookups are too.  contmap tabulates the spaces of a map that
+a literal procedure decides, within its point limit: those procedures
+quantify over families of up to 2^n masks, so a table costs no more than
+they do and turns every later request into a list index.  A space that
+only the star-based routines touch keeps its memo (a fresh 12-point map's
 `classify_map` asks about a few dozen masks), and so do the 81- and
 97-point scenario spaces.  `closure` and `interior` refuse a mask outside
 the space.
@@ -25,11 +26,12 @@ the space.
 `tabulate` also sets the subset families that contmap's literal procedures
 quantify over (the nonempty opens, proper closed, dense, dense open,
 nowhere-dense and canonically closed sets), each an ascending tuple read
-off the opens and the two tables in the same pass.  So a space is either
-fresh (memos, lazy opens, no families) or tabulated (tables and all six
-families).  Only the literal procedures read the families, and `decide_by`
-tabulates both spaces before it runs one; the star-based routines and the
-verify references never do, so a space that only they touch builds none.
+off the opens and the closure table in the same pass.  So a space is
+either fresh (a memo, lazy opens, no families) or tabulated (a table and
+all six families).  Only the literal procedures read the families, and
+`decide_by` tabulates both spaces before it runs one; the star-based
+routines and the verify references never do, so a space that only they
+touch builds none.
 """
 
 from dataclasses import dataclass
@@ -55,43 +57,6 @@ class SpaceTooLarge(ValueError):
 
 def mask_error(n, a):
     return ValueError("mask %r is not a subset of the points 0..%d" % (a, n - 1))
-
-
-class _ClosureMemo(dict):
-    """Points whose star meets a, computed on the first request for a."""
-
-    __slots__ = ("stars",)
-
-    def __init__(self, stars):
-        self.stars = stars
-
-    def __missing__(self, a):
-        out = 0
-        x = 1
-        for star in self.stars:
-            if star & a:
-                out |= x
-            x <<= 1
-        self[a] = out
-        return out
-
-
-class _InteriorMemo(dict):
-    """Points of a whose star stays inside a, computed on the first request."""
-
-    __slots__ = ("stars",)
-
-    def __init__(self, stars):
-        self.stars = stars
-
-    def __missing__(self, a):
-        stars = self.stars
-        out = 0
-        for x in bits(a):
-            if stars[x] & ~a == 0:
-                out |= 1 << x
-        self[a] = out
-        return out
 
 
 class UnionMemo(dict):
@@ -132,17 +97,21 @@ class FinSpace:
     one on a space that was never tabulated raises AttributeError.
     """
 
-    __slots__ = ("n", "stars", "full", "_opens", "_closure", "_interior",
-                 "nonempty_opens", "proper_closed_sets", "dense_sets",
-                 "dense_opens", "nowhere_dense_sets", "canonically_closed_sets")
+    __slots__ = ("n", "stars", "full", "_opens", "_closure", "nonempty_opens",
+                 "proper_closed_sets", "dense_sets", "dense_opens",
+                 "nowhere_dense_sets", "canonically_closed_sets")
 
     def __init__(self, n, stars):
         self.n = n
         self.stars = stars
         self.full = full_mask(n)
         self._opens = None
-        self._closure = _ClosureMemo(stars)
-        self._interior = _InteriorMemo(stars)
+        # the closure of point y holds the points whose star holds y
+        parts = [0] * n
+        for x, star in enumerate(stars):
+            for y in bits(star):
+                parts[y] |= 1 << x
+        self._closure = UnionMemo(tuple(parts))
 
     @property
     def opens(self):
@@ -166,23 +135,22 @@ class FinSpace:
         return self.closure(a) == a
 
     def tabulate(self):
-        """Replace the closure and interior lookups by flat tables over all
-        2^n masks and set the six subset families from them."""
+        """Replace the closure lookup by a flat table over all 2^n masks and
+        set the six subset families from it."""
         if 1 << self.n > OPENS_FAMILY_BUDGET:
             raise SpaceTooLarge("a table over the masks of %d points exceeds %d entries"
                                 % (self.n, OPENS_FAMILY_BUDGET))
         if type(self._closure) is list:
             return
-        stars, full, opens = self.stars, self.full, self.opens
-        cl = self._closure = union_table(
-            [sum(bit(x) for x, star in enumerate(stars) if star & bit(y))
-             for y in range(self.n)])
-        inner = self._interior = [full ^ c for c in reversed(cl)]
+        full, opens = self.full, self.opens
+        cl = self._closure = union_table(self._closure.parts)
         nonempty = self.nonempty_opens = opens[1:]
         self.proper_closed_sets = tuple(sorted(full ^ u for u in nonempty))
         self.dense_sets = tuple(a for a, c in enumerate(cl) if c == full)
         self.dense_opens = tuple(u for u in opens if cl[u] == full)
-        self.nowhere_dense_sets = tuple(a for a, c in enumerate(cl) if not inner[c])
+        # the interior of c, full ^ cl[full ^ c], is empty when cl[full ^ c] is full
+        self.nowhere_dense_sets = tuple(a for a, c in enumerate(cl)
+                                        if cl[full ^ c] == full)
         self.canonically_closed_sets = tuple(sorted({cl[u] for u in opens}))
 
     def closure(self, a):
@@ -192,10 +160,12 @@ class FinSpace:
         return self._closure[a]
 
     def interior(self, a):
-        """Largest open subset: points whose star stays inside a."""
-        if not 0 <= a <= self.full:
+        """Largest open subset: points whose star stays inside a, the
+        complement of the closure of the complement."""
+        full = self.full
+        if not 0 <= a <= full:
             raise mask_error(self.n, a)
-        return self._interior[a]
+        return full ^ self._closure[full ^ a]
 
     def is_dense(self, a):
         return self.closure(a) == self.full
@@ -304,14 +274,14 @@ def classify_subset(space, a):
     """Closed / dense / nowhere-dense / canonical-regularity flags for a subset."""
     cl = space.closure(a)
     inside = space.interior(a)
-    closed = space.is_closed(a)
+    closed = cl == a
     return SubsetProps(
         closed=closed,
         dense=cl == space.full,
         nowhere_dense=space.interior(cl) == 0,
         canonically_closed=a == space.closure(inside),
         canonically_open=a == space.interior(cl),
-        clopen=closed and space.is_open(a),
+        clopen=closed and inside == a,
     )
 
 

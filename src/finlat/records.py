@@ -271,12 +271,18 @@ def _int_in(value, lo, hi, what):
     return value
 
 
+def _list_of(value, what, items):
+    """value, checked to be a list before anything iterates it; the
+    ValueError names the field and what its items are."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list of %s" % (what, items))
+    return value
+
+
 def _build_space(fields):
     _takes(fields, "space", ("n", "opens"))
     n = _int_in(_need(fields, "n", "space"), 1, DEFAULT_MAX_POINTS, "n")
-    opens = _need(fields, "opens", "space")
-    if not isinstance(opens, list):
-        raise ValueError("opens must be a list of point lists")
+    opens = _list_of(_need(fields, "opens", "space"), "opens", "point lists")
     masks = [mask_of(_points_below(u, n, "each open set")) for u in opens]
     return make_space(n, masks)
 
@@ -313,11 +319,12 @@ def _build_sublattice(fields):
             raise RecordError(
                 "sublattice takes either generators or zeros/ties, not both"
             )
-        gens = [tuple(_rational_list(g)) for g in fields["generators"]]
+        gens = [tuple(_rational_list(g))
+                for g in _list_of(fields["generators"], "generators", "number lists")]
         return canonical_form(n, gens)
     zeros = _point_list(fields.get("zeros", []), "zeros")
     ties = []
-    for t in fields.get("ties", []):
+    for t in _list_of(fields.get("ties", []), "ties", "ties"):
         if not isinstance(t, dict):
             raise RecordError("each tie must be {x=..; z=..; ratio=\"p/q\"}")
         _takes(t, "tie", ("x", "z", "ratio"))

@@ -44,7 +44,7 @@ def test_bits_at_byte_edges(m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**80 - 1))
+@given(st.integers(0, 2**2048 - 1))
 def test_bits_is_the_tuple_of_set_positions(m):
     got = bits(m)
     assert type(got) is tuple

@@ -590,7 +590,12 @@ def test_constraint_out_of_range_is_usage_error(capsys, tmp_path, text):
     (("lattice", "canonical"),
      'sublattice { n = 2; ties = [ {x="a"; z=0; ratio="1/1"} ] }',
      "bad sublattice record: tie x must be an integer"),
-], ids=["sublattice-n-string", "space-opens-int", "tie-x-string"])
+    (("lattice", "canonical"), "sublattice { n = 2; ties = 5 }",
+     "bad sublattice record: ties must be a list"),
+    (("lattice", "canonical"), "sublattice { n = 2; generators = 5 }",
+     "bad sublattice record: generators must be a list"),
+], ids=["sublattice-n-string", "space-opens-int", "tie-x-string", "ties-int",
+        "generators-int"])
 def test_mistyped_field_is_named_in_the_usage_error(capsys, tmp_path, argv,
                                                    text, field):
     path = record_file(tmp_path, "bad.rec", text)

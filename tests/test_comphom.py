@@ -1,6 +1,6 @@
 from dataclasses import fields
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -141,7 +141,7 @@ def sparse_homs(draw):
 
 
 def _vector_tables(n):
-    """The three per-dimension tables the conditions map through images."""
+    """The three per-dimension tables the conditions map through image_rows."""
     return (comphom._probe_positives(n), comphom._directed_sup_table(n)[0],
             comphom._coordinate_ideals(n).vectors)
 
@@ -154,18 +154,13 @@ def _types(vectors):
 @given(sparse_homs())
 def test_images_match_apply_on_every_vector_table(t):
     for table in _vector_tables(t.n):
-        got = t.images(table)
         want = [t.apply(v) for v in table]
-        assert got == want
-        assert _types(got) == _types(want)
         rows = t.image_rows(table)
         assert len(rows) == t.m
         assert all(type(row) is tuple for row in rows)
         assert list(zip(*rows)) == want
         assert _types(zip(*rows)) == _types(want)
     wrong = comphom._probe_positives(t.n + 1)
-    with pytest.raises(ValueError, match="dimension"):
-        t.images(wrong)
     with pytest.raises(ValueError, match="dimension"):
         t.image_rows(wrong)
 
@@ -387,12 +382,12 @@ def test_directed_sups_apply_each_probe_and_join_once(n):
 def test_directed_sup_table_lists_each_vector_once(n):
     vectors, joins, indicators, sup = comphom._directed_sup_table(n)
     probes = comphom._probe_positives(n)
-    pairs = comphom._probe_joins(n)
+    pairs = list(combinations(range(len(probes)), 2))
     assert len(joins) == len(pairs)
-    for (i, j, k), (a, b, join) in zip(joins, pairs):
+    for (i, j, k), (a, b) in zip(joins, pairs):
         assert (vectors[i], vectors[j]) == (probes[a], probes[b])
-        assert vectors[k] == join == tuple(map(max, vectors[i], vectors[j]))
-    want = set(probes) | {join for _, _, join in pairs}
+        assert vectors[k] == tuple(map(max, probes[a], probes[b]))
+    want = set(probes) | {vectors[k] for _, _, k in joins}
     if n <= 12:
         assert sorted(vectors[k] for k in indicators) == \
             sorted(product((0, 1), repeat=n))
@@ -445,11 +440,13 @@ def test_image_dd_applies_each_basis_vector_once(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_probe_joins_are_the_pairwise_max_of_the_probes(n):
+    # the table's join triples name each pair i < j of the probes, in index
+    # order, and the vector at k is their coordinatewise max
+    vectors, joins, _, _ = comphom._directed_sup_table(n)
     probes = comphom._probe_positives(n)
-    want = [(i, j, tuple(map(max, probes[i], probes[j])))
+    want = [(probes[i], probes[j], tuple(map(max, probes[i], probes[j])))
             for i in range(len(probes)) for j in range(i + 1, len(probes))]
-    assert list(comphom._probe_joins(n)) == want
-    assert comphom._probe_joins(n) is comphom._probe_joins(n)
+    assert [(vectors[i], vectors[j], vectors[k]) for i, j, k in joins] == want
 
 
 @pytest.mark.parametrize("rows,image_sets", [

@@ -196,8 +196,7 @@ def test_only_literal_procedures_tabulate_a_map():
     # a star-based routine asks about a few masks, so it keeps the memos;
     # a literal procedure quantifies over families of up to 2^n masks
     def lookups(m):
-        return (m._image, m._preimage, m.domain._closure, m.domain._interior,
-                m.codomain._closure, m.codomain._interior)
+        return (m._image, m._preimage, m.domain._closure, m.codomain._closure)
 
     def stores(m):
         return {type(t) is list for t in lookups(m)}

@@ -46,7 +46,7 @@ def test_tracer_installs_spans_and_restores():
     # operator goes through the constructor too
     assert metrics["comphom.hom_from_map.calls"] == discrete
     assert metrics["comphom.HomMatrix.init.calls"] == 2 * hoc.exhaustive + discrete
-    # hoc_conditions maps each vector table through HomMatrix.images, so the
+    # hoc_conditions maps each vector table through HomMatrix.image_rows, so the
     # only HomMatrix.apply calls are certify_composition's pullbacks: one per
     # basis vector of the full lattice on the c codomain points, for each of
     # the c^d maps from d discrete points (d, c <= 2)

@@ -865,9 +865,7 @@ def test_map_references_read_no_memoized_operator(monkeypatch):
     monkeypatch.setattr(finlat.FinSpace, "interior", refuse)
     monkeypatch.setattr(contmap, "image", refuse)
     monkeypatch.setattr(contmap, "preimage", refuse)
-    for memo in (finspace._ClosureMemo, finspace._InteriorMemo,
-                 finspace.UnionMemo):
-        monkeypatch.setattr(memo, "__missing__", refuse)
+    monkeypatch.setattr(finspace.UnionMemo, "__missing__", refuse)
     # nor the table builders behind the lookups: contmap binds union_table
     # by name
     monkeypatch.setattr(finspace, "union_table", refuse)
