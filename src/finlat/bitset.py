@@ -1,26 +1,14 @@
 """Small helpers for subsets-of-points encoded as int bitmasks.
 
-`bits` reads a mask a byte at a time from fixed 256-entry tables of
-per-byte bit positions.  A mask of up to 16 points, the record cap, is
-one entry of the first-byte table or two entries, one from each table.  A
-wider mask is split into its bytes once (`int.to_bytes`), and each nonzero
-byte adds its bit offset to the table's positions, collected in one list.
-So `bits` is linear in the mask width, and the tables are the same for
-every width, so their memory stays fixed however wide the masks get.
+`bits` reads a mask a byte at a time from one fixed 256-entry table of
+per-byte bit positions; each byte above the first adds its bit offset to
+the table's positions, collected in one list, so `bits` is linear in the
+mask width.  The table is the same for every mask width, so its memory
+stays fixed however wide the masks get.
 """
 
-def _byte_table(offset):
-    """The set bit positions, plus offset, of each byte value, ascending:
-    bit i doubles the table, t[b | 1 << i] = t[b] + (offset + i,)."""
-    t = [()]
-    for i in range(offset, offset + 8):
-        t += [p + (i,) for p in t]
-    return tuple(t)
-
-
-# the positions for the first byte of a mask, and for its second byte
-_BYTE_BITS = _byte_table(0)
-_SECOND_BYTE_BITS = _byte_table(8)
+# the set bit positions of each byte value, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def bit(i):
@@ -33,18 +21,20 @@ def full_mask(n):
 
 def bits(mask):
     """The set bit positions of a nonnegative mask, ascending, as a tuple."""
-    if 0 <= mask < 256:
-        return _BYTE_BITS[mask]
     if mask < 0:
-        # a negative int has infinitely many set bits
+        # a negative int has infinitely many set bits: -1 >> 8 == -1
         raise ValueError("bits needs a nonnegative mask, not %r" % (mask,))
-    if mask < 65536:
-        return _BYTE_BITS[mask & 255] + _SECOND_BYTE_BITS[mask >> 8]
-    out = []
-    offset = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+    low = _BYTE_BITS[mask & 255]
+    mask >>= 8
+    if not mask:
+        return low
+    out = list(low)
+    offset = 8
+    while mask:
+        byte = mask & 255
         if byte:
             out += [offset + i for i in _BYTE_BITS[byte]]
+        mask >>= 8
         offset += 8
     return tuple(out)
 

@@ -136,12 +136,14 @@ def _discontinuity(domain, codomain, table):
 def _tabulate(m):
     """Flat image, preimage and closure tables, and the spaces' subset
     families, for a map that a literal procedure decides: each table is
-    `union_table` over the parts its memo holds."""
-    if type(m._image) is not list:
-        m._image = union_table(m._image.parts)
-        m._preimage = union_table(m._preimage.parts)
+    `union_table` over the parts its memo holds; a map already tabulated
+    (its spaces first) is left as it is."""
+    if type(m._image) is list:
+        return
     m.domain.tabulate()
     m.codomain.tabulate()
+    m._image = union_table(m._image.parts)
+    m._preimage = union_table(m._preimage.parts)
 
 
 def image(m, a):
@@ -629,8 +631,7 @@ def decide_by(m, class_name, procedure_id):
                 "literal procedures enumerate subsets; limited to %d points"
                 % LITERAL_POINT_LIMIT
             )
-        if type(m._image) is not list:
-            _tabulate(m)
+        _tabulate(m)
     if proc.hypothesis is not None and not proc.hypothesis(m):
         return NOT_APPLICABLE
     return proc.evaluate(m)

@@ -210,7 +210,7 @@ def test_only_literal_procedures_tabulate_a_map():
     decide_by(m, "almost_open", "wo-i")
     assert stores(m) == {True}
     tables = lookups(m)
-    contmap._tabulate(m)  # safe to repeat: the tables are rebuilt equal
+    contmap._tabulate(m)  # safe to repeat: the tables are left as they are
     assert lookups(m) == tables
     wide = _random_map(random.Random(3), 13, 12)
     with pytest.raises(SpaceTooLarge):
